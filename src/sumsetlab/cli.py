@@ -26,6 +26,7 @@ from .sets import (
     gen_family,
     is_convex,
     read_set_file,
+    split_top_level,
 )
 from .energy import energy, pair_set_size, rep_fn
 from .constructions import popular_difference_mass, rich_difference_elements
@@ -221,7 +222,7 @@ def _cmd_scan(args, cfg) -> int:
     if not families_raw or not sizes_raw or not checks_raw:
         raise UsageError("scan requires --families, --sizes, and --checks")
     if isinstance(families_raw, str):
-        families_raw = _split_top_level(families_raw)
+        families_raw = split_top_level(families_raw)
     seed = int(_opt(args, cfg, "seed", 0))
     families = [_reseed(FamilySpec.parse(f, 1), seed) for f in families_raw]
     if isinstance(sizes_raw, str):
@@ -244,24 +245,6 @@ def _cmd_scan(args, cfg) -> int:
         sys.stderr.write(f"{n_fail} failing cells\n")
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _split_top_level(text: str) -> list[str]:
-    """Split a comma list while respecting parentheses: 'AP(1,1),GP(1,2)'."""
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur += ch
-    if cur.strip():
-        parts.append(cur)
-    return [p.strip() for p in parts if p.strip()]
 
 
 def _cmd_incidence(args, cfg) -> int:

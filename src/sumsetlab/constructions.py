@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .sets import FiniteSet
-from .energy import EnergyValue, RepFn, energy, rep_fn
+from .energy import EnergyValue, RepFn, common_scaled, energy, rep_fn
 
 __all__ = [
     "ambient_log",
@@ -71,24 +71,10 @@ def popular_difference_mass(A: FiniteSet) -> tuple[FiniteSet, int]:
     if len(A) == 0:
         raise DomainError("popular_differences needs a nonempty set")
     d = rep_fn(A, A, "diff")
-    n2 = len(A) ** 2
-    support_size = d.size
-    if d.is_numpy:
-        c = d.counts_array
-        # counts <= |A| and |A-A| <= |A|^2 keep this far inside int64
-        mask = 11 * c * support_size >= n2
-        mass = int(c[mask].sum())
-        vals = d.values_array[mask].tolist()
-        if d._scale != 1:
-            from .sets import as_rational
-
-            vals = [as_rational(Fraction(v, d._scale)) for v in vals]
-        return FiniteSet._from_sorted(vals), mass
-    picked = [(v, c) for v, c in sorted(d.counts.items()) if 11 * c * support_size >= n2]
-    return (
-        FiniteSet._from_sorted([v for v, _ in picked]),
-        sum(c for _, c in picked),
-    )
+    c = d.counts_array
+    # counts <= |A| and |A-A| <= |A|^2 keep this far inside int64
+    mask = 11 * c * d.size >= len(A) ** 2
+    return d.select(mask), int(c[mask].sum())
 
 
 def popular_differences(A: FiniteSet) -> FiniteSet:
@@ -98,9 +84,7 @@ def popular_differences(A: FiniteSet) -> FiniteSet:
 
 def _shift_hit_counts(X: FiniteSet, P: FiniteSet, op: str) -> list[int]:
     """For each x in X, count b in X with (x - b) resp. (x + b) in P."""
-    from .energy import _common_scaled
-
-    com = _common_scaled(X, P)
+    com = common_scaled(X, P)
     n = len(X)
     if com is not None and n > 0 and len(P) > 0:
         xa = com[0]
@@ -156,17 +140,7 @@ def popular_sums(X: FiniteSet, ambient_size: int) -> FiniteSet:
     if len(X) == 0:
         raise DomainError("popular_sums needs a nonempty set")
     s = rep_fn(X, X, "sum")
-    mask = _sum_popular_mask(s.counts_array, len(X), s.size, ambient_size)
-    if s.is_numpy:
-        from .sets import as_rational
-
-        vals = s.values_array[mask].tolist()
-        if s._scale != 1:
-            vals = [as_rational(Fraction(v, s._scale)) for v in vals]
-        return FiniteSet._from_sorted(vals)
-    vals_sorted = s._sorted_py_values()
-    out = [v for v, ok in zip(vals_sorted, mask.tolist()) if ok]
-    return FiniteSet._from_sorted(out)
+    return s.select(_sum_popular_mask(s.counts_array, len(X), s.size, ambient_size))
 
 
 def rich_sum_elements(X: FiniteSet, P: FiniteSet) -> FiniteSet:
@@ -275,22 +249,9 @@ def dominant_dyadic_class(f: RepFn, k) -> DyadicClass:
             mass_f = float(np.sum(np.power(sel.astype(np.float64), float(kr))))
         if mass_f > best_mass_f:
             best_j, best_mass_f, best_mass_exact = jv, mass_f, exact
-    sel_mask = j == best_j
-    if f.is_numpy:
-        from .sets import as_rational
-
-        vals = f.values_array[sel_mask].tolist()
-        if f._scale != 1:
-            vals = [as_rational(Fraction(v, f._scale)) for v in vals]
-        members = FiniteSet._from_sorted(vals)
-    else:
-        vals_sorted = f._sorted_py_values()
-        members = FiniteSet._from_sorted(
-            [v for v, ok in zip(vals_sorted, sel_mask.tolist()) if ok]
-        )
     return DyadicClass(
         level=1 << int(best_j),
-        members=members,
+        members=f.select(j == best_j),
         weighted_mass=EnergyValue(best_mass_exact, best_mass_f),
         exponent=float(kr),
     )
@@ -322,9 +283,7 @@ def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) ->
     P = popular_differences(A)
     R = rich_difference_elements(A, P)
 
-    from .energy import _common_scaled
-
-    com = _common_scaled(A, P)
+    com = common_scaled(A, P)
     if com is not None and len(P) > 0:
         aa = com[0]
         ps = np.sort(com[1])

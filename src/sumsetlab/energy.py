@@ -3,9 +3,11 @@
 All counting here is exact.  The workhorse layout: a set's scaled-integer
 view (see `sets._IntView`) lets the common all-integer case run through
 int64 numpy kernels, while arbitrary rationals and huge integers (geometric
-families reach 2**n) fall back to hashed big-integer counting.  Counting is
-O(|A||B|) hash/vector accumulation, because every downstream inequality
-check treats these counts as exact combinatorial quantities.
+families reach 2**n) fall back to exact Python-object counting; pair-set
+sizes of such sets sort int64 residue keys and check every key group
+exactly.  Counting is O(|A||B|) hash/vector accumulation, because every
+downstream inequality check treats these counts as exact combinatorial
+quantities.
 
 The one floating-point path is `projection_count`'s fast path for integer
 sets of moderate span: the difference-count function of a set is the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -30,15 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, DivisionDomainError, DomainError, ExactnessError
-from .sets import FiniteSet, Rational, as_rational
-
-# Optional: gmpy2 speeds up the big-integer products in
-# `_distinct_count_fingerprint`, its only user.  Without it plain ints give
-# the same results, somewhat slower; that fallback is a supported path.
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:
-    _mpz = int
+from .sets import INT64_SAFE, FiniteSet, Rational, as_rational
 
 __all__ = [
     "PAIR_OPS",
@@ -55,7 +50,6 @@ __all__ = [
 
 PAIR_OPS = ("sum", "diff", "prod", "ratio")
 
-_INT64_SAFE = 1 << 62
 # Up to this scaled span the FFT correlation path transforms at most 2**23
 # float64 points (64 MiB per working array); above it the hash loop (with
 # budget) takes over.
@@ -95,11 +89,13 @@ class RepFn:
     def __init__(self, op, left_size, right_size, *, vals_arr=None, scale=1,
                  vals_py=None, counts_arr=None, counts_dict=None,
                  flat=None, starts=None):
+        if left_size * right_size >= 1 << 63:
+            raise DomainError(
+                f"pair mass {left_size} * {right_size} does not fit int64 counts"
+            )
         self.op = op
         self.left_size = left_size
         self.right_size = right_size
-        # counts stay within fixed-width integers at any feasible desk scale
-        assert left_size * right_size < (1 << 63)
         self._vals_arr = vals_arr
         self._scale = scale
         self._vals_py = vals_py
@@ -160,14 +156,8 @@ class RepFn:
         return self._dict
 
     def _unscaled_values(self) -> list:
-        if self._vals_py is not None:
-            return self._vals_py
-        s = self._scale
-        raw = self.values_array.tolist()
-        if s == 1:
-            self._vals_py = raw
-        else:
-            self._vals_py = [as_rational(Fraction(v, s)) for v in raw]
+        if self._vals_py is None:
+            self._vals_py = _unscale(self.values_array.tolist(), self._scale)
         return self._vals_py
 
     def get(self, x) -> int:
@@ -190,58 +180,103 @@ class RepFn:
             return iter(self._dict.items())
         return zip(self._unscaled_values(), self._counts_arr.tolist())
 
+    def select(self, mask: np.ndarray) -> FiniteSet:
+        """The support values where the boolean `mask`, aligned with
+        `counts_array`, is true, as a FiniteSet of exact values."""
+        if self._numpy_mode:
+            vals = _unscale(self.values_array[mask].tolist(), self._scale)
+        else:
+            vals = [v for v, ok in zip(self._sorted_py_values(), mask.tolist()) if ok]
+        return FiniteSet._from_sorted(vals)
+
     def support(self) -> FiniteSet:
         """The pair set itself, as a FiniteSet."""
-        return FiniteSet._from_sorted(self._unscaled_values())
+        return self.select(np.ones(self.size, dtype=bool))
+
+
+def _unscale(raw: list[int], scale: int) -> list:
+    """Exact values of integers scaled by `scale`."""
+    return raw if scale == 1 else [as_rational(Fraction(v, scale)) for v in raw]
 
 
 def _abs_bound(ints: list[int]) -> int:
     return max(abs(ints[0]), abs(ints[-1])) if ints else 0
 
 
-def _common_scaled(A: FiniteSet, B: FiniteSet):
-    """int64 views of A and B brought to a common denominator, or None."""
+def _common_factors(A: FiniteSet, B: FiniteSet) -> tuple[int, int, int]:
+    """(s, s / scale(A), s / scale(B)) for s the lcm of the two int_view
+    scales: the factors that bring both sets to one denominator."""
+    sa, sb = A.int_view.scale, B.int_view.scale
+    s = math.lcm(sa, sb)
+    return s, s // sa, s // sb
+
+
+def _common_int_lists(A: FiniteSet, B: FiniteSet) -> tuple[list[int], list[int], int]:
+    """A and B as integer lists scaled by one common factor s, and s."""
+    s, ma, mb = _common_factors(A, B)
+    a, b = A.int_view.ints, B.int_view.ints
+    return (a if ma == 1 else [v * ma for v in a],
+            b if mb == 1 else [v * mb for v in b], s)
+
+
+def common_scaled(A: FiniteSet, B: FiniteSet):
+    """(a, b, s): int64 views of A and B brought to a common denominator s,
+    or None when a scaled value may not fit int64."""
     iva, ivb = A.int_view, B.int_view
     if iva.arr is None or ivb.arr is None:
         return None
-    s = iva.scale * ivb.scale // math.gcd(iva.scale, ivb.scale)
-    ma, mb = s // iva.scale, s // ivb.scale
-    if _abs_bound(iva.ints) * ma + _abs_bound(ivb.ints) * mb >= _INT64_SAFE:
+    s, ma, mb = _common_factors(A, B)
+    if _abs_bound(iva.ints) * ma + _abs_bound(ivb.ints) * mb >= INT64_SAFE:
         return None
     return iva.arr * ma if ma != 1 else iva.arr, ivb.arr * mb if mb != 1 else ivb.arr, s
 
 
-def _outer_values(A: FiniteSet, B: FiniteSet, op: str):
-    """All |A||B| operation values: (int array, scale) or (list, 1)."""
+def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
+    """All |A||B| values of a op b as one flat scaled int array.
+
+    Returns (values, scale, lo, hi), with lo and hi the exact extremes for
+    a sum or difference of nonempty sets and None otherwise; or None when
+    the values may not fit int64, and always for ratios.
+    """
     if op in ("sum", "diff"):
-        com = _common_scaled(A, B)
-        if com is not None:
-            a, b, s = com
-            if a.size and b.size and _abs_bound([int(a[0]), int(a[-1])]) \
+        com = common_scaled(A, B)
+        if com is None:
+            return None
+        a, b, s = com
+        lo = hi = None
+        if a.size and b.size:
+            # exact result bounds come straight from the operand extremes
+            if op == "sum":
+                lo, hi = int(a[0] + b[0]), int(a[-1] + b[-1])
+            else:
+                lo, hi = int(a[0] - b[-1]), int(a[-1] - b[0])
+            if _abs_bound([int(a[0]), int(a[-1])]) \
                     + _abs_bound([int(b[0]), int(b[-1])]) < (1 << 31):
                 # results fit int32: half the memory traffic in the sort
                 a = a.astype(np.int32)
                 b = b.astype(np.int32)
-            m = a[:, None] + b[None, :] if op == "sum" else a[:, None] - b[None, :]
-            return m.ravel(), s
-    elif op == "prod":
+        m = a[:, None] + b[None, :] if op == "sum" else a[:, None] - b[None, :]
+        return m.ravel(), s, lo, hi
+    if op == "prod":
         iva, ivb = A.int_view, B.int_view
-        if iva.arr is not None and ivb.arr is not None:
-            if _abs_bound(iva.ints) * _abs_bound(ivb.ints) < _INT64_SAFE:
-                return (iva.arr[:, None] * ivb.arr[None, :]).ravel(), iva.scale * ivb.scale
+        if iva.arr is not None and ivb.arr is not None \
+                and _abs_bound(iva.ints) * _abs_bound(ivb.ints) < INT64_SAFE:
+            flat = (iva.arr[:, None] * ivb.arr[None, :]).ravel()
+            return flat, iva.scale * ivb.scale, None, None
+    return None
 
-    # exact fallback: python objects (big ints / Fractions)
+
+def _outer_py(A: FiniteSet, B: FiniteSet, op: str) -> list:
+    """All |A||B| values of a op b as Python objects (big ints, Fractions)."""
     if op == "sum":
-        vals = [a + b for a in A.elements for b in B.elements]
-    elif op == "diff":
-        vals = [a - b for a in A.elements for b in B.elements]
-    elif op == "prod":
-        vals = [a * b for a in A.elements for b in B.elements]
-    else:  # ratio
-        if 0 in B.members:
-            raise DivisionDomainError("ratio set requires 0 not in divisor set")
-        vals = [as_rational(Fraction(a) / b) for a in A.elements for b in B.elements]
-    return vals, 1
+        return [a + b for a in A.elements for b in B.elements]
+    if op == "diff":
+        return [a - b for a in A.elements for b in B.elements]
+    if op == "prod":
+        return [a * b for a in A.elements for b in B.elements]
+    if 0 in B.members:
+        raise DivisionDomainError("ratio set requires 0 not in divisor set")
+    return [as_rational(Fraction(a) / b) for a in A.elements for b in B.elements]
 
 
 # spans up to this get the linear histogram kernel instead of a sort
@@ -282,22 +317,11 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     counts(x) = #{(a, b) in A x B : a op b = x}; sum of counts is |A||B|.
     """
     _require_op(op)
-    if op == "ratio" and 0 in B.members:
-        raise DivisionDomainError("ratio set requires 0 not in divisor set")
-    vals, scale = _outer_values(A, B, op)
-    if isinstance(vals, np.ndarray):
-        lo = hi = None
-        if op in ("sum", "diff") and vals.size:
-            # exact result bounds come straight from the operand extremes
-            com = _common_scaled(A, B)
-            a, b, _ = com
-            if op == "sum":
-                lo, hi = int(a[0] + b[0]), int(a[-1] + b[-1])
-            else:
-                lo, hi = int(a[0] - b[-1]), int(a[-1] - b[0])
-        return _repfn_from_flat(op, len(A), len(B), vals, scale, lo, hi)
+    outer = _outer_int64(A, B, op)
+    if outer is not None:
+        return _repfn_from_flat(op, len(A), len(B), *outer)
     d: dict = {}
-    for v in vals:
+    for v in _outer_py(A, B, op):
         v = as_rational(v)
         d[v] = d.get(v, 0) + 1
     return RepFn(op, len(A), len(B), counts_dict=d)
@@ -306,150 +330,125 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
 def pair_set(A: FiniteSet, B: FiniteSet, op: str) -> FiniteSet:
     """The exact set {a op b : a in A, b in B} (materialized)."""
     _require_op(op)
-    vals, scale = _outer_values(A, B, op)
-    if isinstance(vals, np.ndarray):
-        uniq = np.unique(vals).tolist()
-        if scale != 1:
-            uniq = [as_rational(Fraction(v, scale)) for v in uniq]
-        return FiniteSet._from_sorted(uniq)
-    return FiniteSet(vals)
+    outer = _outer_int64(A, B, op)
+    if outer is not None:
+        return FiniteSet._from_sorted(_unscale(np.unique(outer[0]).tolist(), outer[1]))
+    return FiniteSet(_outer_py(A, B, op))
 
 
-def _pair_value(a, b, op):
-    if op == "sum":
-        return a + b
-    if op == "diff":
-        return a - b
-    if op == "prod":
-        return a * b
-    return as_rational(Fraction(a) / b)
-
-
-# 62-bit prime (2**62 - 57).  Python's own int hash reduces mod 2**61 - 1,
-# under which powers of two collide in large structured classes (2**61 == 2),
-# so geometric families would defeat a hash-based fingerprint.
-_FP_PRIME = 4611686018427387847
-
-
-def _fingerprint(v) -> int:
-    if isinstance(v, Fraction):
-        return hash(v)
-    return int(v % _FP_PRIME) - (_FP_PRIME >> 1)
+# Two safe primes below 2**31 (p and (p - 1)/2 both prime).  Modulo each,
+# every residue other than +-1 has multiplicative order at least (p - 1)/2,
+# so powers of one base (geometric families) spread over many residues; a
+# Mersenne prime would not do, as 2**k mod 2**31 - 1 takes only 31 values.
+_KEY_PRIMES = (2147483579, 2147483123)
+# pair values held at once while `_distinct_count_fingerprint` checks groups
+_CHECK_CHUNK = 1 << 15
+# each operation on numpy residues and on exact Python values
+_PAIR_FUNCS = {
+    "sum": (np.add, operator.add),
+    "diff": (np.subtract, operator.sub),
+    "prod": (np.multiply, operator.mul),
+}
 
 
 def _distinct_count_fingerprint(A: FiniteSet, B: FiniteSet, op: str) -> int:
-    """Exact distinct count of {a op b} for operand values too big for int64.
+    """Exact |A op B| for sets whose values need not fit int64.
 
-    Hash fingerprints give a linear-memory equality prefilter (equal values
-    always share a fingerprint); every colliding fingerprint group is then
-    re-resolved with the exact big-integer values, so the result is exact.
-    When A and B are the same set, sums/products enumerate only i <= j and
-    differences count 2 * #distinct positive differences + 1, which removes
-    the guaranteed symmetric duplicates before hashing.
+    Each pair gets an int64 key from its value's residues modulo the two
+    `_KEY_PRIMES`, so equal values always share a key.  After a sort, every
+    group of two or more equal keys is checked exactly against its first
+    member, and only a group holding distinct values builds a set; the
+    count is exact whatever the primes.  Sums and differences use both
+    sets' integers at a common denominator, products each set's own scaled
+    integers (a constant factor does not change distinctness), and a ratio
+    is a product with {1/b}.  When A and B are the same set, sums and
+    products enumerate j <= i only and differences count
+    2 * #distinct positive differences + 1.
     """
+    if len(A) == 0 or len(B) == 0:
+        return 0
     same = A is B or A == B
-    ae, be = A.elements, (A.elements if same else B.elements)
-    if (
-        _mpz is not int
-        and op != "ratio"
-        and all(isinstance(x, int) for x in ae)
-        and (same or all(isinstance(x, int) for x in be))
-    ):
-        # gmpy2 keeps hash() equal to the int hash but multiplies far faster
-        ae = [_mpz(x) for x in ae]
-        be = ae if same else [_mpz(x) for x in be]
-    n, m = len(ae), len(be)
-    if same and op in ("sum", "prod"):
-        total = n * (n + 1) // 2
-        ii = np.empty(total, dtype=np.int32)
-        jj = np.empty(total, dtype=np.int32)
-        k = 0
-        for i in range(n):
-            cnt = n - i
-            ii[k : k + cnt] = i
-            jj[k : k + cnt] = np.arange(i, n, dtype=np.int32)
-            k += cnt
-    elif same and op == "diff":
-        # difference sets are symmetric with 0 present: count positives only
-        total = n * (n - 1) // 2
-        if total == 0:
-            return 1
-        ii = np.empty(total, dtype=np.int32)
-        jj = np.empty(total, dtype=np.int32)
-        k = 0
-        for i in range(1, n):
-            ii[k : k + i] = i
-            jj[k : k + i] = np.arange(i, dtype=np.int32)
-            k += i
+    if op == "ratio":
+        B = FiniteSet(Fraction(1, b) for b in B.elements)
+        op, same = "prod", False
+    if op == "prod":
+        a, b = A.int_view.ints, B.int_view.ints
     else:
-        ii = np.repeat(np.arange(n, dtype=np.int32), m)
-        jj = np.tile(np.arange(m, dtype=np.int32), n)
-        total = n * m
+        a, b, _ = _common_int_lists(A, B)
+    if same:
+        # j < i gives the positive differences: a is sorted
+        b = a
+        ii, jj = (x.astype(np.int32) for x in np.tril_indices(len(a), -1 if op == "diff" else 0))
+    else:
+        ii = np.repeat(np.arange(len(a), dtype=np.int32), len(b))
+        jj = np.tile(np.arange(len(b), dtype=np.int32), len(a))
 
-    # fill row-by-row in the same order ii/jj were laid out
-    fps = np.empty(total, dtype=np.int64)
-    k = 0
-    for i in range(n):
-        if same and op in ("sum", "prod"):
-            cols = range(i, n)
-        elif same and op == "diff":
-            if i == 0:
-                continue
-            cols = range(i)
-        else:
-            cols = range(m)
-        a = ae[i]
-        hashes = [_fingerprint(_pair_value(a, be[j], op)) for j in cols]
-        fps[k : k + len(hashes)] = hashes
-        k += len(hashes)
+    # key = (v mod p1) * 2**31 + (v mod p2), from one Python % per element
+    p1, p2 = _KEY_PRIMES
+    ra = np.array([x % (p1 * p2) for x in a], dtype=np.int64)
+    rb = ra if same else np.array([x % (p1 * p2) for x in b], dtype=np.int64)
+    ufunc, f = _PAIR_FUNCS[op]
 
-    order = np.argsort(fps, kind="stable")
-    sfp = fps[order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sfp[1:], sfp[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    distinct = int(starts.size)
-    run_ends = np.append(starts[1:], total)
-    long_runs = np.flatnonzero(run_ends - starts > 1)
-    for r in long_runs.tolist():
-        seen = set()
-        for pos in order[starts[r] : run_ends[r]].tolist():
-            seen.add(_pair_value(ae[ii[pos]], be[jj[pos]], op))
-        distinct += len(seen) - 1
+    def residues(p: int) -> np.ndarray:
+        r = (ra % p)[ii]
+        ufunc(r, (rb % p)[jj], out=r)
+        r %= p
+        return r
+
+    key = residues(p1)
+    key <<= 31
+    key += residues(p2)
+    order = np.argsort(key)
+    key = key[order]
+    head = np.empty(key.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    del key
+    distinct = int(np.count_nonzero(head))
+
+    def values(sorted_pos: np.ndarray):
+        src = order[sorted_pos]
+        return map(f, [a[i] for i in ii[src].tolist()], [b[j] for j in jj[src].tolist()])
+
+    # sorted positions inside groups of two or more: a group's later
+    # members, and first members followed by one; checked chunk by chunk
+    later = ~head
+    pos = np.flatnonzero(later | np.append(later[1:], False))
+    mixed = []  # first positions of groups that hold distinct values
+    first = first_val = None
+    for c in range(0, pos.size, _CHECK_CHUNK):
+        chunk = pos[c : c + _CHECK_CHUNK]
+        for p, starts_group, v in zip(chunk.tolist(), head[chunk].tolist(), values(chunk)):
+            if starts_group:
+                first, first_val = p, v
+            elif v != first_val and (not mixed or mixed[-1] != first):
+                mixed.append(first)
+    if mixed:
+        starts = np.append(np.flatnonzero(head), head.size)
+        for p in mixed:
+            end = int(starts[np.searchsorted(starts, p, side="right")])
+            distinct += len(set(values(np.arange(p, end)))) - 1
     if same and op == "diff":
         return 2 * distinct + 1
     return distinct
 
 
 def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
-    """|A op B| without materializing the pair set when it would be huge.
+    """|A op B| without materializing the pair set.
 
-    Uses the int64 unique kernel when possible; big-magnitude sets (e.g.
-    geometric families reaching 2**n) go through an exact fingerprint
-    counter with linear memory instead of a value dictionary.
+    Uses the int64 unique kernel when the values fit, and otherwise (ratios,
+    and big values such as geometric families reaching 2**n) the exact
+    residue-keyed counter `_distinct_count_fingerprint` in linear memory.
     """
     _require_op(op)
     if len(A) == 0 or len(B) == 0:
         return 0
     if op == "ratio" and 0 in B.members:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
-    n_pairs = len(A) * len(B)
-    if op == "prod":
-        iva, ivb = A.int_view, B.int_view
-        can_np = (
-            iva.arr is not None and ivb.arr is not None
-            and _abs_bound(iva.ints) * _abs_bound(ivb.ints) < _INT64_SAFE
-        )
-    elif op == "ratio":
-        can_np = False
-    else:
-        can_np = _common_scaled(A, B) is not None
-    if can_np and n_pairs <= 40_000_000:
-        vals, _ = _outer_values(A, B, op)
-        return int(np.unique(vals).size)
-    if n_pairs <= 500_000:
-        return len({_pair_value(a, b, op) for a in A.elements for b in B.elements})
+    if len(A) * len(B) <= 40_000_000:
+        outer = _outer_int64(A, B, op)
+        if outer is not None:
+            return int(np.unique(outer[0]).size)
     return _distinct_count_fingerprint(A, B, op)
 
 
@@ -469,7 +468,8 @@ class EnergyValue:
         return self.approx
 
 
-def _to_float(x: int) -> float:
+def to_float(x: int) -> float:
+    """float(x), or inf when x is too large for a float."""
     try:
         return float(x)
     except OverflowError:
@@ -496,7 +496,7 @@ def energy(f: RepFn, k) -> EnergyValue:
     if isinstance(kr, int):
         uniq, mult = np.unique(c, return_counts=True)
         total = sum(int(m) * int(u) ** kr for u, m in zip(uniq.tolist(), mult.tolist()))
-        return EnergyValue(total, _to_float(total))
+        return EnergyValue(total, to_float(total))
     kf = float(kr)
     approx = float(np.sum(np.power(c.astype(np.float64), kf)))
     return EnergyValue(None, approx)
@@ -505,16 +505,6 @@ def energy(f: RepFn, k) -> EnergyValue:
 # ---------------------------------------------------------------------------
 # Projection counts  #{(p1, p2, q) in P x P x Q : p1 - p2 = q}
 # ---------------------------------------------------------------------------
-
-def _scaled_int_lists(P: FiniteSet, Q: FiniteSet):
-    """(P_ints, Q_ints): both sets scaled to integers by one common factor."""
-    ivp, ivq = P.int_view, Q.int_view
-    s = ivp.scale * ivq.scale // math.gcd(ivp.scale, ivq.scale)
-    mp_, mq = s // ivp.scale, s // ivq.scale
-    p = ivp.ints if mp_ == 1 else [v * mp_ for v in ivp.ints]
-    q = ivq.ints if mq == 1 else [v * mq for v in ivq.ints]
-    return p, q
-
 
 # Percival's FFT-convolution bound in double precision: unit roundoff, and an
 # assumed allowance (8 ulp) for the error of pocketfft's roots of unity.
@@ -690,7 +680,7 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
     if strategy == "auto":
         strategy = "hash"
         if loop_cost > 200_000:
-            p_ints, q_ints = _scaled_int_lists(P, Q)
+            p_ints, q_ints, _ = _common_int_lists(P, Q)
             span = p_ints[-1] - p_ints[0]
             if span <= _POLY_SPAN_LIMIT:
                 log2_m = max(1, span.bit_length())
@@ -700,7 +690,7 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
 
     if strategy == "poly":
         if p_ints is None:
-            p_ints, q_ints = _scaled_int_lists(P, Q)
+            p_ints, q_ints, _ = _common_int_lists(P, Q)
         counts = _difference_counts_fft(p_ints)
         span = counts.size - 1
         hits = [abs(q) for q in q_ints if -span <= q <= span]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionDomainError, DomainError
-from .sets import FiniteSet, Rational, as_rational, is_convex
+from .sets import INT64_SAFE, FiniteSet, Rational, as_rational, is_convex
 
 __all__ = [
     "Line",
@@ -32,8 +32,6 @@ __all__ = [
     "read_lines_csv",
     "write_lines_csv",
 ]
-
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def _int64_grid(A: FiniteSet, B: FiniteSet, lines) -> bool:
     worst = max(
         (abs(l.slope) * bound_a + abs(l.intercept) for l in lines), default=0
     )
-    return worst < _INT64_SAFE
+    return worst < INT64_SAFE
 
 
 def count_incidences_lines(A: FiniteSet, B: FiniteSet, lines) -> int:

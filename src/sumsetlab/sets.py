@@ -38,13 +38,14 @@ __all__ = [
     "read_set_file",
     "write_set_file",
     "parse_rational",
+    "split_top_level",
 ]
 
 Rational = int | Fraction
 
 # Beyond this magnitude an element no longer fits the int64 kernels and the
 # pure-Python big-integer paths take over.
-_INT64_SAFE = 1 << 62
+INT64_SAFE = 1 << 62
 
 
 def as_rational(x) -> Rational:
@@ -86,7 +87,7 @@ class _IntView:
     def __init__(self, ints: list[int], scale: int):
         self.ints = ints
         self.scale = scale
-        if ints and max(abs(ints[0]), abs(ints[-1])) < _INT64_SAFE:
+        if ints and max(abs(ints[0]), abs(ints[-1])) < INT64_SAFE:
             self.arr = np.array(ints, dtype=np.int64)
         else:
             self.arr = np.array([], dtype=np.int64) if not ints else None
@@ -332,23 +333,7 @@ class FamilySpec:
         if not m:
             raise DomainError(f"cannot parse family spec {text!r}")
         kind = m.group(1)
-        body = m.group(2)
-        parts: list[str] = []
-        depth = 0
-        cur = ""
-        for ch in body:
-            if ch == "," and depth == 0:
-                parts.append(cur)
-                cur = ""
-                continue
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            cur += ch
-        if cur.strip() or not parts:
-            parts.append(cur)
-        parts = [p.strip() for p in parts if p.strip()]
+        parts = split_top_level(m.group(2))
 
         def int_arg(p: str) -> int:
             v = as_rational(p)
@@ -371,6 +356,24 @@ class FamilySpec:
             rest = tuple(int_arg(p) for p in parts[1:])
             return cls(kind, (base,) + rest, n)
         raise DomainError(f"unknown family kind {kind!r}")
+
+
+def split_top_level(text: str) -> list[str]:
+    """Split a comma list outside parentheses, 'AP(1,1),GP(1,2)' into two
+    pieces; pieces are stripped and empty ones dropped."""
+    parts, depth, cur = [], 0, ""
+    for ch in text:
+        if ch == "," and depth == 0:
+            parts.append(cur)
+            cur = ""
+            continue
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        cur += ch
+    parts.append(cur)
+    return [p.strip() for p in parts if p.strip()]
 
 
 def gen_family(spec: FamilySpec, n: int | None = None) -> FiniteSet:

@@ -27,8 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BudgetExceededError,
     DivisionDomainError,
@@ -36,7 +34,7 @@ from .errors import (
     UnknownCheckError,
 )
 from .sets import FamilySpec, FiniteSet, as_rational, gen_family, intersect_dilate, is_convex
-from .energy import energy, pair_set_size, projection_count, rep_fn
+from .energy import energy, pair_set_size, projection_count, rep_fn, to_float
 from .constructions import (
     TWELVE_SEVENTHS,
     dominant_dyadic_class,
@@ -110,13 +108,6 @@ class _Skip(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def _to_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
 
 
 def _safe_ratio(lhs: float, rhs: float) -> float:
@@ -234,7 +225,7 @@ def _verdict_float(lhs: float, rhs: float, scale: Fraction) -> str:
 
 
 def _res(check_id, desc, lhs, rhs, verdict) -> CheckResult:
-    lf, rf = _to_float(lhs), _to_float(rhs)
+    lf, rf = to_float(lhs), to_float(rhs)
     return CheckResult(check_id, desc, lf, rf, _safe_ratio(lf, rf), verdict)
 
 
@@ -754,19 +745,14 @@ _OBJECTIVE_EXPONENTS = {
     "thm_csum": EXP_CSUM,
     "thm_cdiff": EXP_CDIFF,
 }
+# pair operations whose largest set size each objective divides by n**exponent
+_OBJECTIVE_OPS = {"thm_sp": ("sum", "prod"), "thm_csum": ("sum",), "thm_cdiff": ("diff",)}
 
 
-def _objective_ratio(objective: str, arr: np.ndarray) -> float:
-    n = arr.size
-    if objective == "thm_sp":
-        s = np.unique(arr[:, None] + arr[None, :]).size
-        p = np.unique(arr[:, None] * arr[None, :]).size
-        return max(s, p) / float(n) ** EXP_SP
-    if objective == "thm_csum":
-        s = np.unique(arr[:, None] + arr[None, :]).size
-        return s / float(n) ** EXP_CSUM
-    s = np.unique(arr[:, None] - arr[None, :]).size
-    return s / float(n) ** EXP_CDIFF
+def _objective_ratio(objective: str, values: list[int]) -> float:
+    A = FiniteSet(values)
+    size = max(pair_set_size(A, A, op) for op in _OBJECTIVE_OPS[objective])
+    return size / float(len(A)) ** _OBJECTIVE_EXPONENTS[objective]
 
 
 def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> SearchResult:
@@ -788,7 +774,7 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
 
     cur = list(range(1, n + 1))
     cur_set = set(cur)
-    cur_ratio = _objective_ratio(objective, np.array(cur, dtype=np.int64))
+    cur_ratio = _objective_ratio(objective, cur)
     evals = 1
     best = sorted(cur)
     best_ratio = cur_ratio
@@ -800,7 +786,7 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
         if stagnation >= stall_limit:
             cur = sorted(rng.sample(range(1, hi + 1), n))
             cur_set = set(cur)
-            cur_ratio = _objective_ratio(objective, np.array(cur, dtype=np.int64))
+            cur_ratio = _objective_ratio(objective, cur)
             evals += 1
             stagnation = 0
         else:
@@ -812,7 +798,7 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
             cand = cur.copy()
             old = cand[i]
             cand[i] = v
-            cand_ratio = _objective_ratio(objective, np.array(cand, dtype=np.int64))
+            cand_ratio = _objective_ratio(objective, cand)
             evals += 1
             if cand_ratio < cur_ratio:
                 cur = cand

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis import assume
 
 from sumsetlab import (
     BudgetExceededError,
@@ -23,6 +24,7 @@ from sumsetlab import (
     rep_fn,
     transform,
 )
+from sumsetlab import DomainError, RepFn
 from conftest import (
     int_sets,
     oracle_energy2,
@@ -362,6 +364,84 @@ def test_pair_set_size_fingerprint_path_matches_set_path():
         })
         assert _distinct_count_fingerprint(A, A, op) == same_want
 
+
+_PY_OPS = {
+    "sum": lambda a, b: a + b,
+    "diff": lambda a, b: a - b,
+    "prod": lambda a, b: a * b,
+    "ratio": lambda a, b: Fraction(a) / b,
+}
+# elements past int64 (beyond 2**62) mixed with small ones and rationals
+_huge_elements = st.one_of(
+    st.integers(-50, 50),
+    st.integers(1 << 62, 1 << 90),
+    st.integers(-(1 << 90), -(1 << 62)),
+    st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 9)),
+)
+_huge_sets = st.lists(_huge_elements, min_size=1, max_size=12).map(make_set)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_sets, _huge_sets), st.one_of(rational_sets, _huge_sets),
+       st.sampled_from(sorted(_PY_OPS)), st.booleans())
+def test_fingerprint_counter_matches_python_set(A, B, op, same):
+    from sumsetlab.energy import _distinct_count_fingerprint
+
+    if same:
+        B = A
+    assume(op != "ratio" or 0 not in B.members)
+    want = len({_PY_OPS[op](a, b) for a in A for b in B})
+    assert _distinct_count_fingerprint(A, B, op) == want
+    assert pair_set_size(A, B, op) == want
+
+
+def test_fingerprint_counter_resolves_forced_collisions(monkeypatch):
+    en = importlib.import_module("sumsetlab.energy")
+
+    # with primes 3 and 5 every pair falls into one of 15 key groups, so
+    # counts above 15 are right only if mixed groups are resolved exactly;
+    # a tiny chunk makes groups straddle chunk boundaries
+    monkeypatch.setattr(en, "_KEY_PRIMES", (3, 5))
+    monkeypatch.setattr(en, "_CHECK_CHUNK", 7)
+    G = gen_family(FamilySpec.gp(1, 2, 40))
+    R = gen_family(FamilySpec.random_subset(10_000, 30, seed=4))
+    Q = make_set([Fraction(k, 3) for k in range(-20, 21, 3)] + [1 << 70])
+    for A, B in ((G, G), (G, R), (R, R), (R, Q), (Q, Q), (Q, G)):
+        for op in ("sum", "diff", "prod", "ratio"):
+            if op == "ratio" and 0 in B.members:
+                continue
+            want = len({_PY_OPS[op](a, b) for a in A for b in B})
+            assert en._distinct_count_fingerprint(A, B, op) == want
+    n = len(G)
+    assert en._distinct_count_fingerprint(G, G, "sum") == n * (n + 1) // 2 > 15
+
+
+def test_repfn_select_dict_mode():
+    A = gen_family(FamilySpec.gp(1, 2, 70))
+    f = rep_fn(A, A, "diff")
+    assert not f.is_numpy
+    mask = np.arange(f.size) % 3 == 0
+    assert f.select(mask).elements == tuple(sorted(f.counts)[::3])
+    assert f.select(f.counts_array >= 2).elements == (0,)
+    assert f.support() == pair_set(A, A, "diff")
+
+
+def test_repfn_select_numpy_mode_with_scale():
+    A = gen_family(FamilySpec.ap(Fraction(1, 3), Fraction(2, 7), 20))
+    f = rep_fn(A, A, "sum")
+    assert f.is_numpy and A.int_view.scale == 21
+    mask = f.counts_array >= 5
+    want = sorted(v for v, c in oracle_rep_counts(A.elements, A.elements, "sum").items()
+                  if c >= 5)
+    assert f.select(mask).elements == tuple(want)
+    assert any(isinstance(v, Fraction) for v in want)
+    assert f.support() == pair_set(A, A, "sum")
+
+
+def test_repfn_rejects_mass_beyond_int64():
+    RepFn("sum", 1 << 32, (1 << 31) - 1)
+    with pytest.raises(DomainError):
+        RepFn("sum", 1 << 32, 1 << 31)
 
 def test_empty_sets():
     E = make_set([])
