@@ -200,7 +200,7 @@ def _cmd_verify(args, cfg) -> int:
     if checks is None:
         check_list = list(DEFAULT_VERIFY_CHECKS)
     else:
-        check_list = [c.strip() for c in str(checks).split(",") if c.strip()]
+        check_list = split_top_level(str(checks))
     params = None
     raw_params = _opt(args, cfg, "check_params", None)
     if raw_params:
@@ -230,7 +230,7 @@ def _cmd_scan(args, cfg) -> int:
     else:
         sizes = [int(s) for s in sizes_raw]
     if isinstance(checks_raw, str):
-        checks = [c.strip() for c in checks_raw.split(",") if c.strip()]
+        checks = split_top_level(checks_raw)
     else:
         checks = list(checks_raw)
     jobs = int(_opt(args, cfg, "jobs", 1))

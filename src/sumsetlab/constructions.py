@@ -180,15 +180,16 @@ def refine_rich_core(A: FiniteSet) -> tuple[FiniteSet, RefinementTrace]:
     guard = math.floor(log_n)
     iterates = [A]
     X = A
+    e_x = energy(rep_fn(X, X, "diff"), TWELVE_SEVENTHS).approx
     for step in range(guard + 1):
         R = rich_sum_elements(X, popular_sums(X, n))
-        e_right = energy(rep_fn(X, X, "diff"), TWELVE_SEVENTHS).approx / log_n
         e_rich = energy(rep_fn(R, R, "diff"), TWELVE_SEVENTHS).approx
-        if e_rich >= e_right:
+        if e_rich >= e_x / log_n:
             return X, RefinementTrace(tuple(iterates), "energy-criterion-met")
         if step == guard:
             return X, RefinementTrace(tuple(iterates), "iteration-guard")
-        X = R
+        # the next step's E_{12/7}(X) is this rich energy: X becomes R
+        X, e_x = R, e_rich
         iterates.append(X)
         if 2 * len(X) <= n:
             return X, RefinementTrace(tuple(iterates), "set-too-small")

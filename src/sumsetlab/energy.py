@@ -2,12 +2,12 @@
 
 All counting here is exact.  The workhorse layout: a set's scaled-integer
 view (see `sets._IntView`) lets the common all-integer case run through
-int64 numpy kernels, while arbitrary rationals and huge integers (geometric
-families reach 2**n) fall back to exact Python-object counting; pair-set
-sizes of such sets sort int64 residue keys and check every key group
-exactly.  Counting is O(|A||B|) hash/vector accumulation, because every
-downstream inequality check treats these counts as exact combinatorial
-quantities.
+int64 numpy kernels.  Ratios and values past int64 (geometric families
+reach 2**n) go through one residue-keyed grouping kernel, `_PairGroups`,
+which sorts int64 residue keys and checks every key group exactly; it
+gives representation tables, pair sets and pair-set sizes alike.  Counting
+is O(|A||B|) vector accumulation, because every downstream inequality
+check treats these counts as exact combinatorial quantities.
 
 The one floating-point path is `projection_count`'s fast path for integer
 sets of moderate span: the difference-count function of a set is the
@@ -23,7 +23,9 @@ the hash loop under a work budget.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,23 +74,21 @@ class RepFn:
     """Representation function of a pair-set operation.
 
     counts(x) = number of ordered pairs (a, b) in A x B with a op b = x.
-    Total mass is always |A| * |B|.  Storage is either aligned arrays
-    (scaled int64 values + counts, the numpy fast path) or a plain dict of
-    exact values.  Array-mode values may be held as a sorted raw array plus
-    run starts and materialized only when someone actually asks for them;
-    moment energies touch counts alone, which keeps the n**2-sized value
-    gather off the hot path.
+    Total mass is always |A| * |B|.  One layout: the support as integers
+    scaled by `scale`, sorted, with aligned int64 `counts_array`.  Those
+    scaled values are an int64 array when they fit (`is_numpy`) and a
+    sorted list of Python ints past int64.  An int64 table may hold them as
+    a sorted raw array plus run starts and gather them only when someone
+    asks; moment energies touch counts alone, which keeps the n**2-sized
+    value gather off the hot path.  Exact values are unscaled only for what
+    `counts`, `items`, `select` and `support` return.
     """
 
-    __slots__ = (
-        "op", "left_size", "right_size",
-        "_vals_arr", "_scale", "_vals_py", "_counts_arr", "_dict",
-        "_flat", "_starts", "_numpy_mode",
-    )
+    __slots__ = ("op", "left_size", "right_size", "scale", "counts_array",
+                 "_values", "_flat", "_starts", "_dict")
 
-    def __init__(self, op, left_size, right_size, *, vals_arr=None, scale=1,
-                 vals_py=None, counts_arr=None, counts_dict=None,
-                 flat=None, starts=None):
+    def __init__(self, op, left_size, right_size, *, values=None, scale=1,
+                 counts=None, flat=None, starts=None):
         if left_size * right_size >= 1 << 63:
             raise DomainError(
                 f"pair mass {left_size} * {right_size} does not fit int64 counts"
@@ -96,107 +96,69 @@ class RepFn:
         self.op = op
         self.left_size = left_size
         self.right_size = right_size
-        self._vals_arr = vals_arr
-        self._scale = scale
-        self._vals_py = vals_py
-        self._counts_arr = counts_arr
-        self._dict = counts_dict
+        self.scale = scale
+        self.counts_array = counts
+        self._values = values
         self._flat = flat
         self._starts = starts
-        self._numpy_mode = counts_dict is None
+        self._dict = None
 
     # -- basic shape ---------------------------------------------------------
 
     @property
     def is_numpy(self) -> bool:
-        """True when values are held as scaled int64 arrays."""
-        return self._numpy_mode
+        """True when the scaled values are an int64 array."""
+        return not isinstance(self._values, list)
 
     @property
     def size(self) -> int:
         """Support size: |A op B|."""
-        if self._counts_arr is not None:
-            return int(self._counts_arr.size)
-        return len(self._dict)
+        return len(self.counts_array)
 
     @property
     def mass(self) -> int:
         return self.left_size * self.right_size
 
     @property
-    def counts_array(self) -> np.ndarray:
-        """Counts as int64, aligned with the (sorted) support."""
-        if self._counts_arr is None:
-            self._counts_arr = np.fromiter(
-                (self._dict[v] for v in self._sorted_py_values()),
-                dtype=np.int64, count=len(self._dict),
-            )
-        return self._counts_arr
-
-    @property
-    def values_array(self) -> np.ndarray | None:
-        """Sorted scaled values (int64), or None in dict mode."""
-        if self._vals_arr is None and self._flat is not None:
-            self._vals_arr = self._flat[self._starts]
-            self._flat = None
-            self._starts = None
-        return self._vals_arr
-
-    def _sorted_py_values(self):
-        if self._vals_py is None:
-            self._vals_py = sorted(self._dict)
-        return self._vals_py
+    def scaled_values(self):
+        """The sorted support times `scale`: an int64 array, or a list of
+        Python ints past int64."""
+        if self._values is None:
+            self._values = self._flat[self._starts]
+            self._flat = self._starts = None
+        return self._values
 
     @property
     def counts(self) -> dict:
-        """Exact value -> count mapping (materialized lazily)."""
+        """Exact value -> count mapping in increasing value order (built lazily)."""
         if self._dict is None:
-            vals = self._unscaled_values()
-            self._dict = dict(zip(vals, self._counts_arr.tolist()))
+            self._dict = dict(zip(self.support().elements, self.counts_array.tolist()))
         return self._dict
-
-    def _unscaled_values(self) -> list:
-        if self._vals_py is None:
-            self._vals_py = _unscale(self.values_array.tolist(), self._scale)
-        return self._vals_py
 
     def get(self, x) -> int:
         """Count for one value (0 when outside the support)."""
-        if self._dict is not None:
-            return self._dict.get(as_rational(x), 0)
-        sx = as_rational(as_rational(x) * self._scale)
+        sx = as_rational(as_rational(x) * self.scale)
         if not isinstance(sx, int):
             return 0
-        va = self.values_array
-        if va.size == 0 or not int(va[0]) <= sx <= int(va[-1]):
+        vals = self.scaled_values
+        if not len(vals) or not int(vals[0]) <= sx <= int(vals[-1]):
             return 0
-        i = int(np.searchsorted(va, sx))
-        if i < va.size and int(va[i]) == sx:
-            return int(self._counts_arr[i])
-        return 0
+        i = int(np.searchsorted(vals, sx)) if self.is_numpy else bisect.bisect_left(vals, sx)
+        return int(self.counts_array[i]) if int(vals[i]) == sx else 0
 
     def items(self) -> Iterator[tuple[Rational, int]]:
-        if self._dict is not None:
-            return iter(self._dict.items())
-        return zip(self._unscaled_values(), self._counts_arr.tolist())
+        return iter(self.counts.items())
 
     def select(self, mask: np.ndarray) -> FiniteSet:
         """The support values where the boolean `mask`, aligned with
         `counts_array`, is true, as a FiniteSet of exact values."""
-        if self._numpy_mode:
-            vals = _unscale(self.values_array[mask].tolist(), self._scale)
-        else:
-            vals = [v for v, ok in zip(self._sorted_py_values(), mask.tolist()) if ok]
-        return FiniteSet._from_sorted(vals)
+        vals, s = self.scaled_values, self.scale
+        raw = vals[mask].tolist() if self.is_numpy else itertools.compress(vals, mask.tolist())
+        return FiniteSet._from_sorted(raw if s == 1 else [as_rational(Fraction(v, s)) for v in raw])
 
     def support(self) -> FiniteSet:
         """The pair set itself, as a FiniteSet."""
         return self.select(np.ones(self.size, dtype=bool))
-
-
-def _unscale(raw: list[int], scale: int) -> list:
-    """Exact values of integers scaled by `scale`."""
-    return raw if scale == 1 else [as_rational(Fraction(v, scale)) for v in raw]
 
 
 def _abs_bound(ints: list[int]) -> int:
@@ -266,19 +228,6 @@ def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
     return None
 
 
-def _outer_py(A: FiniteSet, B: FiniteSet, op: str) -> list:
-    """All |A||B| values of a op b as Python objects (big ints, Fractions)."""
-    if op == "sum":
-        return [a + b for a in A.elements for b in B.elements]
-    if op == "diff":
-        return [a - b for a in A.elements for b in B.elements]
-    if op == "prod":
-        return [a * b for a in A.elements for b in B.elements]
-    if 0 in B.members:
-        raise DivisionDomainError("ratio set requires 0 not in divisor set")
-    return [as_rational(Fraction(a) / b) for a in A.elements for b in B.elements]
-
-
 # spans up to this get the linear histogram kernel instead of a sort
 _BINCOUNT_SPAN_LIMIT = 16_777_216
 
@@ -292,14 +241,14 @@ def _repfn_from_flat(op, nl, nr, flat: np.ndarray, scale: int,
     gather until somebody asks for support values.
     """
     if flat.size == 0:
-        return RepFn(op, nl, nr, vals_arr=flat, scale=scale,
-                     counts_arr=np.array([], dtype=np.int64))
+        return RepFn(op, nl, nr, values=flat, scale=scale,
+                     counts=np.array([], dtype=np.int64))
     if lo is not None and hi - lo <= _BINCOUNT_SPAN_LIMIT and hi - lo <= 16 * flat.size:
         hist = np.bincount(flat - lo, minlength=hi - lo + 1)
         vals = np.flatnonzero(hist)
         cnt = hist[vals]
-        return RepFn(op, nl, nr, vals_arr=(vals + lo), scale=scale,
-                     counts_arr=cnt.astype(np.int64))
+        return RepFn(op, nl, nr, values=vals + lo, scale=scale,
+                     counts=cnt.astype(np.int64))
     flat.sort()
     keep = np.empty(flat.size, dtype=bool)
     keep[0] = True
@@ -308,32 +257,29 @@ def _repfn_from_flat(op, nl, nr, flat: np.ndarray, scale: int,
     cnt = np.empty(starts.size, dtype=np.int64)
     np.subtract(starts[1:], starts[:-1], out=cnt[:-1])
     cnt[-1] = flat.size - starts[-1]
-    return RepFn(op, nl, nr, scale=scale, counts_arr=cnt, flat=flat, starts=starts)
+    return RepFn(op, nl, nr, scale=scale, counts=cnt, flat=flat, starts=starts)
 
 
 def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     """Representation function of A op B.
 
     counts(x) = #{(a, b) in A x B : a op b = x}; sum of counts is |A||B|.
+    Values that fit int64 go through `_repfn_from_flat`; ratios and values
+    past int64 through the residue-keyed `_grouped_table`.
     """
     _require_op(op)
     outer = _outer_int64(A, B, op)
     if outer is not None:
         return _repfn_from_flat(op, len(A), len(B), *outer)
-    d: dict = {}
-    for v in _outer_py(A, B, op):
-        v = as_rational(v)
-        d[v] = d.get(v, 0) + 1
-    return RepFn(op, len(A), len(B), counts_dict=d)
+    if op == "ratio" and 0 in B.members:
+        raise DivisionDomainError("ratio set requires 0 not in divisor set")
+    values, counts, scale = _grouped_table(A, B, op)
+    return RepFn(op, len(A), len(B), values=values, scale=scale, counts=counts)
 
 
 def pair_set(A: FiniteSet, B: FiniteSet, op: str) -> FiniteSet:
     """The exact set {a op b : a in A, b in B} (materialized)."""
-    _require_op(op)
-    outer = _outer_int64(A, B, op)
-    if outer is not None:
-        return FiniteSet._from_sorted(_unscale(np.unique(outer[0]).tolist(), outer[1]))
-    return FiniteSet(_outer_py(A, B, op))
+    return rep_fn(A, B, op).support()
 
 
 # Two safe primes below 2**31 (p and (p - 1)/2 both prime).  Modulo each,
@@ -341,7 +287,7 @@ def pair_set(A: FiniteSet, B: FiniteSet, op: str) -> FiniteSet:
 # so powers of one base (geometric families) spread over many residues; a
 # Mersenne prime would not do, as 2**k mod 2**31 - 1 takes only 31 values.
 _KEY_PRIMES = (2147483579, 2147483123)
-# pair values held at once while `_distinct_count_fingerprint` checks groups
+# pair values held at once while `_PairGroups.mixed_groups` checks groups
 _CHECK_CHUNK = 1 << 15
 # each operation on numpy residues and on exact Python values
 _PAIR_FUNCS = {
@@ -351,86 +297,140 @@ _PAIR_FUNCS = {
 }
 
 
+class _PairGroups:
+    """The pairs of A op B grouped by an int64 key of their exact values.
+
+    Each pair gets a key from its value's residues modulo the two
+    `_KEY_PRIMES`, so equal values always share a key; `order` sorts the
+    pairs by key and `head` marks the first sorted position of each key
+    group.  Sums and differences use both sets' integers at a common
+    denominator, products each set's own scaled integers, and a ratio is a
+    product with {1/b}; an exact value is the integer one over `scale`.
+    When A and B are the same set (`same`), sums and products enumerate
+    pairs j <= i only and differences j < i, the positive differences.
+    """
+
+    def __init__(self, A: FiniteSet, B: FiniteSet, op: str):
+        same = A is B or A == B
+        if op == "ratio":
+            B = FiniteSet(Fraction(1, b) for b in B.elements)
+            op, same = "prod", False
+        if op == "prod":
+            a, b = A.int_view.ints, B.int_view.ints
+            self.scale = A.int_view.scale * B.int_view.scale
+        else:
+            a, b, self.scale = _common_int_lists(A, B)
+        if same:
+            # j < i gives the positive differences: a is sorted
+            b = a
+            ii, jj = (x.astype(np.int32) for x in np.tril_indices(len(a), -1 if op == "diff" else 0))
+        else:
+            ii = np.repeat(np.arange(len(a), dtype=np.int32), len(b))
+            jj = np.tile(np.arange(len(b), dtype=np.int32), len(a))
+        self.op, self.same = op, same
+        self.a, self.b, self.ii, self.jj = a, b, ii, jj
+
+        # key = (v mod p1) * 2**31 + (v mod p2), from one Python % per element
+        p1, p2 = _KEY_PRIMES
+        ra = np.array([x % (p1 * p2) for x in a], dtype=np.int64)
+        rb = ra if same else np.array([x % (p1 * p2) for x in b], dtype=np.int64)
+        ufunc, self._f = _PAIR_FUNCS[op]
+
+        def residues(p: int) -> np.ndarray:
+            r = (ra % p)[ii]
+            ufunc(r, (rb % p)[jj], out=r)
+            r %= p
+            return r
+
+        key = residues(p1)
+        key <<= 31
+        key += residues(p2)
+        self.order = np.argsort(key)
+        key = key[self.order]
+        self.head = np.empty(key.size, dtype=bool)
+        self.head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=self.head[1:])
+
+    def values(self, sorted_pos: np.ndarray) -> Iterator[int]:
+        """Exact integer values of the pairs at these sorted positions."""
+        src = self.order[sorted_pos]
+        return map(self._f, [self.a[i] for i in self.ii[src].tolist()],
+                   [self.b[j] for j in self.jj[src].tolist()])
+
+    def mixed_groups(self) -> list[tuple[int, int]]:
+        """(start, end) sorted positions of the key groups that hold
+        distinct values.  Only groups of two or more pairs are evaluated:
+        each member against its group's first, `_CHECK_CHUNK` at a time."""
+        head = self.head
+        # a group's later members, and first members followed by one
+        later = ~head
+        pos = np.flatnonzero(later | np.append(later[1:], False))
+        mixed = []
+        first = first_val = None
+        for c in range(0, pos.size, _CHECK_CHUNK):
+            chunk = pos[c : c + _CHECK_CHUNK]
+            for p, starts_group, v in zip(chunk.tolist(), head[chunk].tolist(), self.values(chunk)):
+                if starts_group:
+                    first, first_val = p, v
+                elif v != first_val and (not mixed or mixed[-1] != first):
+                    mixed.append(first)
+        if not mixed:
+            return []
+        starts = np.append(np.flatnonzero(head), head.size)
+        return [(p, int(starts[np.searchsorted(starts, p, side="right")])) for p in mixed]
+
+
 def _distinct_count_fingerprint(A: FiniteSet, B: FiniteSet, op: str) -> int:
     """Exact |A op B| for sets whose values need not fit int64.
 
-    Each pair gets an int64 key from its value's residues modulo the two
-    `_KEY_PRIMES`, so equal values always share a key.  After a sort, every
-    group of two or more equal keys is checked exactly against its first
-    member, and only a group holding distinct values builds a set; the
-    count is exact whatever the primes.  Sums and differences use both
-    sets' integers at a common denominator, products each set's own scaled
-    integers (a constant factor does not change distinctness), and a ratio
-    is a product with {1/b}.  When A and B are the same set, sums and
-    products enumerate j <= i only and differences count
-    2 * #distinct positive differences + 1.
+    Counts the key groups of `_PairGroups` and, in each group that holds
+    distinct values, the distinct values beyond one (with a set), so the
+    count is exact whatever the primes; no singleton group is evaluated.
+    For the same set, differences count 2 * #distinct positive
+    differences + 1.
     """
     if len(A) == 0 or len(B) == 0:
         return 0
-    same = A is B or A == B
-    if op == "ratio":
-        B = FiniteSet(Fraction(1, b) for b in B.elements)
-        op, same = "prod", False
-    if op == "prod":
-        a, b = A.int_view.ints, B.int_view.ints
-    else:
-        a, b, _ = _common_int_lists(A, B)
-    if same:
-        # j < i gives the positive differences: a is sorted
-        b = a
-        ii, jj = (x.astype(np.int32) for x in np.tril_indices(len(a), -1 if op == "diff" else 0))
-    else:
-        ii = np.repeat(np.arange(len(a), dtype=np.int32), len(b))
-        jj = np.tile(np.arange(len(b), dtype=np.int32), len(a))
+    g = _PairGroups(A, B, op)
+    distinct = int(np.count_nonzero(g.head))
+    for start, end in g.mixed_groups():
+        distinct += len(set(g.values(np.arange(start, end)))) - 1
+    return 2 * distinct + 1 if g.same and g.op == "diff" else distinct
 
-    # key = (v mod p1) * 2**31 + (v mod p2), from one Python % per element
-    p1, p2 = _KEY_PRIMES
-    ra = np.array([x % (p1 * p2) for x in a], dtype=np.int64)
-    rb = ra if same else np.array([x % (p1 * p2) for x in b], dtype=np.int64)
-    ufunc, f = _PAIR_FUNCS[op]
 
-    def residues(p: int) -> np.ndarray:
-        r = (ra % p)[ii]
-        ufunc(r, (rb % p)[jj], out=r)
-        r %= p
-        return r
+def _grouped_table(A: FiniteSet, B: FiniteSet, op: str) -> tuple[list[int], np.ndarray, int]:
+    """(sorted scaled values, int64 counts, scale) of the representation
+    function of A op B, for values that need not fit int64.
 
-    key = residues(p1)
-    key <<= 31
-    key += residues(p2)
-    order = np.argsort(key)
-    key = key[order]
-    head = np.empty(key.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    del key
-    distinct = int(np.count_nonzero(head))
-
-    def values(sorted_pos: np.ndarray):
-        src = order[sorted_pos]
-        return map(f, [a[i] for i in ii[src].tolist()], [b[j] for j in jj[src].tolist()])
-
-    # sorted positions inside groups of two or more: a group's later
-    # members, and first members followed by one; checked chunk by chunk
-    later = ~head
-    pos = np.flatnonzero(later | np.append(later[1:], False))
-    mixed = []  # first positions of groups that hold distinct values
-    first = first_val = None
-    for c in range(0, pos.size, _CHECK_CHUNK):
-        chunk = pos[c : c + _CHECK_CHUNK]
-        for p, starts_group, v in zip(chunk.tolist(), head[chunk].tolist(), values(chunk)):
-            if starts_group:
-                first, first_val = p, v
-            elif v != first_val and (not mixed or mixed[-1] != first):
-                mixed.append(first)
-    if mixed:
-        starts = np.append(np.flatnonzero(head), head.size)
-        for p in mixed:
-            end = int(starts[np.searchsorted(starts, p, side="right")])
-            distinct += len(set(values(np.arange(p, end)))) - 1
-    if same and op == "diff":
-        return 2 * distinct + 1
-    return distinct
+    One count per key group of `_PairGroups` (np.add.reduceat over the group
+    starts) and one evaluated value per group; a group that holds distinct
+    values is split exactly by a weighted tally.  For the same set, the
+    positive difference table is mirrored, with count |A| at 0.
+    """
+    if len(A) == 0 or len(B) == 0:
+        return [], np.zeros(0, dtype=np.int64), 1
+    g = _PairGroups(A, B, op)
+    weight = np.ones(g.order.size, dtype=np.int64)
+    if g.same and g.op != "diff":  # pair (i, j), j < i, stands also for (j, i)
+        weight += g.ii[g.order] != g.jj[g.order]
+    starts = np.flatnonzero(g.head)
+    counts = np.add.reduceat(weight, starts)
+    whole = np.ones(starts.size, dtype=bool)
+    table = []
+    for start, end in g.mixed_groups():
+        whole[np.searchsorted(starts, start)] = False
+        tally: dict = {}
+        for v, w in zip(g.values(np.arange(start, end)), weight[start:end].tolist()):
+            tally[v] = tally.get(v, 0) + w
+        table.extend(tally.items())
+    table.extend(zip(g.values(starts[whole]), counts[whole].tolist()))
+    table.sort(key=operator.itemgetter(0))
+    values = [v for v, _ in table]
+    cnt = [c for _, c in table]
+    if g.same and g.op == "diff":
+        values = [-v for v in reversed(values)] + [0] + values
+        cnt = cnt[::-1] + [len(A)] + cnt
+    return values, np.array(cnt, dtype=np.int64), g.scale
 
 
 def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
@@ -675,12 +675,12 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
     if np_ == 0 or nq == 0:
         return 0
     loop_cost = np_ * min(np_, nq)
+    # p1 - p2 = q exactly when s*p1 - s*p2 = s*q: every path counts integers
+    p_ints, q_ints, _ = _common_int_lists(P, Q)
 
-    p_ints = q_ints = None
     if strategy == "auto":
         strategy = "hash"
         if loop_cost > 200_000:
-            p_ints, q_ints, _ = _common_int_lists(P, Q)
             span = p_ints[-1] - p_ints[0]
             if span <= _POLY_SPAN_LIMIT:
                 log2_m = max(1, span.bit_length())
@@ -689,8 +689,6 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
                     strategy = "poly"
 
     if strategy == "poly":
-        if p_ints is None:
-            p_ints, q_ints, _ = _common_int_lists(P, Q)
         counts = _difference_counts_fft(p_ints)
         span = counts.size - 1
         hits = [abs(q) for q in q_ints if -span <= q <= span]
@@ -703,12 +701,10 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
             f"projection_count needs {loop_cost} pair operations, budget {budget}"
         )
     if nq <= np_:
-        members = P.members
-        pe, qe = P.elements, Q.elements
-        return sum(1 for p2 in pe for q in qe if p2 + q in members)
-    members = Q.members
-    pe = P.elements
-    return sum(1 for p1 in pe for p2 in pe if p1 - p2 in members)
+        members = set(p_ints)
+        return sum(1 for p2 in p_ints for q in q_ints if p2 + q in members)
+    members = set(q_ints)
+    return sum(1 for p1 in p_ints for p2 in p_ints if p1 - p2 in members)
 
 
 # ---------------------------------------------------------------------------

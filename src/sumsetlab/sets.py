@@ -359,17 +359,18 @@ class FamilySpec:
 
 
 def split_top_level(text: str) -> list[str]:
-    """Split a comma list outside parentheses, 'AP(1,1),GP(1,2)' into two
-    pieces; pieces are stripped and empty ones dropped."""
+    """Split a comma list outside parentheses and brackets,
+    'AP(1,1),GP(1,2)' or 'cs_energy,st_measure[slopes=3,intercepts=10]' into
+    two pieces; pieces are stripped and empty ones dropped."""
     parts, depth, cur = [], 0, ""
     for ch in text:
         if ch == "," and depth == 0:
             parts.append(cur)
             cur = ""
             continue
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
         cur += ch
     parts.append(cur)

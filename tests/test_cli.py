@@ -151,6 +151,17 @@ def test_scan_json_mirror(tmp_path):
     assert payload[0]["verdict"] == "pass"
 
 
+def test_checks_with_bracketed_comma_params(tmp_path):
+    check = "st_measure[slopes=3,intercepts=10]"
+    assert run_cli("verify", "--family", "AP(1,1)", "--n", "20",
+                   "--checks", f"cs_energy,{check}",
+                   "--out", str(tmp_path / "v.csv")) == 0
+    out = tmp_path / "s.json"
+    assert run_cli("scan", "--families", "AP(1,1)", "--sizes", "20",
+                   "--checks", check, "--format", "json", "--out", str(out)) == 0
+    assert [r["check_id"] for r in json.loads(out.read_text())] == [check]
+
+
 def test_scan_requires_arguments():
     assert run_cli("scan", "--families", "AP(1,1)") == 2
 

@@ -24,7 +24,7 @@ from sumsetlab import (
     rep_fn,
     transform,
 )
-from sumsetlab import DomainError, RepFn
+from sumsetlab import DomainError, RepFn, as_rational
 from conftest import (
     int_sets,
     oracle_energy2,
@@ -414,6 +414,46 @@ def test_fingerprint_counter_resolves_forced_collisions(monkeypatch):
             assert en._distinct_count_fingerprint(A, B, op) == want
     n = len(G)
     assert en._distinct_count_fingerprint(G, G, "sum") == n * (n + 1) // 2 > 15
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_sets, _huge_sets), st.one_of(rational_sets, _huge_sets),
+       st.sampled_from(sorted(_PY_OPS)), st.booleans())
+def test_rep_fn_table_matches_oracle_past_int64(A, B, op, same):
+    if same:
+        B = A
+    assume(op != "ratio" or 0 not in B.members)
+    want = oracle_rep_counts(A.elements, B.elements, op)
+    f = rep_fn(A, B, op)
+    assert f.counts == want
+    assert list(f.counts) == sorted(want)
+    assert f.size == len(want) == pair_set_size(A, B, op)
+    assert all(f.get(x) == c for x, c in want.items())
+    assert f.support() == pair_set(A, B, op)
+    assert f.support().elements == tuple(sorted(want))
+    mask = f.counts_array >= 2
+    assert f.select(mask).elements == tuple(sorted(x for x, c in want.items() if c >= 2))
+
+
+def test_grouped_table_resolves_forced_collisions(monkeypatch):
+    en = importlib.import_module("sumsetlab.energy")
+
+    # with primes 3 and 5 every group of more than one value is split by
+    # the weighted tally, also in same-set tables that are then mirrored
+    monkeypatch.setattr(en, "_KEY_PRIMES", (3, 5))
+    monkeypatch.setattr(en, "_CHECK_CHUNK", 7)
+    G = gen_family(FamilySpec.gp(1, 2, 40))
+    R = gen_family(FamilySpec.random_subset(10_000, 30, seed=4))
+    Q = make_set([Fraction(k, 3) for k in range(-20, 21, 3)] + [1 << 70])
+    for A, B in ((G, G), (G, R), (R, R), (R, Q), (Q, Q), (Q, G)):
+        for op in ("sum", "diff", "prod", "ratio"):
+            if op == "ratio" and 0 in B.members:
+                continue
+            want = oracle_rep_counts(A.elements, B.elements, op)
+            assert rep_fn(A, B, op).counts == want
+            values, counts, scale = en._grouped_table(A, B, op)
+            got = dict(zip((as_rational(Fraction(v, scale)) for v in values), counts.tolist()))
+            assert got == want and list(got) == sorted(want)
 
 
 def test_repfn_select_dict_mode():
