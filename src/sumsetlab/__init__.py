@@ -36,6 +36,7 @@ from .energy import (
     dump_repfn_csv,
     energy,
     load_repfn_csv,
+    pair_membership,
     pair_set,
     pair_set_size,
     projection_count,

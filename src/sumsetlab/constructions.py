@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .sets import FiniteSet
-from .energy import EnergyValue, RepFn, common_scaled, energy, rep_fn
+from .energy import EnergyValue, RepFn, energy, pair_membership, rep_fn
 
 __all__ = [
     "ambient_log",
@@ -82,24 +82,6 @@ def popular_differences(A: FiniteSet) -> FiniteSet:
     return popular_difference_mass(A)[0]
 
 
-def _shift_hit_counts(X: FiniteSet, P: FiniteSet, op: str) -> list[int]:
-    """For each x in X, count b in X with (x - b) resp. (x + b) in P."""
-    com = common_scaled(X, P)
-    n = len(X)
-    if com is not None and n > 0 and len(P) > 0:
-        xa = com[0]
-        ps = np.sort(com[1])
-        m = xa[:, None] - xa[None, :] if op == "diff" else xa[:, None] + xa[None, :]
-        idx = np.searchsorted(ps, m)
-        idx[idx == ps.size] = ps.size - 1
-        hit = ps[idx] == m
-        return hit.sum(axis=1).tolist()
-    members = P.members
-    if op == "diff":
-        return [sum(1 for b in X.elements if x - b in members) for x in X.elements]
-    return [sum(1 for b in X.elements if x + b in members) for x in X.elements]
-
-
 def rich_difference_elements(A: FiniteSet, P: FiniteSet) -> FiniteSet:
     """Elements x of A with |(x - A) & P| >= 2|A|/sqrt(11).
 
@@ -107,7 +89,7 @@ def rich_difference_elements(A: FiniteSet, P: FiniteSet) -> FiniteSet:
     (both sides nonnegative, boundary counted as rich).
     """
     n = len(A)
-    counts = _shift_hit_counts(A, P, "diff")
+    counts = pair_membership(A, A, "diff", P, per_row=True).tolist()
     keep = [x for x, c in zip(A.elements, counts) if 11 * c * c >= 4 * n * n]
     return FiniteSet._from_sorted(keep)
 
@@ -146,7 +128,7 @@ def popular_sums(X: FiniteSet, ambient_size: int) -> FiniteSet:
 def rich_sum_elements(X: FiniteSet, P: FiniteSet) -> FiniteSet:
     """Elements x of X with |(X + x) & P| >= (3/4)|X| (exact test 4c >= 3|X|)."""
     n = len(X)
-    counts = _shift_hit_counts(X, P, "sum")
+    counts = pair_membership(X, X, "sum", P, per_row=True).tolist()
     keep = [x for x, c in zip(X.elements, counts) if 4 * c >= 3 * n]
     return FiniteSet._from_sorted(keep)
 
@@ -229,8 +211,9 @@ def dominant_dyadic_class(f: RepFn, k) -> DyadicClass:
     if f.size == 0:
         raise DomainError("dyadic class selection needs a nonempty count function")
     counts = f.counts_array
-    # counts stay below 2^53, so float log2 followed by floor is exact
-    j = (np.floor(np.log2(counts.astype(np.float64)))).astype(np.int64)
+    # counts stay below 2^53, so float log2 followed by floor is exact; the
+    # levels fit uint8, whose stable sort is one radix pass
+    j = np.floor(np.log2(counts.astype(np.float64))).astype(np.uint8)
     kr = Fraction(k) if not isinstance(k, float) else k
     integral = (isinstance(kr, Fraction) and kr.denominator == 1) or (
         isinstance(kr, float) and kr.is_integer()
@@ -238,8 +221,11 @@ def dominant_dyadic_class(f: RepFn, k) -> DyadicClass:
     best_j = -1
     best_mass_f = -1.0
     best_mass_exact: int | None = None
-    for jv in np.unique(j).tolist():
-        sel = counts[j == jv]
+    # the levels in increasing order, each one's counts in table order, so a
+    # float moment sums the same array as a mask of the level would
+    order = np.argsort(j, kind="stable")
+    for sel in np.split(counts[order], np.flatnonzero(np.diff(j[order])) + 1):
+        jv = int(sel[0]).bit_length() - 1
         if integral:
             ki = int(kr)
             uniq, mult = np.unique(sel, return_counts=True)
@@ -262,10 +248,11 @@ def dominant_dyadic_class(f: RepFn, k) -> DyadicClass:
 # Exact triple counts
 # ---------------------------------------------------------------------------
 
-def _bitmask_rows(bool_rows: np.ndarray) -> list[int]:
-    """Pack boolean matrix rows into Python-int bitmasks (bit i = column i)."""
-    packed = np.packbits(bool_rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _masked_product_sum(left: np.ndarray, right: np.ndarray, mask: np.ndarray) -> int:
+    """sum((left @ right) * mask) for 0/1 matrices by float64 matmul, exact
+    while every partial sum is an integer below 2**53 (n**3 under the guards)."""
+    inner = left.astype(np.float64) @ right.astype(np.float64)
+    return int(round(float(np.sum(inner * mask))))
 
 
 def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) -> int:
@@ -284,46 +271,9 @@ def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) ->
     P = popular_differences(A)
     R = rich_difference_elements(A, P)
 
-    com = common_scaled(A, P)
-    if com is not None and len(P) > 0:
-        aa = com[0]
-        ps = np.sort(com[1])
-
-        def member_matrix(left: np.ndarray) -> np.ndarray:
-            m = left[:, None] - aa[None, :]
-            idx = np.searchsorted(ps, m)
-            idx[idx == ps.size] = ps.size - 1
-            return ps[idx] == m
-
-        pair_ok = member_matrix(aa)  # [a1, a2]: a1 - a2 popular
-        r_sel = np.array([x in R.members for x in A.elements], dtype=bool)
-        shift_ok = member_matrix(aa[r_sel])  # [r, a]: r - a popular
-        # float64 matmul on 0/1 matrices is exact: every partial sum is an
-        # integer below 2^53 for n <= guard
-        t = shift_ok.astype(np.float64)
-        inner = t @ pair_ok.astype(np.float64)
-        total = float(np.sum(inner * t))
-        return int(round(total))
-
-    # big-integer / rational fallback: per-row bitmasks over A's index space
-    members = P.members
-    elems = A.elements
-    pair_rows = np.zeros((n, n), dtype=bool)
-    for i, a1 in enumerate(elems):
-        row = pair_rows[i]
-        for jdx, a2 in enumerate(elems):
-            row[jdx] = (a1 - a2) in members
-    col_masks = _bitmask_rows(pair_rows.T)  # mask over a1 for each a2
-    total = 0
-    for r in R.elements:
-        t_bits = 0
-        t_idx = []
-        for i, a in enumerate(elems):
-            if (r - a) in members:
-                t_bits |= 1 << i
-                t_idx.append(i)
-        total += sum((t_bits & col_masks[i2]).bit_count() for i2 in t_idx)
-    return total
+    pair_ok = pair_membership(A, A, "diff", P)  # [a1, a2]: a1 - a2 popular
+    shift_ok = pair_membership(R, A, "diff", P)  # [r, a]: r - a popular
+    return _masked_product_sum(shift_ok, pair_ok, shift_ok)
 
 
 def count_popular_sum_triples(
@@ -346,22 +296,7 @@ def count_popular_sum_triples(
     P = popular_sums(B, ambient_size)
     R = rich_sum_elements(B, P)
     dclass = dominant_dyadic_class(rep_fn(R, R, "diff"), TWELVE_SEVENTHS)
-    pd_members = dclass.members.members
-
-    p_members = P.members
-    elems = B.elements
-    x_masks = []
-    for r in R.elements:
-        bits = 0
-        for i, b in enumerate(elems):
-            if (r + b) in p_members:
-                bits |= 1 << i
-        x_masks.append(bits)
-    total = 0
-    relems = R.elements
-    for i1, r1 in enumerate(relems):
-        m1 = x_masks[i1]
-        for i2, r2 in enumerate(relems):
-            if (r1 - r2) in pd_members:
-                total += (m1 & x_masks[i2]).bit_count()
+    hit = pair_membership(R, B, "sum", P)  # [r, b]: r + b popular
+    in_class = pair_membership(R, R, "diff", dclass.members)  # [r1, r2]: r1 - r2 in class
+    total = _masked_product_sum(hit, hit.T, in_class)
     return total, dclass.level, len(dclass.members)

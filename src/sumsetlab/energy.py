@@ -9,6 +9,11 @@ gives representation tables, pair sets and pair-set sizes alike.  Counting
 is O(|A||B|) vector accumulation, because every downstream inequality
 check treats these counts as exact combinatorial quantities.
 
+Sort, never hash: distinct values are counted by sorting, and membership
+of whole blocks of pair values in a set by `pair_membership`, a lookup in
+sorted values or keys.  A Python set or dict only splits a key group that
+holds distinct values, which takes a key collision.
+
 The one floating-point path is `projection_count`'s fast path for integer
 sets of moderate span: the difference-count function of a set is the
 autocorrelation of its 0/1 indicator vector, computed with float64 real
@@ -18,7 +23,7 @@ FFT convolution, proved for a complex radix-2 transform and carried over to
 numpy's real transforms without a proof, under which the kernel refuses
 operands whose error could reach 1/4; and a certification of every rounded
 table, which raises on any failed check.  Sets whose span is too large use
-the hash loop under a work budget.
+the sorted-membership loop under a work budget.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, DivisionDomainError, DomainError, ExactnessError
-from .sets import INT64_SAFE, FiniteSet, Rational, as_rational
+from .sets import INT64_SAFE, FiniteSet, Rational, as_rational, sorted_contains
 
 __all__ = [
     "PAIR_OPS",
@@ -43,6 +48,7 @@ __all__ = [
     "EnergyValue",
     "pair_set",
     "pair_set_size",
+    "pair_membership",
     "rep_fn",
     "energy",
     "projection_count",
@@ -53,16 +59,17 @@ __all__ = [
 PAIR_OPS = ("sum", "diff", "prod", "ratio")
 
 # Up to this scaled span the FFT correlation path transforms at most 2**23
-# float64 points (64 MiB per working array); above it the hash loop (with
-# budget) takes over.
+# float64 points (64 MiB per working array); above it the membership loop
+# (with budget) takes over.
 _POLY_SPAN_LIMIT = 4_194_304
 # "auto" cost model: the FFT path's work is M*log2(M) for transforms on M
-# points, the hash loop's is its pair operations, and one pair operation
-# costs about as much as 8 units of FFT work.  Timing both paths on random
-# sets with spans 3/4 of M = 2**14 .. 2**20 (2-core x86-64, numpy 2.4) put
-# the break-even |P| at 0.83-1.09 times the one this predicts: a ratio
-# between about 7 and 12.
-_FFT_WORK_PER_PAIR = 8
+# points, the membership loop's is its pair operations, and one pair
+# operation costs about as much as 4 units of FFT work.  Timing both paths
+# on random sets with spans 3/4 of M = 2**14 .. 2**20 (2-core x86-64,
+# numpy 2.4) gave 14-25 ns per pair against 4.5-7 ns per unit, a ratio of
+# 2.2-5.1; at 0.7 and 1.4 times the break-even |P| this predicts, the loop
+# and the FFT won every case.
+_FFT_WORK_PER_PAIR = 4
 
 
 def _require_op(op: str) -> None:
@@ -165,20 +172,19 @@ def _abs_bound(ints: list[int]) -> int:
     return max(abs(ints[0]), abs(ints[-1])) if ints else 0
 
 
-def _common_factors(A: FiniteSet, B: FiniteSet) -> tuple[int, int, int]:
-    """(s, s / scale(A), s / scale(B)) for s the lcm of the two int_view
-    scales: the factors that bring both sets to one denominator."""
+def _times(ints: list[int], m: int) -> list[int]:
+    return ints if m == 1 else [v * m for v in ints]
+
+
+def _pair_operands(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
+    """(a, b, s): integer lists and a multiple s of `scale` with
+    a[i] op b[j] = s * (A[i] op B[j]), for op sum, diff or prod."""
     sa, sb = A.int_view.scale, B.int_view.scale
-    s = math.lcm(sa, sb)
-    return s, s // sa, s // sb
-
-
-def _common_int_lists(A: FiniteSet, B: FiniteSet) -> tuple[list[int], list[int], int]:
-    """A and B as integer lists scaled by one common factor s, and s."""
-    s, ma, mb = _common_factors(A, B)
-    a, b = A.int_view.ints, B.int_view.ints
-    return (a if ma == 1 else [v * ma for v in a],
-            b if mb == 1 else [v * mb for v in b], s)
+    if op == "prod":
+        s = math.lcm(sa * sb, scale)
+        return _times(A.int_view.ints, s // (sa * sb)), B.int_view.ints, s
+    s = math.lcm(sa, sb, scale)
+    return _times(A.int_view.ints, s // sa), _times(B.int_view.ints, s // sb), s
 
 
 def common_scaled(A: FiniteSet, B: FiniteSet):
@@ -187,7 +193,8 @@ def common_scaled(A: FiniteSet, B: FiniteSet):
     iva, ivb = A.int_view, B.int_view
     if iva.arr is None or ivb.arr is None:
         return None
-    s, ma, mb = _common_factors(A, B)
+    s = math.lcm(iva.scale, ivb.scale)
+    ma, mb = s // iva.scale, s // ivb.scale
     if _abs_bound(iva.ints) * ma + _abs_bound(ivb.ints) * mb >= INT64_SAFE:
         return None
     return iva.arr * ma if ma != 1 else iva.arr, ivb.arr * mb if mb != 1 else ivb.arr, s
@@ -297,6 +304,12 @@ _PAIR_FUNCS = {
 }
 
 
+def _residues(ints: list[int]) -> np.ndarray:
+    """Each integer modulo the product of the `_KEY_PRIMES`, as int64."""
+    p1, p2 = _KEY_PRIMES
+    return np.fromiter((x % (p1 * p2) for x in ints), dtype=np.int64, count=len(ints))
+
+
 class _PairGroups:
     """The pairs of A op B grouped by an int64 key of their exact values.
 
@@ -315,11 +328,7 @@ class _PairGroups:
         if op == "ratio":
             B = FiniteSet(Fraction(1, b) for b in B.elements)
             op, same = "prod", False
-        if op == "prod":
-            a, b = A.int_view.ints, B.int_view.ints
-            self.scale = A.int_view.scale * B.int_view.scale
-        else:
-            a, b, self.scale = _common_int_lists(A, B)
+        a, b, self.scale = _pair_operands(A, B, op)
         if same:
             # j < i gives the positive differences: a is sorted
             b = a
@@ -332,8 +341,8 @@ class _PairGroups:
 
         # key = (v mod p1) * 2**31 + (v mod p2), from one Python % per element
         p1, p2 = _KEY_PRIMES
-        ra = np.array([x % (p1 * p2) for x in a], dtype=np.int64)
-        rb = ra if same else np.array([x % (p1 * p2) for x in b], dtype=np.int64)
+        ra = _residues(a)
+        rb = ra if same else _residues(b)
         ufunc, self._f = _PAIR_FUNCS[op]
 
         def residues(p: int) -> np.ndarray:
@@ -436,9 +445,10 @@ def _grouped_table(A: FiniteSet, B: FiniteSet, op: str) -> tuple[list[int], np.n
 def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
     """|A op B| without materializing the pair set.
 
-    Uses the int64 unique kernel when the values fit, and otherwise (ratios,
-    and big values such as geometric families reaching 2**n) the exact
-    residue-keyed counter `_distinct_count_fingerprint` in linear memory.
+    When the values fit int64 it sorts them in place and counts the breaks;
+    otherwise (ratios, and big values such as geometric families reaching
+    2**n) it uses the exact residue-keyed counter
+    `_distinct_count_fingerprint` in linear memory.
     """
     _require_op(op)
     if len(A) == 0 or len(B) == 0:
@@ -448,8 +458,68 @@ def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
     if len(A) * len(B) <= 40_000_000:
         outer = _outer_int64(A, B, op)
         if outer is not None:
-            return int(np.unique(outer[0]).size)
+            flat = outer[0]  # a fresh array: sorting it in place is safe
+            flat.sort()
+            return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
     return _distinct_count_fingerprint(A, B, op)
+
+
+# pair values held at once by `pair_membership`
+_MEMBERSHIP_CHUNK = 1 << 15
+
+
+def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
+                    per_row: bool = False) -> np.ndarray:
+    """Whether x op y lies in P, for every pair (x, y) in X x Y.
+
+    Returns a |X| x |Y| boolean matrix, or with `per_row` the int64 number
+    of hits in each row; op is "sum", "diff" or "prod".  With X op Y and P
+    at one denominator, each pair value that fits int64 is looked up in P's
+    sorted values; past int64 its residue key (as in `_PairGroups`) is
+    looked up in P's sorted keys, and a key hit is compared exactly.  Rows
+    go a block of about `_MEMBERSHIP_CHUNK` pair values at a time.
+    """
+    if op not in _PAIR_FUNCS:
+        raise DomainError(f"op must be one of {tuple(_PAIR_FUNCS)}, got {op!r}")
+    hits = np.zeros(len(X) if per_row else (len(X), len(Y)),
+                    dtype=np.int64 if per_row else bool)
+    if not (len(X) and len(Y) and len(P)):
+        return hits
+    x, y, s = _pair_operands(X, Y, op, P.int_view.scale)
+    p = _times(P.int_view.ints, s // P.int_view.scale)
+    ufunc, f = _PAIR_FUNCS[op]
+    bx, by = _abs_bound(x), _abs_bound(y)
+    fits = (bx * by if op == "prod" else bx + by) < INT64_SAFE and _abs_bound(p) < INT64_SAFE
+    if fits:
+        xa, ya = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
+        table = np.array(p, dtype=np.int64)
+    else:
+        p1, p2 = _KEY_PRIMES
+        rx, ry, rp = _residues(x), _residues(y), _residues(p)
+        xa, ya = (np.stack((r % p1, r % p2)) for r in (rx, ry))
+        table = ((rp % p1) << 31) + rp % p2
+        by_key = np.argsort(table)
+        table = table[by_key]
+    rows = max(1, _MEMBERSHIP_CHUNK // len(y))
+    for r0 in range(0, len(x), rows):
+        if fits:
+            v = ufunc.outer(xa[r0 : r0 + rows], ya)
+        else:
+            v = ufunc.outer(xa[0, r0 : r0 + rows], ya[0]) % p1
+            v <<= 31
+            v += ufunc.outer(xa[1, r0 : r0 + rows], ya[1]) % p2
+        idx = np.searchsorted(table, v)
+        np.minimum(idx, table.size - 1, out=idx)
+        hit = table[idx] == v
+        if not fits:
+            # a key hit names one p with that key: compare the values, and
+            # search P itself only when they differ (P may repeat a key)
+            ii, jj = np.nonzero(hit)
+            vals = map(f, map(x.__getitem__, (ii + r0).tolist()), map(y.__getitem__, jj.tolist()))
+            named = map(p.__getitem__, by_key[idx[ii, jj]])
+            hit[hit] = [w == q or sorted_contains(p, w) for w, q in zip(vals, named)]
+        hits[r0 : r0 + rows] = np.count_nonzero(hit, axis=1) if per_row else hit
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -661,14 +731,15 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
     """Exact #{(p1, p2, q) in P x P x Q : p1 - p2 = q}.
 
     Equivalently the total count of P-differences landing in Q.  Strategy
-    "hash" is the O(|P| * min(|P|, |Q|)) loop with hashed membership;
-    "poly" is the FFT correlation path (integer sets of moderate span),
-    whose rounded table is certified on every call; it raises
+    "hash" is the O(|P| * min(|P|, |Q|)) sorted-membership loop of
+    `pair_membership`, over p2 + q in P when |Q| <= |P| and over p1 - p2 in
+    Q otherwise; "poly" is the FFT correlation path (integer sets of
+    moderate span), whose rounded table is certified on every call; it raises
     ExactnessError outside the range its rounding-error allowance covers
     and on any failed certification.  "auto" picks the cheaper
     applicable one by the `_FFT_WORK_PER_PAIR` cost model, and the FFT path
-    whenever it applies and the hash loop would exceed `budget`.  A `budget`
-    caps the hash loop's pair operations; exceeding it raises
+    whenever it applies and the loop would exceed `budget`.  A `budget`
+    caps the loop's pair operations; exceeding it raises
     BudgetExceededError.
     """
     np_, nq = len(P), len(Q)
@@ -676,7 +747,7 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
         return 0
     loop_cost = np_ * min(np_, nq)
     # p1 - p2 = q exactly when s*p1 - s*p2 = s*q: every path counts integers
-    p_ints, q_ints, _ = _common_int_lists(P, Q)
+    p_ints, q_ints, _ = _pair_operands(P, Q, "diff")
 
     if strategy == "auto":
         strategy = "hash"
@@ -701,10 +772,8 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
             f"projection_count needs {loop_cost} pair operations, budget {budget}"
         )
     if nq <= np_:
-        members = set(p_ints)
-        return sum(1 for p2 in p_ints for q in q_ints if p2 + q in members)
-    members = set(q_ints)
-    return sum(1 for p1 in p_ints for p2 in p_ints if p1 - p2 in members)
+        return int(pair_membership(P, Q, "sum", P, per_row=True).sum())
+    return int(pair_membership(P, P, "diff", Q, per_row=True).sum())
 
 
 # ---------------------------------------------------------------------------

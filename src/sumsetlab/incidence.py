@@ -15,12 +15,14 @@ The point/line incidence bound itself carries an unknown absolute constant;
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import pair_membership
 from .errors import DivisionDomainError, DomainError
-from .sets import INT64_SAFE, FiniteSet, Rational, as_rational, is_convex
+from .sets import FiniteSet, Rational, as_rational, is_convex, transform
 
 __all__ = [
     "Line",
@@ -66,41 +68,26 @@ class CurveTranslate:
             raise DomainError("curve table must come from a convex set")
 
 
-def _int64_grid(A: FiniteSet, B: FiniteSet, lines) -> bool:
-    iva, ivb = A.int_view, B.int_view
-    if iva.scale != 1 or ivb.scale != 1 or iva.arr is None or ivb.arr is None:
-        return False
-    if not all(isinstance(l.slope, int) and isinstance(l.intercept, int) for l in lines):
-        return False
-    bound_a = max((abs(v) for v in (iva.ints[0], iva.ints[-1])), default=0) if iva.ints else 0
-    worst = max(
-        (abs(l.slope) * bound_a + abs(l.intercept) for l in lines), default=0
-    )
-    return worst < INT64_SAFE
-
-
 def count_incidences_lines(A: FiniteSet, B: FiniteSet, lines) -> int:
-    """Exact #{(a, b, line) : a in A, b in B, b = slope*a + intercept}."""
+    """Exact #{(a, b, line) : a in A, b in B, b = slope*a + intercept}.
+
+    Per slope m, `pair_membership` tests c + m*a in B for every distinct
+    intercept c; a hit counts once per line that carries c.
+    """
     lines = list(lines)
     for l in lines:
         if l.slope == 0:
             raise DivisionDomainError("line slope must be nonzero")
     if not lines or len(A) == 0 or len(B) == 0:
         return 0
-    if _int64_grid(A, B, lines):
-        a = A.int_view.arr
-        bs = np.sort(B.int_view.arr)
-        slopes = np.array([l.slope for l in lines], dtype=np.int64)
-        icpts = np.array([l.intercept for l in lines], dtype=np.int64)
-        y = slopes[:, None] * a[None, :] + icpts[:, None]
-        idx = np.searchsorted(bs, y)
-        idx[idx == bs.size] = bs.size - 1
-        return int(np.count_nonzero(bs[idx] == y))
-    members = B.members
     total = 0
-    for l in lines:
-        m, c = l.slope, l.intercept
-        total += sum(1 for a in A.elements if as_rational(m * a + c) in members)
+    # sorting, not hashing, groups equal slopes and equal intercepts
+    lines.sort(key=lambda l: (l.slope, l.intercept))
+    for m, group in itertools.groupby(lines, key=lambda l: l.slope):
+        runs = [(c, len(list(g))) for c, g in itertools.groupby(l.intercept for l in group)]
+        icpts = FiniteSet._from_sorted([c for c, _ in runs])
+        hits = pair_membership(icpts, transform(A, m), "sum", B, per_row=True)
+        total += int(np.dot(hits, [k for _, k in runs]))
     return total
 
 
@@ -108,19 +95,19 @@ def count_incidences_curve(x_range: int, B: FiniteSet, translates) -> int:
     """Exact solution count of table(x - h) - v = b over x in [1, x_range].
 
     Table lookups only: x - h outside the table's 1-based index range
-    contributes nothing.
+    contributes nothing.  Each translate tests its table against B at once
+    through `pair_membership`.
     """
     if x_range < 0:
         raise DomainError("x_range must be nonnegative")
-    members = B.members
     total = 0
     for t in translates:
-        table = t.base.elements
         lo = max(1, 1 + t.h_shift)
-        hi = min(x_range, len(table) + t.h_shift)
-        for x in range(lo, hi + 1):
-            if as_rational(table[x - t.h_shift - 1] - t.v_shift) in members:
-                total += 1
+        hi = min(x_range, len(t.base) + t.h_shift)
+        if lo <= hi:
+            # [j, 0]: base[j] - v in B, for the table entries x - h - 1 = j
+            hit = pair_membership(t.base, FiniteSet._from_sorted([t.v_shift]), "diff", B)
+            total += int(np.count_nonzero(hit[lo - t.h_shift - 1 : hi - t.h_shift]))
     return total
 
 

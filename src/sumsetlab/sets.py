@@ -14,6 +14,7 @@ subsets) and the element-per-line file format.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import re
@@ -39,6 +40,7 @@ __all__ = [
     "write_set_file",
     "parse_rational",
     "split_top_level",
+    "sorted_contains",
 ]
 
 Rational = int | Fraction
@@ -214,8 +216,14 @@ def intersect_dilate(A: FiniteSet, lam) -> FiniteSet:
         raise InvalidScaleError("dilation parameter must be nonzero")
     if lam == 1:
         return A
-    members = A.members
-    return FiniteSet._from_sorted([x for x in A.elements if as_rational(lam * x) in members])
+    e = A.elements
+    return FiniteSet._from_sorted([x for x in e if sorted_contains(e, as_rational(lam * x))])
+
+
+def sorted_contains(values: Sequence, v) -> bool:
+    """v in values, for a sorted sequence: exact comparisons, no hash."""
+    i = bisect.bisect_left(values, v)
+    return i < len(values) and values[i] == v
 
 
 def is_convex(A: FiniteSet) -> bool:

@@ -68,7 +68,7 @@ EXP_SP = 4.0 / 3.0 + 10.0 / 4407.0
 EXP_CSUM = 46.0 / 29.0
 EXP_CDIFF = 8.0 / 5.0 + 1.0 / 3440.0
 
-# Default cap on pair operations inside hashed projection counts.
+# Default cap on pair operations in the membership loop of projection counts.
 DEFAULT_PAIR_BUDGET = 8_000_000
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -319,3 +320,43 @@ def test_fiber_enumeration_matches_collision_bound():
     e3 = energy(rep_fn(A, A, "diff"), 3).exact
     assert collisions <= e3
     assert len(S) == count_popular_difference_triples(A)
+
+
+def _dyadic_reference(f, k):
+    # one boolean mask per occupied level, as a direct reading of the
+    # definition; ties go to the smaller level
+    counts = f.counts_array
+    levels = [c.bit_length() - 1 for c in counts.tolist()]
+    best = None
+    for level in sorted(set(levels)):
+        mask = np.array([l == level for l in levels])
+        sel = counts[mask]
+        if isinstance(k, int):
+            exact = sum(int(c) ** k for c in sel.tolist())
+            mass = (float(exact), exact)
+        else:
+            mass = (float(np.sum(np.power(sel.astype(np.float64), float(k)))), None)
+        if best is None or mass[0] > best[1][0]:
+            best = (level, mass, mask)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_sets, st.sampled_from([Fraction(12, 7), Fraction(1, 2), 2, 3]),
+       st.sampled_from(["diff", "sum"]))
+def test_dominant_dyadic_class_matches_per_level_masks(A, k, op):
+    f = rep_fn(A, A, op)
+    level, (mass_f, exact), mask = _dyadic_reference(f, k)
+    cls = dominant_dyadic_class(f, k)
+    assert cls.level == 1 << level
+    assert cls.members == f.select(mask)
+    assert cls.weighted_mass.approx == mass_f  # the same float, bit for bit
+    assert cls.weighted_mass.exact == exact
+
+
+def test_dominant_dyadic_class_tie_goes_to_smaller_level():
+    h = rep_fn(make_set([0, 1]), make_set([0, 1, 10, 20, 21, 30, 31, 32]), "sum")
+    # eight sums have count 1 and four have count 2: at k = 1 both levels
+    # weigh 8, and the class of counts in [1, 2) wins
+    assert sorted(h.counts.values()) == [1] * 8 + [2] * 4
+    assert dominant_dyadic_class(h, 1).level == 1

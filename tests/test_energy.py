@@ -18,6 +18,7 @@ from sumsetlab import (
     gen_family,
     load_repfn_csv,
     make_set,
+    pair_membership,
     pair_set,
     pair_set_size,
     projection_count,
@@ -508,3 +509,74 @@ def test_repfn_csv_rejects_wrong_header(tmp_text):
 
     with pytest.raises(DomainError):
         load_repfn_csv(p)
+
+
+# -- sorted membership ---------------------------------------------------------
+
+def _membership_target(X, Y, op, kind):
+    if kind == "x":
+        return X
+    values = pair_set(X, Y, op).elements
+    return make_set(values[::2] + (Fraction(1, 7),))  # hits and misses
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_sets, _huge_sets), st.one_of(rational_sets, _huge_sets),
+       st.sampled_from(["sum", "diff", "prod"]), st.booleans(),
+       st.sampled_from(["x", "half", "other"]), st.one_of(rational_sets, _huge_sets))
+def test_pair_membership_matches_python_set(X, Y, op, same, kind, other):
+    if same:
+        Y = X
+    P = other if kind == "other" else _membership_target(X, Y, op, kind)
+    members = set(P.elements)
+    want = [[_PY_OPS[op](x, y) in members for y in Y] for x in X]
+    assert pair_membership(X, Y, op, P).tolist() == want
+    assert pair_membership(X, Y, op, P, per_row=True).tolist() == [sum(r) for r in want]
+
+
+def test_pair_membership_resolves_forced_collisions(monkeypatch):
+    en = importlib.import_module("sumsetlab.energy")
+
+    # with primes 3 and 5 every value shares its key with many others, so a
+    # key hit proves nothing and P repeats keys; a tiny chunk splits rows
+    monkeypatch.setattr(en, "_KEY_PRIMES", (3, 5))
+    monkeypatch.setattr(en, "_MEMBERSHIP_CHUNK", 7)
+    G = gen_family(FamilySpec.gp(1, 2, 70))
+    R = gen_family(FamilySpec.random_subset(10_000, 30, seed=4))
+    Q = make_set([Fraction(k, 3) for k in range(-20, 21, 3)] + [1 << 70])
+    hits = 0
+    for X, Y in ((G, G), (G, R), (R, Q), (Q, Q), (Q, G)):
+        for op in ("sum", "diff", "prod"):
+            for kind in ("x", "half"):
+                P = _membership_target(X, Y, op, kind)
+                members = set(P.elements)
+                want = [[_PY_OPS[op](x, y) in members for y in Y] for x in X]
+                got = en.pair_membership(X, Y, op, P)
+                assert got.tolist() == want
+                hits += int(got.sum())
+    assert hits > 1000
+
+
+def _int32_edge_sets():
+    # elements near +-2**30: the largest |a| + |b| falls on either side of
+    # 2**31, where the int64 outer array is downcast to int32
+    near = st.integers(-40, 40).map(lambda d: (1 << 30) + d)
+    elements = st.one_of(near, near.map(lambda v: -v), st.integers(-40, 40))
+    return st.lists(elements, min_size=1, max_size=12).map(make_set)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int32_edge_sets(), _int32_edge_sets(), st.sampled_from(["sum", "diff"]), st.booleans())
+def test_sort_based_pair_set_size_near_int32_downcast(A, B, op, same):
+    if same:
+        B = A
+    assert pair_set_size(A, B, op) == len({_PY_OPS[op](a, b) for a in A for b in B})
+
+
+@pytest.mark.parametrize("top", [(1 << 30) - 1, 1 << 30])
+def test_sort_based_pair_set_size_pinned_at_int32_downcast(top):
+    # top + top is 2**31 - 2 (int32 path) or 2**31 (stays int64)
+    A = make_set([-top, -7, 0, 5, top - 3, top])
+    for op in ("sum", "diff"):
+        assert pair_set_size(A, A, op) == len({_PY_OPS[op](a, b) for a in A for b in A})
+        assert pair_set_size(A, A, op) == rep_fn(A, A, op).size

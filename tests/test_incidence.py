@@ -9,6 +9,7 @@ from sumsetlab import (
     CurveTranslate,
     DivisionDomainError,
     DomainError,
+    FiniteSet,
     Line,
     count_incidences_curve,
     count_incidences_lines,
@@ -175,3 +176,21 @@ def test_lines_csv_bad_entry_reports_line_number(tmp_text):
     p = tmp_text("bad.csv", "2,x\n")
     with pytest.raises(DomainError, match=":1"):
         read_lines_csv(p)
+
+
+def test_rational_grid_counts_without_a_python_loop_per_point(monkeypatch):
+    # AP(1/3, 2/7) has scale 21, which the old integer grid path refused;
+    # the counts are the ones the per-point loop gave
+    A = make_set([Fraction(1, 3) + j * Fraction(2, 7) for j in range(64)])
+    family = integer_line_family(8, 64)
+    rational = [Line(Fraction(s, 2), Fraction(c, 7)) for s in (1, 2, 3, -4)
+                for c in range(-20, 21)] + [Line(1, 0), Line(1, 0)]
+
+    def no_hash_members(self):
+        raise AssertionError("membership went through a Python set")
+
+    monkeypatch.setattr(FiniteSet, "members", property(no_hash_members))
+    assert count_incidences_lines(A, A, family) == 366
+    assert count_incidences_lines(A, A, rational) == 1378
+    monkeypatch.undo()
+    assert count_incidences_lines(A, A, rational) == oracle_incidences(A, A, rational)

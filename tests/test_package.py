@@ -15,3 +15,20 @@ def test_package_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_has_no_hash_based_unique():
+    # numpy's np.unique without return_counts takes a hash-table path that
+    # is an order of magnitude slower than a sort; count distinct values by
+    # sorting instead
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "unique" and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in ("np", "numpy"):
+                counts = [kw for kw in node.keywords if kw.arg == "return_counts"]
+                if not (counts and isinstance(counts[0].value, ast.Constant)
+                        and counts[0].value.value is True):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
