@@ -24,6 +24,7 @@ that pins the convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,9 +90,17 @@ def rich_difference_elements(A: FiniteSet, P: FiniteSet) -> FiniteSet:
     (both sides nonnegative, boundary counted as rich).
     """
     n = len(A)
-    counts = pair_membership(A, A, "diff", P, per_row=True).tolist()
-    keep = [x for x, c in zip(A.elements, counts) if 11 * c * c >= 4 * n * n]
-    return FiniteSet._from_sorted(keep)
+    c = pair_membership(A, A, "diff", P, per_row=True)
+    return _elements_where(A, 11 * c * c >= 4 * n * n)
+
+
+def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:
+    """The elements of A where the boolean `keep` is true, with their int64
+    view when A has one."""
+    iv = A.int_view
+    if iv.arr is not None:
+        return FiniteSet.from_scaled(iv.arr[keep], iv.scale)
+    return FiniteSet._from_sorted(itertools.compress(A.elements, keep.tolist()))
 
 
 def _sum_popular_mask(counts: np.ndarray, n: int, support: int, ambient: int):
@@ -128,9 +137,7 @@ def popular_sums(X: FiniteSet, ambient_size: int) -> FiniteSet:
 def rich_sum_elements(X: FiniteSet, P: FiniteSet) -> FiniteSet:
     """Elements x of X with |(X + x) & P| >= (3/4)|X| (exact test 4c >= 3|X|)."""
     n = len(X)
-    counts = pair_membership(X, X, "sum", P, per_row=True).tolist()
-    keep = [x for x, c in zip(X.elements, counts) if 4 * c >= 3 * n]
-    return FiniteSet._from_sorted(keep)
+    return _elements_where(X, 4 * pair_membership(X, X, "sum", P, per_row=True) >= 3 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ gives representation tables, pair sets and pair-set sizes alike.  Counting
 is O(|A||B|) vector accumulation, because every downstream inequality
 check treats these counts as exact combinatorial quantities.
 
-Sort, never hash: distinct values are counted by sorting, and membership
-of whole blocks of pair values in a set by `pair_membership`, a lookup in
-sorted values or keys.  A Python set or dict only splits a key group that
-holds distinct values, which takes a key collision.
+Sort, never hash: distinct values are counted by sorting.  Membership of
+whole blocks of pair values in a set goes through `pair_membership`.  When
+the pair values and the set fit int64 and lie in a short range, it reads a
+0/1 occupancy table indexed by value minus the range's start, a
+direct-address table with no hashing; otherwise it looks the values or
+their residue keys up in sorted arrays.  A Python set or dict only splits a
+key group that holds distinct values, which takes a key collision.
 
 The one floating-point path is `projection_count`'s fast path for integer
 sets of moderate span: the difference-count function of a set is the
@@ -160,7 +163,9 @@ class RepFn:
         """The support values where the boolean `mask`, aligned with
         `counts_array`, is true, as a FiniteSet of exact values."""
         vals, s = self.scaled_values, self.scale
-        raw = vals[mask].tolist() if self.is_numpy else itertools.compress(vals, mask.tolist())
+        if self.is_numpy:
+            return FiniteSet.from_scaled(vals[mask], s)
+        raw = itertools.compress(vals, mask.tolist())
         return FiniteSet._from_sorted(raw if s == 1 else [as_rational(Fraction(v, s)) for v in raw])
 
     def support(self) -> FiniteSet:
@@ -176,15 +181,23 @@ def _times(ints: list[int], m: int) -> list[int]:
     return ints if m == 1 else [v * m for v in ints]
 
 
-def _pair_operands(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
-    """(a, b, s): integer lists and a multiple s of `scale` with
-    a[i] op b[j] = s * (A[i] op B[j]), for op sum, diff or prod."""
+def _pair_factors(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
+    """(ma, mb, s): a multiple s of `scale` and multipliers of the scaled
+    integers a of A and b of B with (ma*a) op (mb*b) = s * (A op B), for op
+    sum, diff or prod."""
     sa, sb = A.int_view.scale, B.int_view.scale
     if op == "prod":
         s = math.lcm(sa * sb, scale)
-        return _times(A.int_view.ints, s // (sa * sb)), B.int_view.ints, s
+        return s // (sa * sb), 1, s
     s = math.lcm(sa, sb, scale)
-    return _times(A.int_view.ints, s // sa), _times(B.int_view.ints, s // sb), s
+    return s // sa, s // sb, s
+
+
+def _pair_operands(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
+    """(a, b, s): integer lists and a multiple s of `scale` with
+    a[i] op b[j] = s * (A[i] op B[j]), for op sum, diff or prod."""
+    ma, mb, s = _pair_factors(A, B, op, scale)
+    return _times(A.int_view.ints, ma), _times(B.int_view.ints, mb), s
 
 
 def common_scaled(A: FiniteSet, B: FiniteSet):
@@ -466,6 +479,84 @@ def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
 
 # pair values held at once by `pair_membership`
 _MEMBERSHIP_CHUNK = 1 << 15
+# `pair_membership` answers from an occupancy table when its width is at most
+# this many times |X||Y| + |P| (and at most `_BINCOUNT_SPAN_LIMIT`).  Timing
+# both paths on random sets (2-core x86-64, numpy 2.4) the table was 3-20
+# times faster up to 64 times, and broke even near 512-1024 times; 8 keeps
+# its one byte per entry within an int64 copy of the pair values and P.
+_OCCUPANCY_WIDTH_FACTOR = 8
+
+
+def _occupancy_fits(width: int, pairs: int, size: int) -> bool:
+    """Whether `pair_membership` tests `pairs` pair values against a set of
+    `size` values through an occupancy table of `width` entries."""
+    return width <= _BINCOUNT_SPAN_LIMIT and width <= _OCCUPANCY_WIDTH_FACTOR * (pairs + size)
+
+
+def _int64_lookup(x: np.ndarray, y: np.ndarray, op: str, p: np.ndarray):
+    """block(r0, r1): whether x[i] op y[j] lies in the sorted int64 array p,
+    for rows r0 <= i < r1 of x, with every pair value known to fit int64.
+
+    All pair values and p lie in [base, base + width): the bounds are the
+    corner values of x op y and the ends of p.  A short range gets a 0/1
+    occupancy table and one gather per block; a wide one a binary search in p.
+    """
+    ufunc, f = _PAIR_FUNCS[op]
+    ends = [f(int(u), int(v)) for u in (x[0], x[-1]) for v in (y[0], y[-1])]
+    ends += [int(p[0]), int(p[-1])]
+    base = min(ends)
+    width = max(ends) - base + 1
+    if _occupancy_fits(width, x.size * y.size, p.size):
+        occ = np.zeros(width, dtype=bool)
+        occ[p - base] = True
+        if op == "prod":
+            def block(r0, r1):
+                v = ufunc.outer(x[r0:r1], y)
+                v -= base
+                return occ[v]
+            return block
+        # (x - base) op y = (x op y) - base for a sum or a difference
+        shifted = x - base
+        return lambda r0, r1: occ[ufunc.outer(shifted[r0:r1], y)]
+
+    def block(r0, r1):
+        v = ufunc.outer(x[r0:r1], y)
+        idx = np.searchsorted(p, v)
+        np.minimum(idx, p.size - 1, out=idx)
+        return p[idx] == v
+    return block
+
+
+def _residue_lookup(x: list[int], y: list[int], op: str, p: list[int]):
+    """block(r0, r1): whether x[i] op y[j] lies in the sorted list p, for
+    rows r0 <= i < r1, with values that need not fit int64.
+
+    Each pair's residue key (as in `_PairGroups`) is looked up in p's sorted
+    keys; a key hit names one element of p with that key, which is compared
+    exactly, and p itself is searched only when they differ (p may repeat a
+    key).
+    """
+    p1, p2 = _KEY_PRIMES
+    ufunc, f = _PAIR_FUNCS[op]
+    rx, ry, rp = _residues(x), _residues(y), _residues(p)
+    xa, ya = (np.stack((r % p1, r % p2)) for r in (rx, ry))
+    table = ((rp % p1) << 31) + rp % p2
+    by_key = np.argsort(table)
+    table = table[by_key]
+
+    def block(r0, r1):
+        v = ufunc.outer(xa[0, r0:r1], ya[0]) % p1
+        v <<= 31
+        v += ufunc.outer(xa[1, r0:r1], ya[1]) % p2
+        idx = np.searchsorted(table, v)
+        np.minimum(idx, table.size - 1, out=idx)
+        hit = table[idx] == v
+        ii, jj = np.nonzero(hit)
+        vals = map(f, map(x.__getitem__, (ii + r0).tolist()), map(y.__getitem__, jj.tolist()))
+        named = map(p.__getitem__, by_key[idx[ii, jj]])
+        hit[hit] = [w == q or sorted_contains(p, w) for w, q in zip(vals, named)]
+        return hit
+    return block
 
 
 def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
@@ -473,11 +564,17 @@ def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
     """Whether x op y lies in P, for every pair (x, y) in X x Y.
 
     Returns a |X| x |Y| boolean matrix, or with `per_row` the int64 number
-    of hits in each row; op is "sum", "diff" or "prod".  With X op Y and P
-    at one denominator, each pair value that fits int64 is looked up in P's
-    sorted values; past int64 its residue key (as in `_PairGroups`) is
-    looked up in P's sorted keys, and a key hit is compared exactly.  Rows
-    go a block of about `_MEMBERSHIP_CHUNK` pair values at a time.
+    of hits in each row; op is "sum", "diff" or "prod".  X op Y and P are
+    brought to one denominator.  When the operands, the pair values and P
+    all fit int64, the sets' int64 views are used as they are: pair values
+    that fall in a short range together with P are looked up in a 0/1
+    occupancy table over that range (a direct-address table, `occ[v - base]`,
+    used when its width is at most `_OCCUPANCY_WIDTH_FACTOR` times
+    |X||Y| + |P| and at most `_BINCOUNT_SPAN_LIMIT`), and wider ones in P's
+    sorted values by binary search.  Past int64, a pair's residue key (as in
+    `_PairGroups`) is looked up in P's sorted keys, and a key hit is compared
+    exactly.  Rows go a block of about `_MEMBERSHIP_CHUNK` pair values at a
+    time.
     """
     if op not in _PAIR_FUNCS:
         raise DomainError(f"op must be one of {tuple(_PAIR_FUNCS)}, got {op!r}")
@@ -485,39 +582,18 @@ def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
                     dtype=np.int64 if per_row else bool)
     if not (len(X) and len(Y) and len(P)):
         return hits
-    x, y, s = _pair_operands(X, Y, op, P.int_view.scale)
-    p = _times(P.int_view.ints, s // P.int_view.scale)
-    ufunc, f = _PAIR_FUNCS[op]
-    bx, by = _abs_bound(x), _abs_bound(y)
-    fits = (bx * by if op == "prod" else bx + by) < INT64_SAFE and _abs_bound(p) < INT64_SAFE
-    if fits:
-        xa, ya = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
-        table = np.array(p, dtype=np.int64)
+    mx, my, s = _pair_factors(X, Y, op, P.int_view.scale)
+    scaled = ((X.int_view, mx), (Y.int_view, my), (P.int_view, s // P.int_view.scale))
+    bx, by, bp = (_abs_bound(iv.ints) * m for iv, m in scaled)
+    if max(bx, by, bp, bx * by if op == "prod" else bx + by) < INT64_SAFE:
+        x, y, p = (iv.arr * m if m != 1 else iv.arr for iv, m in scaled)
+        block = _int64_lookup(x, y, op, p)
     else:
-        p1, p2 = _KEY_PRIMES
-        rx, ry, rp = _residues(x), _residues(y), _residues(p)
-        xa, ya = (np.stack((r % p1, r % p2)) for r in (rx, ry))
-        table = ((rp % p1) << 31) + rp % p2
-        by_key = np.argsort(table)
-        table = table[by_key]
-    rows = max(1, _MEMBERSHIP_CHUNK // len(y))
-    for r0 in range(0, len(x), rows):
-        if fits:
-            v = ufunc.outer(xa[r0 : r0 + rows], ya)
-        else:
-            v = ufunc.outer(xa[0, r0 : r0 + rows], ya[0]) % p1
-            v <<= 31
-            v += ufunc.outer(xa[1, r0 : r0 + rows], ya[1]) % p2
-        idx = np.searchsorted(table, v)
-        np.minimum(idx, table.size - 1, out=idx)
-        hit = table[idx] == v
-        if not fits:
-            # a key hit names one p with that key: compare the values, and
-            # search P itself only when they differ (P may repeat a key)
-            ii, jj = np.nonzero(hit)
-            vals = map(f, map(x.__getitem__, (ii + r0).tolist()), map(y.__getitem__, jj.tolist()))
-            named = map(p.__getitem__, by_key[idx[ii, jj]])
-            hit[hit] = [w == q or sorted_contains(p, w) for w, q in zip(vals, named)]
+        x, y, p = (_times(iv.ints, m) for iv, m in scaled)
+        block = _residue_lookup(x, y, op, p)
+    rows = max(1, _MEMBERSHIP_CHUNK // len(Y))
+    for r0 in range(0, len(X), rows):
+        hit = block(r0, r0 + rows)
         hits[r0 : r0 + rows] = np.count_nonzero(hit, axis=1) if per_row else hit
     return hits
 
@@ -599,9 +675,18 @@ def _fft_correlation_error_bound(size: int, log2_m: int) -> float:
     return 2 * size * growth
 
 
-def _certified_counts(raw: np.ndarray, even: np.ndarray, p_ints: list[int]) -> np.ndarray:
+def _offsets(p_ints) -> np.ndarray:
+    """p - min(p) as int64, for a sorted int64 array or list of integers
+    whose span fits int64 (the values themselves need not)."""
+    if isinstance(p_ints, np.ndarray):
+        return p_ints - p_ints[0]
+    lo = p_ints[0]
+    return np.array([v - lo for v in p_ints], dtype=np.int64)
+
+
+def _certified_counts(raw: np.ndarray, even: np.ndarray, p_ints) -> np.ndarray:
     """Round `_difference_counts_fft`'s float tables for the sorted set
-    `p_ints`, or raise.
+    `p_ints` (an int64 array or a list of integers), or raise.
 
     `raw[d]` approximates the number of ordered pairs at difference d >= 0
     (zero past the set's span) and is overwritten.  `even` is a transform
@@ -622,7 +707,7 @@ def _certified_counts(raw: np.ndarray, even: np.ndarray, p_ints: list[int]) -> n
     counts = counts.astype(np.int64)
     size = len(p_ints)
     half = even.size // 2
-    pos = np.array(p_ints, dtype=np.int64) - p_ints[0]
+    pos = _offsets(p_ints)
     weights = 2 * np.arange(size, dtype=np.int64) - (size - 1)
     moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
     got_moment = int(np.dot(np.arange(counts.size, dtype=np.uint64),
@@ -653,8 +738,10 @@ def _half_spectrum(pos: np.ndarray, half: int) -> np.ndarray:
     return np.fft.rfft(x, 2 * half)
 
 
-def _difference_counts_fft(p_ints: list[int]) -> np.ndarray:
+def _difference_counts_fft(p_ints) -> np.ndarray:
     """Exact difference counts of a sorted integer set, for lags d >= 0.
+
+    The set `p_ints` is a sorted int64 array or a sorted list of integers.
 
     Returns counts with counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for
     d = 0..max(P) - min(P), the span; the count at -d is the one at d.
@@ -690,8 +777,7 @@ def _difference_counts_fft(p_ints: list[int]) -> np.ndarray:
     Exactness rests also on `_certified_counts`, which checks every table
     after rounding and raises ExactnessError on any failure.
     """
-    lo = p_ints[0]
-    span = p_ints[-1] - lo
+    span = int(p_ints[-1]) - int(p_ints[0])
     size = len(p_ints)
     log2_m = max(1, span.bit_length())
     bound = _fft_correlation_error_bound(size, log2_m)
@@ -703,7 +789,7 @@ def _difference_counts_fft(p_ints: list[int]) -> np.ndarray:
     # each working array is freed once consumed: the transform length, not
     # |P|, sets the peak memory
     h = 1 << (log2_m - 1)
-    pos = np.array([v - lo for v in p_ints], dtype=np.int64)
+    pos = _offsets(p_ints)
     cut = int(np.searchsorted(pos, h))
     f0 = _half_spectrum(pos[:cut], h)
     f1 = _half_spectrum(pos[cut:] - h, h)
@@ -746,13 +832,15 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
     if np_ == 0 or nq == 0:
         return 0
     loop_cost = np_ * min(np_, nq)
-    # p1 - p2 = q exactly when s*p1 - s*p2 = s*q: every path counts integers
-    p_ints, q_ints, _ = _pair_operands(P, Q, "diff")
+    # p1 - p2 = q exactly when s*p1 - s*p2 = s*q: every path counts
+    # integers, int64 views when they fit
+    com = common_scaled(P, Q)
+    p_ints, q_ints, _ = com if com is not None else _pair_operands(P, Q, "diff")
 
     if strategy == "auto":
         strategy = "hash"
         if loop_cost > 200_000:
-            span = p_ints[-1] - p_ints[0]
+            span = int(p_ints[-1]) - int(p_ints[0])
             if span <= _POLY_SPAN_LIMIT:
                 log2_m = max(1, span.bit_length())
                 over_budget = budget is not None and loop_cost > budget
@@ -762,6 +850,9 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
     if strategy == "poly":
         counts = _difference_counts_fft(p_ints)
         span = counts.size - 1
+        if com is not None:
+            q = np.abs(q_ints)
+            return int(counts[q[q <= span]].sum())
         hits = [abs(q) for q in q_ints if -span <= q <= span]
         return int(counts[np.array(hits, dtype=np.int64)].sum())
 

@@ -86,11 +86,11 @@ class _IntView:
 
     __slots__ = ("ints", "scale", "arr")
 
-    def __init__(self, ints: list[int], scale: int):
+    def __init__(self, ints: list[int], scale: int, arr: np.ndarray | None = None):
         self.ints = ints
         self.scale = scale
         if ints and max(abs(ints[0]), abs(ints[-1])) < INT64_SAFE:
-            self.arr = np.array(ints, dtype=np.int64)
+            self.arr = np.array(ints, dtype=np.int64) if arr is None else arr
         else:
             self.arr = np.array([], dtype=np.int64) if not ints else None
 
@@ -119,6 +119,28 @@ class FiniteSet:
         obj.elements = tuple(elements)
         obj._members = None
         obj._iv = None
+        return obj
+
+    @classmethod
+    def from_scaled(cls, values: np.ndarray, scale: int) -> "FiniteSet":
+        """The set {v / scale : v in values}, for a strictly increasing
+        integer array and a positive integer scale.
+
+        The scaled-integer view comes with it, as `int_view` would compute
+        it: the scale drops to the least common denominator of the elements
+        (the gcd of `scale` and all values is divided out), and the int64
+        array is the one handed in when nothing divides out.
+        """
+        arr = np.asarray(values, dtype=np.int64)
+        g = math.gcd(scale, int(np.gcd.reduce(arr))) if arr.size else scale
+        if g != 1:
+            arr = arr // g
+            scale //= g
+        ints = arr.tolist()
+        obj = cls._from_sorted(
+            ints if scale == 1 else [as_rational(Fraction(v, scale)) for v in ints]
+        )
+        obj._iv = _IntView(ints, scale, arr)
         return obj
 
     # -- container protocol -------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import (
+    FiniteSet,
     BudgetExceededError,
     DomainError,
     FamilySpec,
@@ -360,3 +361,35 @@ def test_dominant_dyadic_class_tie_goes_to_smaller_level():
     # weigh 8, and the class of counts in [1, 2) wins
     assert sorted(h.counts.values()) == [1] * 8 + [2] * 4
     assert dominant_dyadic_class(h, 1).level == 1
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec.ap(Fraction(1, 3), Fraction(2, 7), 30),
+    FamilySpec.random_subset(4000, 40, seed=3),
+    FamilySpec.gp(1, 2, 40),  # past int64: no int64 view to carry
+    FamilySpec.perturbed(FamilySpec.convex_power(2, 24), 24, seed=5),
+])
+def test_popular_and_rich_sets_match_definitions_and_fresh_views(spec):
+    A = gen_family(spec)
+    n = len(A)
+
+    def same_as_fresh(S):
+        fresh = FiniteSet(S.elements)
+        assert S == fresh and S.int_view.scale == fresh.int_view.scale
+        assert S.int_view.ints == fresh.int_view.ints
+        assert (S.int_view.arr is None) == (fresh.int_view.arr is None)
+        if fresh.int_view.arr is not None:
+            assert S.int_view.arr.tolist() == fresh.int_view.arr.tolist()
+
+    P = popular_differences(A)
+    members = set(P.elements)
+    want = [x for x in A if 11 * sum(x - a in members for a in A) ** 2 >= 4 * n * n]
+    R = rich_difference_elements(A, P)
+    assert R.elements == tuple(want)
+    S = popular_sums(A, 100)
+    members = set(S.elements)
+    want = [x for x in A if 4 * sum(x + a in members for a in A) >= 3 * n]
+    T = rich_sum_elements(A, S)
+    assert T.elements == tuple(want)
+    for built in (P, R, S, T):
+        same_as_fresh(built)

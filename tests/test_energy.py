@@ -1,6 +1,8 @@
 import importlib
+import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from sumsetlab import (
     DivisionDomainError,
     ExactnessError,
     FamilySpec,
+    FiniteSet,
     dump_repfn_csv,
     energy,
     gen_family,
@@ -580,3 +583,136 @@ def test_sort_based_pair_set_size_pinned_at_int32_downcast(top):
     for op in ("sum", "diff"):
         assert pair_set_size(A, A, op) == len({_PY_OPS[op](a, b) for a in A for b in A})
         assert pair_set_size(A, A, op) == rep_fn(A, A, op).size
+
+
+# -- occupancy lookup in pair_membership -----------------------------------------
+
+# integers across a few thousand, some negative, for widths near the rule's cap
+_wide_int_sets = st.lists(st.integers(-3000, 3000), min_size=1, max_size=14).map(make_set)
+
+
+def _literal_membership(X, Y, op, P):
+    members = set(P.elements)
+    return [[_PY_OPS[op](x, y) in members for y in Y] for x in X]
+
+
+def _forced_occupancy(on):
+    # forced on while the table stays small enough to build in a test
+    rule = (lambda width, pairs, size: width <= 1 << 20) if on else (lambda *args: False)
+    en = importlib.import_module("sumsetlab.energy")
+    return mock.patch.object(en, "_occupancy_fits", rule)
+
+
+@pytest.mark.parametrize("on", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(int_sets, rational_sets, _wide_int_sets),
+       st.one_of(int_sets, rational_sets, _wide_int_sets),
+       st.sampled_from(["sum", "diff", "prod"]), st.booleans(),
+       st.sampled_from(["x", "half", "other"]), st.one_of(int_sets, rational_sets))
+def test_pair_membership_occupancy_forced_on_and_off(on, X, Y, op, same, kind, other):
+    if same:
+        Y = X
+    P = other if kind == "other" else _membership_target(X, Y, op, kind)
+    want = _literal_membership(X, Y, op, P)
+    with _forced_occupancy(on):
+        assert pair_membership(X, Y, op, P).tolist() == want
+        assert pair_membership(X, Y, op, P, per_row=True).tolist() == [sum(r) for r in want]
+
+
+def _spy_occupancy_rule(monkeypatch):
+    en = importlib.import_module("sumsetlab.energy")
+    rule, decisions = en._occupancy_fits, []
+    monkeypatch.setattr(en, "_occupancy_fits",
+                        lambda *args: decisions.append((args, rule(*args))) or decisions[-1][1])
+    return decisions
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_pair_membership_pinned_at_width_factor_cap(monkeypatch, extra):
+    # pair sums in [0, 2] and P = {0, top}: width top + 1 against the cap
+    # 8 * (|X||Y| + |P|) = 8 * (4 + 2) = 48
+    en = importlib.import_module("sumsetlab.energy")
+    cap = en._OCCUPANCY_WIDTH_FACTOR * (4 + 2)
+    X = make_set([0, 1])
+    P = make_set([0, cap - 1 + extra])
+    decisions = _spy_occupancy_rule(monkeypatch)
+    for per_row in (False, True):
+        got = pair_membership(X, X, "sum", P, per_row=per_row).tolist()
+        assert got == ([1, 0] if per_row else [[True, False], [False, False]])
+    assert decisions == [((cap + extra, 4, 2), extra == 0)] * 2
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_pair_membership_pinned_at_bincount_span_limit(monkeypatch, extra):
+    # 2**21 pairs put the factor cap above the span limit, which decides
+    en = importlib.import_module("sumsetlab.energy")
+    limit = en._BINCOUNT_SPAN_LIMIT
+    X, Y = make_set(range(2048)), make_set(range(1024))
+    decisions = _spy_occupancy_rule(monkeypatch)
+    # sums in [0, 3070]: only 0 + 0 lies in P
+    P = make_set([0, 5000, limit - 1 + extra])
+    assert pair_membership(X, Y, "sum", P, per_row=True).tolist() == [1] + [0] * 2047
+    # differences in [-1023, 2047], so the range starts at -1023
+    P = make_set([-1023, 0, limit - 1024 + extra])
+    assert pair_membership(X, Y, "diff", P, per_row=True).tolist() \
+        == [2] + [1] * 1023 + [0] * 1024
+    assert decisions == [((limit + extra, 2048 * 1024, 3), extra == 0)] * 2
+
+
+@pytest.mark.parametrize("X, Y, P, want", [
+    ([1, 1 << 70], [0], [0, 5], [[True], [True]]),
+    ([0], [1, 1 << 70], [0, 5], [[True, True]]),
+    ([0, 1], [0], [0, 1 << 70], [[True], [True]]),
+    ([-(1 << 70), 3], [0, 2], [0, 6], [[True, False], [True, True]]),
+])
+def test_pair_membership_prod_of_zero_and_value_past_int64(X, Y, P, want):
+    X, Y, P = make_set(X), make_set(Y), make_set(P)
+    assert _literal_membership(X, Y, "prod", P) == want
+    assert pair_membership(X, Y, "prod", P).tolist() == want
+    assert pair_membership(X, Y, "prod", P, per_row=True).tolist() == [sum(r) for r in want]
+
+
+def test_projection_count_poly_on_values_past_int64():
+    # a span of 3 000 far past int64: the FFT path works on offsets
+    base = 1 << 70
+    P = make_set([base + 3 * k for k in range(1000)] + [base + 2999])
+    Q = make_set([-6, -1, 0, 3, 2999, 1 << 65])
+    want = projection_count(P, Q, strategy="hash")
+    assert want == 2 * (1000 - 2) + 1001 + 2
+    assert projection_count(P, Q, strategy="poly") == want
+    assert projection_count(P, Q) == want
+
+
+# -- sets built by RepFn.select carry their int64 view ---------------------------------
+
+def _assert_same_as_fresh(S):
+    fresh = FiniteSet(S.elements)
+    assert S.elements == fresh.elements
+    got, want = S.int_view, fresh.int_view
+    assert got.ints == want.ints and got.scale == want.scale
+    if want.arr is None:
+        assert got.arr is None
+    else:
+        assert got.arr.dtype == np.int64 and got.arr.tolist() == want.arr.tolist()
+    assert S == fresh and hash(S) == hash(fresh)
+    back = pickle.loads(pickle.dumps(S))
+    assert back == S and back.int_view.scale == want.scale and back.int_view.ints == want.ints
+
+
+def test_repfn_select_carries_exact_int_view():
+    # differences k * 2/7 on a scale-21 table: integers where 7 divides k
+    A = gen_family(FamilySpec.ap(Fraction(1, 3), Fraction(2, 7), 20))
+    f = rep_fn(A, A, "diff")
+    assert f.is_numpy and f.scale == 21
+    integral = np.array([isinstance(v, int) for v in f.counts])
+    assert f.select(integral).elements == (-4, -2, 0, 2, 4)
+    assert f.select(integral).int_view.scale == 1
+    assert f.select(~integral).int_view.scale == 7
+    for mask in (integral, ~integral, f.counts_array >= 5, np.zeros(f.size, dtype=bool)):
+        _assert_same_as_fresh(f.select(mask))
+    _assert_same_as_fresh(f.support())
+    assert len(f.select(np.zeros(f.size, dtype=bool))) == 0
+    # an int32 outer array (small sums) still gives int64 views
+    B = make_set(range(-40, 40, 3))
+    _assert_same_as_fresh(rep_fn(B, B, "diff").support())
+    _assert_same_as_fresh(rep_fn(B, B, "prod").support())

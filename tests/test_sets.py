@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,3 +218,26 @@ def test_finiteset_pickles_and_hashes():
     B = pickle.loads(pickle.dumps(A))
     assert B == A and hash(B) == hash(A)
     assert FiniteSet([2, 1]) == FiniteSet([1, 2, 2])
+
+
+@pytest.mark.parametrize("values, scale", [
+    ([3, 1 << 62], 1),  # 2**62 is past INT64_SAFE: no int64 array
+    ([-(1 << 62) + 1, 0, (1 << 62) - 1], 1),
+    ([1 << 62], 2),  # divides out to 2**61, which fits
+    ([-6, 4, 10], 6),  # gcd 2: scale 3
+    ([-14, 0, 7, 21], 21),  # every element an integer: scale 1
+    ([], 5),
+])
+def test_from_scaled_matches_fresh_set(values, scale):
+    import pickle
+
+    S = FiniteSet.from_scaled(np.array(values, dtype=np.int64), scale)
+    fresh = FiniteSet(Fraction(v, scale) for v in values)
+    assert S.elements == fresh.elements and S == fresh and hash(S) == hash(fresh)
+    got, want = S.int_view, fresh.int_view
+    assert got.ints == want.ints and got.scale == want.scale
+    assert (got.arr is None) == (want.arr is None)
+    if want.arr is not None:
+        assert got.arr.dtype == np.int64 and got.arr.tolist() == want.arr.tolist()
+    back = pickle.loads(pickle.dumps(S))
+    assert back == S and back.int_view.ints == want.ints and back.int_view.scale == want.scale
