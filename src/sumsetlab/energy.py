@@ -20,13 +20,16 @@ key group that holds distinct values, which takes a key collision.
 The one floating-point path is `projection_count`'s fast path for integer
 sets of moderate span: the difference-count function of a set is the
 autocorrelation of its 0/1 indicator vector, computed with float64 real
-FFTs and rounded to the nearest integers.  Its exactness rests on two
-things (see `_difference_counts_fft`): Percival's rounding-error bound for
-FFT convolution, proved for a complex radix-2 transform and carried over to
-numpy's real transforms without a proof, under which the kernel refuses
-operands whose error could reach 1/4; and a certification of every rounded
-table, which raises on any failed check.  Sets whose span is too large use
-the sorted-membership loop under a work budget.
+FFTs and rounded to the nearest integers.  The transforms run on the least
+even length of the form 2**a 3**b 5**c above the span, not the next power
+of two.  Its exactness rests on two things (see `_difference_counts_fft`):
+Percival's rounding-error bound for FFT convolution, proved for a complex
+radix-2 transform and carried over to numpy's mixed-radix real transforms
+without a proof (each radix-r pass counted as r - 1 radix-2 stages), under
+which the kernel refuses operands whose error could reach 1/4; and a
+certification of every rounded table, which raises on any failed check.
+Sets whose span is too large use the sorted-membership loop under a work
+budget.
 """
 
 from __future__ import annotations
@@ -61,18 +64,23 @@ __all__ = [
 
 PAIR_OPS = ("sum", "diff", "prod", "ratio")
 
-# Up to this scaled span the FFT correlation path transforms at most 2**23
-# float64 points (64 MiB per working array); above it the membership loop
-# (with budget) takes over.
+# Up to this scaled span the FFT correlation path transforms at most
+# 4 199 040 = 2**7 3**8 5 float64 points (32 MiB per working array); above it
+# the membership loop (with budget) takes over.
 _POLY_SPAN_LIMIT = 4_194_304
-# "auto" cost model: the FFT path's work is M*log2(M) for transforms on M
-# points, the membership loop's is its pair operations, and one pair
-# operation costs about as much as 4 units of FFT work.  Timing both paths
-# on random sets with spans 3/4 of M = 2**14 .. 2**20 (2-core x86-64,
-# numpy 2.4) gave 14-25 ns per pair against 4.5-7 ns per unit, a ratio of
-# 2.2-5.1; at 0.7 and 1.4 times the break-even |P| this predicts, the loop
-# and the FFT won every case.
-_FFT_WORK_PER_PAIR = 4
+# "auto" cost model: the FFT path's work is N*log2(N) for transforms on N
+# points (`_fft_length`), the membership loop's is its pair operations, and
+# one pair operation is charged 2 units of FFT work.  Timing both paths
+# forced, best of 3-5, on random sets P = Q with spans 12 288, 49 152,
+# 196 608 and 786 432 (N = 12 500, 50 000, 196 830, 787 320; 2-core x86-64,
+# numpy 2.4) at 0.7 and 1.4 times the break-even |P| the model predicts gave
+# 2.2-4.8 ns per pair (the loop reads an occupancy table there) against
+# 3.1-7.2 ns per unit, a ratio of 0.40-1.09, and the loop won all 16 cases
+# at both 4 and 2 units per pair.  The ratio calls for about 1/2; the
+# constant stays at 2 because below about 1.8 the set pinned in
+# test_projection_count_auto_takes_fft_kernel_on_pinned_case (|P| = 500,
+# N = 30 000) would leave the FFT.
+_FFT_WORK_PER_PAIR = 2
 
 
 def _require_op(op: str) -> None:
@@ -661,12 +669,41 @@ _FFT_BETA = 2.0 ** -50
 _FFT_ERROR_LIMIT = 0.25
 
 
-def _fft_correlation_error_bound(size: int, log2_m: int) -> float:
-    """Rounding-error allowance for one entry of the table that
-    `_difference_counts_fft` builds from `size` points with transforms on
-    2**log2_m points (see there for what it does and does not cover).
+def _fft_length(span: int) -> tuple[int, int]:
+    """Transform length and stage count for `_difference_counts_fft`.
+
+    N is the least even number above `span` of the form 2**a 3**b 5**c, a
+    length pocketfft transforms with its radix-2/3/4/5 passes alone; it never
+    exceeds the least power of two above `span`.  `stages` = a + 2b + 4c
+    counts each radix-r factor as r - 1 radix-2 stages, the count that
+    `_fft_correlation_error_bound` takes.
     """
-    m = log2_m
+    target = span + 1
+    best = None
+    three, b = 1, 0
+    while three <= target:
+        odd, c = three, 0
+        while odd <= target:
+            a = max(1, (-(-target // odd) - 1).bit_length())
+            if best is None or odd << a < best[0]:
+                best = (odd << a, a + 2 * b + 4 * c)
+            odd *= 5
+            c += 1
+        three *= 3
+        b += 1
+    return best
+
+
+def _fft_correlation_error_bound(size: int, stages: int) -> float:
+    """Rounding-error allowance for one entry of the table that
+    `_difference_counts_fft` builds from `size` points with transforms of
+    `stages` radix-2-equivalent stages (see `_fft_length`; 2**m points take
+    m).  The bound is proved for a radix-2 transform; counting a radix-r pass
+    as r - 1 stages is conservative (it exceeds log2 r) but carried over to
+    mixed-radix transforms without a proof, like the bound itself (see
+    `_difference_counts_fft` for what it does and does not cover).
+    """
+    m = stages
     growth = math.expm1(
         3 * m * math.log1p(_FFT_EPS)
         + (3 * m + 1) * math.log1p(_FFT_EPS * math.sqrt(5))
@@ -747,15 +784,18 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
     d = 0..max(P) - min(P), the span; the count at -d is the one at d.
 
     The indicator vector of P - min(P) is cut into halves x0 and x1 of h
-    points each, 2h = M = 2**m the least power of two above the span.  Then
+    points each, 2h = N the least even 2**a 3**b 5**c above the span
+    (`_fft_length`; over spans 1 000 .. `_POLY_SPAN_LIMIT` it averages 1.007
+    times span + 1, where a power of two averages 1.39 times).  Then
     counts[d] = (x0*x0 + x1*x1)[d] + (x1*x0)[d - h], where (a*b)[e] =
-    sum_i a[i + e] b[i] has lags -h < e < h.  Both correlations come from
-    float64 transforms on M points without wrap-around: rfft of each half,
-    |X0|**2 + |X1|**2 and X1 conj(X0) pointwise, one irfft each.  Working in
-    halves keeps every transform at M points rather than the 2M that one
-    autocorrelation of the whole vector needs, so peak memory is about five
-    float64 arrays of M/2 complex points (two spectra, plus the output,
-    scratch and twiddle table of the transform in flight).
+    sum_i a[i + e] b[i] has lags -h < e < h.  Both
+    correlations come from float64 transforms on N points without
+    wrap-around: rfft of each half, |X0|**2 + |X1|**2 and X1 conj(X0)
+    pointwise, one irfft each.  Working in halves keeps every transform at N
+    points rather than the 2N that one autocorrelation of the whole vector
+    needs, so peak memory is about five float64 arrays of N/2 complex points
+    (two spectra, plus the output, scratch and twiddle table of the transform
+    in flight).
 
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound
@@ -765,30 +805,33 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
             ((1+eps)^(3m) (1+eps*sqrt5)^(3m+1) (1+beta)^(3m) - 1),
 
     with eps = 2**-53 and beta = 2**-50 an assumed allowance for the error
-    of the roots of unity, and ||x|| ||y|| replaced by 2|P|, which exceeds
-    the norms of the two correlations an entry sums
-    (||x0||**2 + ||x1||**2 + ||x0|| ||x1|| <= 1.5|P|).  That bound is proved
-    for a complex radix-2 transform.  numpy's rfft/irfft are pocketfft's
-    real FFTPACK-style passes with a real-to-complex post-twiddle, and the
-    bound is carried over to them without a proof.  Within
-    `_POLY_SPAN_LIMIT` (|P| <= 2**22 + 1, m <= 23) it is below 1e-6.  The
-    kernel raises ExactnessError before any transform when it reaches 1/4
-    (possible only when a caller forces this path past the span limit).
+    of the roots of unity, ||x|| ||y|| replaced by 2|P|, which exceeds the
+    norms of the two correlations an entry sums
+    (||x0||**2 + ||x1||**2 + ||x0|| ||x1|| <= 1.5|P|), and m the
+    radix-2-equivalent stage count of `_fft_length`, which counts each
+    radix-r pass as r - 1 stages.  That bound is proved for a complex radix-2
+    transform.  numpy's rfft/irfft are pocketfft's real FFTPACK-style
+    radix-2/3/4/5 passes with a real-to-complex post-twiddle, and the bound
+    and the stage count are carried over to them without a proof.  Within
+    `_POLY_SPAN_LIMIT` its largest value, 1.08e-6, falls on span 3 906 249
+    (N = 2 * 5**9, m = 37, |P| <= 3 906 250).  The kernel raises
+    ExactnessError before any transform when it reaches 1/4 (possible only
+    when a caller forces this path past the span limit).
     Exactness rests also on `_certified_counts`, which checks every table
     after rounding and raises ExactnessError on any failure.
     """
     span = int(p_ints[-1]) - int(p_ints[0])
     size = len(p_ints)
-    log2_m = max(1, span.bit_length())
-    bound = _fft_correlation_error_bound(size, log2_m)
+    n, stages = _fft_length(span)
+    bound = _fft_correlation_error_bound(size, stages)
     if not bound < _FFT_ERROR_LIMIT:
         raise ExactnessError(
-            f"FFT correlation of {size} points on 2**{log2_m} has error "
-            f"allowance {bound:.3g}, not below {_FFT_ERROR_LIMIT}"
+            f"FFT correlation of {size} points on {n} ({stages} radix-2 "
+            f"stages) has error allowance {bound:.3g}, not below {_FFT_ERROR_LIMIT}"
         )
     # each working array is freed once consumed: the transform length, not
     # |P|, sets the peak memory
-    h = 1 << (log2_m - 1)
+    h = n // 2
     pos = _offsets(p_ints)
     cut = int(np.searchsorted(pos, h))
     f0 = _half_spectrum(pos[:cut], h)
@@ -842,9 +885,9 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
         if loop_cost > 200_000:
             span = int(p_ints[-1]) - int(p_ints[0])
             if span <= _POLY_SPAN_LIMIT:
-                log2_m = max(1, span.bit_length())
+                n, _ = _fft_length(span)
                 over_budget = budget is not None and loop_cost > budget
-                if over_budget or (log2_m << log2_m) <= _FFT_WORK_PER_PAIR * loop_cost:
+                if over_budget or n * math.log2(n) <= _FFT_WORK_PER_PAIR * loop_cost:
                     strategy = "poly"
 
     if strategy == "poly":

@@ -330,6 +330,86 @@ def test_fft_kernel_refuses_outside_its_error_allowance(monkeypatch):
         P.elements, P.elements)
 
 
+def _radix_stages(n):
+    """Sum of (r - 1) over the prime factors r of n, or None when a prime
+    other than 2, 3 and 5 divides n."""
+    stages = 0
+    for r in (2, 3, 5):
+        while n % r == 0:
+            n //= r
+            stages += r - 1
+    return stages if n == 1 else None
+
+
+def _check_fft_length(span, n, stages):
+    assert n % 2 == 0 and n > span
+    assert _radix_stages(n) == stages
+    assert n <= 1 << span.bit_length()
+
+
+def test_fft_length_is_least_even_5_smooth_above_span():
+    en = importlib.import_module("sumsetlab.energy")
+    top = 20_000
+    smooth = [k for k in range(2, 2 * top + 2, 2) if _radix_stages(k) is not None]
+    i = 0
+    for span in range(1, top + 1):
+        while smooth[i] <= span:
+            i += 1
+        n, stages = en._fft_length(span)
+        assert n == smooth[i], span
+        _check_fft_length(span, n, stages)
+    limit = en._POLY_SPAN_LIMIT
+    for base in (1 << 21, 1 << 22, limit):
+        for span in (base - 2, base - 1, base, base + 1):
+            want = span + 1
+            while want % 2 or _radix_stages(want) is None:
+                want += 1
+            n, stages = en._fft_length(span)
+            assert n == want, span
+            _check_fft_length(span, n, stages)
+
+
+@pytest.mark.parametrize("n", [64, 4096, 96, 4374, 80, 6250, 120, 3600])
+def test_fft_kernel_on_pinned_lengths(monkeypatch, n):
+    # n is a pure 2**a, a 2**a 3**b, a 2**a 5**c or a 2**a 3**b 5**c; span
+    # n - 1 fills the top slot of the second half, span n moves past n
+    en = importlib.import_module("sumsetlab.energy")
+    lengths = []
+    for name in ("rfft", "irfft"):
+        transform_fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, m, f=transform_fn:
+                            lengths.append(m) or f(a, m))
+    rng = random.Random(n)
+    for span in (n - 1, n):
+        P = sorted({0, span, n // 2 - 1, n // 2, *rng.sample(range(span), min(150, span // 2))})
+        P = [p - 7 for p in P]
+        lengths.clear()
+        counts = en._difference_counts_fft(P)
+        want = oracle_rep_counts(P, P, "diff")
+        got = {s * d: int(c) for d, c in enumerate(counts.tolist()) if c for s in (1, -1)}
+        assert got == want
+        size = en._fft_length(span)[0]
+        assert size == n if span < n else size > n
+        assert lengths == [size] * 4
+        assert all(_radix_stages(m) is not None for m in lengths)
+
+
+def test_fft_kernel_on_dense_verify_shaped_set(monkeypatch):
+    lengths = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, m: lengths.append(m) or rfft(a, m))
+    # the set itself, and its popular differences, which diff_proj counts
+    from sumsetlab import popular_differences
+
+    n = 120
+    A = gen_family(FamilySpec.random_subset(4 * n * n, n, seed=5))
+    for P in (A, popular_differences(A)):
+        assert projection_count(P, P, strategy="poly") == projection_count(
+            P, P, strategy="hash")
+    assert len(lengths) == 4
+    assert all(m % 2 == 0 and _radix_stages(m) is not None for m in lengths)
+
+
 # -- pair set sizes ------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
