@@ -28,11 +28,10 @@ from .sets import (
     read_set_file,
     split_top_level,
 )
-from .energy import energy, pair_set_size, rep_fn
-from .constructions import popular_difference_mass, rich_difference_elements
 from .incidence import count_incidences_lines, integer_line_family, read_lines_csv, st_ratio
 from .verifier import (
     DEFAULT_VERIFY_CHECKS,
+    SetCore,
     run_check_suite,
     run_scan,
     scan_rows_to_csv,
@@ -134,11 +133,11 @@ _STAT_ENERGY_KS = (Fraction(3, 2), Fraction(12, 7), 2, Fraction(12, 5), 3)
 
 
 def _compute_stats(A: FiniteSet) -> dict:
-    d = rep_fn(A, A, "diff")
+    core = SetCore(A)
     stats: dict = {
         "n": len(A),
-        "sumset": pair_set_size(A, A, "sum"),
-        "diffset": pair_set_size(A, A, "diff"),
+        "sumset": core.pair_size("sum"),
+        "diffset": core.pair_size("diff"),
         "is_convex": is_convex(A),
     }
     if 0 in A.members:
@@ -146,16 +145,15 @@ def _compute_stats(A: FiniteSet) -> dict:
         stats["ratioset"] = "n/a(0 in A)"
         stats["E2_mult"] = "n/a(0 in A)"
     else:
-        stats["prodset"] = pair_set_size(A, A, "prod")
-        stats["ratioset"] = pair_set_size(A, A, "ratio")
-        stats["E2_mult"] = energy(rep_fn(A, A, "ratio"), 2).exact
+        stats["prodset"] = core.pair_size("prod")
+        stats["ratioset"] = core.pair_size("ratio")
+        stats["E2_mult"] = core.E(2, "ratio").exact
     for k in _STAT_ENERGY_KS:
-        ev = energy(d, k)
+        ev = core.E(k)
         stats[f"E{k}"] = ev.exact if ev.exact is not None else ev.approx
-    P, mass = popular_difference_mass(A)
-    stats["popular_diffs"] = len(P)
-    stats["popular_mass"] = mass
-    stats["rich_elements"] = len(rich_difference_elements(A, P))
+    stats["popular_diffs"] = len(core.popular_diff())
+    stats["popular_mass"] = core.popular_diff_mass()
+    stats["rich_elements"] = len(core.rich_diff())
     return stats
 
 

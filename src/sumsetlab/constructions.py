@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -62,16 +62,17 @@ def ambient_log(m: int | float) -> float:
 # Popular values and rich elements
 # ---------------------------------------------------------------------------
 
-def popular_difference_mass(A: FiniteSet) -> tuple[FiniteSet, int]:
+def popular_difference_mass(A: FiniteSet, *, table: RepFn | None = None) -> tuple[FiniteSet, int]:
     """Popular differences together with their exact total count mass.
 
     Popular means count at least |A|^2 / (11 |A-A|); the comparison is the
     exact integer test 11 * count * |A-A| >= |A|^2, so no rounding can
     misclassify a value.  The returned mass is always >= (10/11)|A|^2.
+    `table` is rep_fn(A, A, "diff") when the caller already holds it.
     """
     if len(A) == 0:
         raise DomainError("popular_differences needs a nonempty set")
-    d = rep_fn(A, A, "diff")
+    d = rep_fn(A, A, "diff") if table is None else table
     c = d.counts_array
     # counts <= |A| and |A-A| <= |A|^2 keep this far inside int64
     mask = 11 * c * d.size >= len(A) ** 2
@@ -146,13 +147,20 @@ def rich_sum_elements(X: FiniteSet, P: FiniteSet) -> FiniteSet:
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Audit trail of the refinement: nested iterates plus why it stopped."""
+    """Audit trail of the refinement: nested iterates plus why it stopped,
+    with the last step's popular sums, rich subset and the difference tables
+    of its input set and of that subset, for reuse.  The input set is the
+    returned one, except after "set-too-small", which returns the subset."""
 
     iterates: tuple[FiniteSet, ...]
     stop_reason: str  # "energy-criterion-met" | "iteration-guard" | "set-too-small"
+    popular: FiniteSet = field(compare=False, repr=False)
+    rich: FiniteSet = field(compare=False, repr=False)
+    table: RepFn = field(compare=False, repr=False)
+    rich_table: RepFn = field(compare=False, repr=False)
 
 
-def refine_rich_core(A: FiniteSet) -> tuple[FiniteSet, RefinementTrace]:
+def refine_rich_core(A: FiniteSet, *, table: RepFn | None = None) -> tuple[FiniteSet, RefinementTrace]:
     """Iterate X -> rich_sum_elements(X) until the 12/7 moment stabilizes.
 
     Returns the first iterate B whose rich refinement satisfies
@@ -160,7 +168,8 @@ def refine_rich_core(A: FiniteSet) -> tuple[FiniteSet, RefinementTrace]:
     only for large ambient sets, so two guards keep small inputs
     well-defined: at most floor(log|A|) refinements (stop reason
     "iteration-guard", returning the last iterate), and an early stop if an
-    iterate falls to at most half of |A| ("set-too-small").
+    iterate falls to at most half of |A| ("set-too-small").  `table` is
+    rep_fn(A, A, "diff") when the caller already holds it.
     """
     n = len(A)
     if n < 3:
@@ -169,19 +178,24 @@ def refine_rich_core(A: FiniteSet) -> tuple[FiniteSet, RefinementTrace]:
     guard = math.floor(log_n)
     iterates = [A]
     X = A
-    e_x = energy(rep_fn(X, X, "diff"), TWELVE_SEVENTHS).approx
+    d_x = rep_fn(A, A, "diff") if table is None else table
+    e_x = energy(d_x, TWELVE_SEVENTHS).approx
     for step in range(guard + 1):
-        R = rich_sum_elements(X, popular_sums(X, n))
-        e_rich = energy(rep_fn(R, R, "diff"), TWELVE_SEVENTHS).approx
+        P = popular_sums(X, n)
+        R = rich_sum_elements(X, P)
+        # R is a subset of X, so equal sizes mean R is X
+        d_r = d_x if len(R) == len(X) else rep_fn(R, R, "diff")
+        e_rich = energy(d_r, TWELVE_SEVENTHS).approx
+        last = (P, R, d_x, d_r)
         if e_rich >= e_x / log_n:
-            return X, RefinementTrace(tuple(iterates), "energy-criterion-met")
+            return X, RefinementTrace(tuple(iterates), "energy-criterion-met", *last)
         if step == guard:
-            return X, RefinementTrace(tuple(iterates), "iteration-guard")
-        # the next step's E_{12/7}(X) is this rich energy: X becomes R
-        X, e_x = R, e_rich
+            return X, RefinementTrace(tuple(iterates), "iteration-guard", *last)
+        # the next step refines R, whose table and E_{12/7} are known
+        X, d_x, e_x = R, d_r, e_rich
         iterates.append(X)
         if 2 * len(X) <= n:
-            return X, RefinementTrace(tuple(iterates), "set-too-small")
+            return X, RefinementTrace(tuple(iterates), "set-too-small", *last)
     raise AssertionError("unreachable")
 
 

@@ -365,23 +365,29 @@ class FamilySpec:
         kind = m.group(1)
         parts = split_top_level(m.group(2))
 
+        def rat_arg(p: str) -> Rational:
+            try:
+                return as_rational(p)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"bad number {p!r} in family spec {text!r}") from None
+
         def int_arg(p: str) -> int:
-            v = as_rational(p)
+            v = rat_arg(p)
             if not isinstance(v, int):
                 raise DomainError(f"integer argument expected, got {p!r}")
             return v
 
         if kind in ("AP", "GP"):
             if len(parts) != 2:
-                raise DomainError(f"{kind} takes two arguments")
-            return cls(kind, (as_rational(parts[0]), as_rational(parts[1])), n)
-        if kind == "ConvexPower":
-            return cls(kind, (int_arg(parts[0]),), n)
-        if kind == "ConvexCustom":
-            return cls(kind, (int_arg(parts[0]),), n)
-        if kind == "RandomSubset":
+                raise DomainError(f"{kind} takes two arguments, got {text!r}")
+            return cls(kind, (rat_arg(parts[0]), rat_arg(parts[1])), n)
+        if kind in ("ConvexPower", "ConvexCustom") and len(parts) != 1:
+            raise DomainError(f"{kind} takes one argument, got {text!r}")
+        if kind in ("ConvexPower", "ConvexCustom", "RandomSubset"):
             return cls(kind, tuple(int_arg(p) for p in parts), n)
         if kind == "Perturbed":
+            if not parts:
+                raise DomainError(f"Perturbed needs a base family, got {text!r}")
             base = cls.parse(parts[0], n)
             rest = tuple(int_arg(p) for p in parts[1:])
             return cls(kind, (base,) + rest, n)

@@ -39,10 +39,8 @@ from .constructions import (
     TWELVE_SEVENTHS,
     dominant_dyadic_class,
     popular_difference_mass,
-    popular_sums,
     refine_rich_core,
     rich_difference_elements,
-    rich_sum_elements,
 )
 from .incidence import count_incidences_lines, integer_line_family, st_ratio
 
@@ -123,10 +121,17 @@ def _safe_ratio(lhs: float, rhs: float) -> float:
 # ---------------------------------------------------------------------------
 
 class SetCore:
-    """Lazily cached single-set quantities shared by all checks on one set."""
+    """Lazily cached quantities of A, or of the pair (A, B), shared by every
+    check on them: each table is built once and handed to what needs it.
 
-    def __init__(self, A: FiniteSet, budget: int | None = DEFAULT_PAIR_BUDGET):
+    `budget` caps the pair operations of projection counts for evaluations
+    that name no budget of their own.
+    """
+
+    def __init__(self, A: FiniteSet, B: FiniteSet | None = None,
+                 budget: int | None = DEFAULT_PAIR_BUDGET):
         self.A = A
+        self.B = A if B is None else B
         self.budget = budget
         self._c: dict = {}
 
@@ -136,75 +141,54 @@ class SetCore:
         return self._c[key]
 
     def rep(self, op: str):
-        return self._memo(("rep", op), lambda: rep_fn(self.A, self.A, op))
+        return self._memo(("rep", op), lambda: rep_fn(self.A, self.B, op))
 
     def E(self, k, op: str = "diff"):
-        key = ("E", op, str(k))
-        return self._memo(key, lambda: energy(self.rep(op), k))
+        return self._memo(("E", op, str(k)), lambda: energy(self.rep(op), k))
 
     def pair_size(self, op: str) -> int:
-        return self._memo(("psize", op), lambda: pair_set_size(self.A, self.A, op))
+        return self._memo(("psize", op), lambda: pair_set_size(self.A, self.B, op))
+
+    # the rest concerns A alone
+
+    def _popular(self) -> tuple[FiniteSet, int]:
+        return self._memo("P", lambda: popular_difference_mass(self.A, table=self.rep("diff")))
 
     def popular_diff(self) -> FiniteSet:
-        return self._memo("P+mass", lambda: popular_difference_mass(self.A))[0]
+        return self._popular()[0]
 
     def popular_diff_mass(self) -> int:
-        return self._memo("P+mass", lambda: popular_difference_mass(self.A))[1]
+        return self._popular()[1]
 
     def rich_diff(self) -> FiniteSet:
-        return self._memo(
-            "R", lambda: rich_difference_elements(self.A, self.popular_diff())
-        )
+        return self._memo("R", lambda: rich_difference_elements(self.A, self.popular_diff()))
 
-    def proj_popular_diff(self) -> int:
-        def calc():
-            P = self.popular_diff()
-            return projection_count(P, P, budget=self.budget)
-
-        return self._memo("projPP", calc)
+    def proj_popular_diff(self, budget: int | None) -> int:
+        P = self.popular_diff()
+        return self._memo(("projPP", budget), lambda: projection_count(P, P, budget=budget))
 
     def refinement(self):
-        return self._memo("refine", lambda: refine_rich_core(self.A))
+        return self._memo("refine", lambda: refine_rich_core(self.A, table=self.rep("diff")))
 
 
 class EvalContext:
-    """One check evaluation: a SetCore for A plus an optional second set B."""
+    """One check evaluation: the SetCore of A, the SetCore of the pair (A, B)
+    (`core` itself when B is A or omitted), the parameters and the budget."""
 
     def __init__(self, core: SetCore, B: FiniteSet | None, params: dict):
         self.core = core
         self.A = core.A
-        self.B = B if B is not None else core.A
-        self.same = self.B is core.A or self.B == core.A
+        if B is None or B is core.A or B == core.A:
+            self.pair = core
+        else:
+            self.pair = SetCore(core.A, B)
+        self.B = self.pair.B
         self.params = params
-        self._c: dict = {}
-
-    def rep_ab(self, op: str):
-        if self.same:
-            return self.core.rep(op)
-        key = ("rep", op)
-        if key not in self._c:
-            self._c[key] = rep_fn(self.A, self.B, op)
-        return self._c[key]
-
-    def E_ab(self, k, op: str = "diff"):
-        if self.same:
-            return self.core.E(k, op)
-        key = ("E", op, str(k))
-        if key not in self._c:
-            self._c[key] = energy(self.rep_ab(op), k)
-        return self._c[key]
-
-    def pair_size_ab(self, op: str) -> int:
-        if self.same:
-            return self.core.pair_size(op)
-        key = ("psize", op)
-        if key not in self._c:
-            self._c[key] = pair_set_size(self.A, self.B, op)
-        return self._c[key]
+        self.budget = int(params["budget"]) if "budget" in params else core.budget
 
     def desc(self, extra: str = "") -> str:
         d = f"|A|={len(self.A)}"
-        if not self.same:
+        if self.pair is not self.core:
             d += f",|B|={len(self.B)}"
         if extra:
             d += "," + extra
@@ -237,9 +221,9 @@ def _chk_cs_energy(ctx: EvalContext, cid: str) -> CheckResult:
     op = ctx.params.get("op", "diff")
     if op not in ("sum", "diff"):
         raise DomainError("cs_energy op must be 'sum' or 'diff'")
-    e2 = ctx.E_ab(2).exact  # sum of squared counts; equal for sum and diff
+    e2 = ctx.pair.E(2).exact  # sum of squared counts; equal for sum and diff
     lhs = (len(ctx.A) * len(ctx.B)) ** 2
-    rhs = ctx.pair_size_ab(op) * e2
+    rhs = ctx.pair.pair_size(op) * e2
     return _res(cid, ctx.desc(f"op={op}"), lhs, rhs,
                 _verdict_exact(lhs, rhs, ctx.const_scale()))
 
@@ -247,10 +231,9 @@ def _chk_cs_energy(ctx: EvalContext, cid: str) -> CheckResult:
 def _chk_cs_proj(ctx: EvalContext, cid: str) -> CheckResult:
     # collision bound for the map (a, b) -> a op b on the domain A x B
     op = ctx.params.get("op", "sum")
-    r = ctx.rep_ab(op)
-    collisions = energy(r, 2).exact
+    collisions = ctx.pair.E(2, op).exact
     lhs = (len(ctx.A) * len(ctx.B)) ** 2
-    rhs = r.size * collisions
+    rhs = ctx.pair.rep(op).size * collisions
     return _res(cid, ctx.desc(f"op={op}"), lhs, rhs,
                 _verdict_exact(lhs, rhs, ctx.const_scale()))
 
@@ -275,7 +258,7 @@ def _chk_rich_size(ctx: EvalContext, cid: str) -> CheckResult:
 def _chk_diff_proj(ctx: EvalContext, cid: str) -> CheckResult:
     n = len(ctx.A)
     e3 = ctx.core.E(3).exact
-    proj = ctx.core.proj_popular_diff()
+    proj = ctx.core.proj_popular_diff(ctx.budget)
     lhs = Fraction(9, 484) * n ** 6
     rhs = e3 * proj
     return _res(cid, ctx.desc(), lhs, rhs,
@@ -288,12 +271,10 @@ def _chk_sum_proj(ctx: EvalContext, cid: str) -> CheckResult:
     core_set, trace = ctx.core.refinement()
     if trace.stop_reason != "energy-criterion-met":
         raise _Skip(f"guard:{trace.stop_reason}")
-    ambient = len(ctx.A)
-    pop = popular_sums(core_set, ambient)
-    rich = rich_sum_elements(core_set, pop)
-    dclass = dominant_dyadic_class(rep_fn(rich, rich, "diff"), TWELVE_SEVENTHS)
-    proj = projection_count(pop, dclass.members, budget=ctx.core.budget)
-    e3 = energy(rep_fn(core_set, core_set, "diff"), 3).exact
+    # the refinement's last step ran on core_set with ambient size |A|
+    dclass = dominant_dyadic_class(trace.rich_table, TWELVE_SEVENTHS)
+    proj = projection_count(trace.popular, dclass.members, budget=ctx.budget)
+    e3 = energy(trace.table, 3).exact
     prod = dclass.level * len(dclass.members) * len(core_set)
     lhs_sq = Fraction(prod, 2) ** 2
     rhs = e3 * proj
@@ -321,8 +302,8 @@ def _chk_holder_s(ctx: EvalContext, cid: str) -> CheckResult:
     s = Fraction(as_rational(ctx.params.get("s", Fraction(3, 2))))
     if not (1 < s < 3):
         raise DomainError("holder_s requires s strictly between 1 and 3")
-    es = ctx.E_ab(s).approx
-    e3 = ctx.E_ab(3).approx
+    es = ctx.pair.E(s).approx
+    e3 = ctx.pair.E(3).approx
     mass = len(ctx.A) * len(ctx.B)
     exp1 = float((s - 1) / 2)
     exp2 = float((3 - s) / 2)
@@ -356,7 +337,7 @@ def _chk_e2_lower(ctx: EvalContext, cid: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _chk_convex_e3(ctx: EvalContext, cid: str) -> CheckResult:
-    lhs = float(ctx.E_ab(3).approx)
+    lhs = float(ctx.pair.E(3).approx)
     rhs = float(len(ctx.A)) * float(len(ctx.B)) ** 2
     return _res(cid, ctx.desc(), lhs, rhs, "ratio-report")
 
@@ -365,7 +346,7 @@ def _chk_convex_es(ctx: EvalContext, cid: str) -> CheckResult:
     s = Fraction(as_rational(ctx.params.get("s", Fraction(3, 2))))
     if not (1 < s < 3):
         raise DomainError("convex_es requires s strictly between 1 and 3")
-    lhs = ctx.E_ab(s).approx
+    lhs = ctx.pair.E(s).approx
     rhs = float(len(ctx.A)) * float(len(ctx.B)) ** float((s + 1) / 2)
     return _res(cid, ctx.desc(f"s={s}"), lhs, rhs, "ratio-report")
 
@@ -413,7 +394,7 @@ def _chk_rs_prop(ctx: EvalContext, cid: str) -> CheckResult:
 
 def _chk_lemma6_e3(ctx: EvalContext, cid: str) -> CheckResult:
     n = len(ctx.A)
-    e3 = ctx.E_ab(3).approx
+    e3 = ctx.pair.E(3).approx
     log_rhs = (
         2 * math.log(len(ctx.B))
         + 17.5 * math.log(ctx.core.pair_size("prod"))
@@ -579,10 +560,7 @@ def run_check(
         merged.update(params)
     cdef = REGISTRY[base]
     if core is None:
-        budget = int(merged.get("budget", DEFAULT_PAIR_BUDGET))
-        core = SetCore(A, budget=budget)
-    elif "budget" in merged:
-        core.budget = int(merged["budget"])
+        core = SetCore(A)
     if cdef.needs_convex and not is_convex(A):
         return CheckResult(check_id, f"|A|={len(A)}", math.nan, math.nan, math.nan,
                            "skipped(not-convex)")

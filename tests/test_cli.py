@@ -166,6 +166,12 @@ def test_scan_requires_arguments():
     assert run_cli("scan", "--families", "AP(1,1)") == 2
 
 
+def test_scan_malformed_family_is_a_usage_error(capsys):
+    assert run_cli("scan", "--families", "AP(1,x)", "--sizes", "8",
+                   "--checks", "cs_energy") == 2
+    assert "'AP(1,x)'" in capsys.readouterr().err
+
+
 def test_incidence_grid(capsys):
     assert run_cli("incidence", "--grid", "3", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)

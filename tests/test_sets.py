@@ -191,6 +191,15 @@ def test_family_spec_parse_rejects_garbage():
         FamilySpec.parse("AP(1)", 4)
 
 
+@pytest.mark.parametrize(
+    "text", ["AP(1,x)", "ConvexPower()", "Perturbed()", "RandomSubset(1/0)"]
+)
+def test_family_spec_parse_names_malformed_arguments(text):
+    with pytest.raises(DomainError, match=r"\(") as info:
+        FamilySpec.parse(text, 4)
+    assert repr(text) in str(info.value)
+
+
 # -- files -------------------------------------------------------------------
 
 def test_set_file_roundtrip(tmp_path):

@@ -112,6 +112,21 @@ def test_budget_skip_on_big_geometric():
     assert r.verdict == "skipped(budget)"
 
 
+@pytest.mark.parametrize("suite", [
+    ["diff_proj[budget=10]", "diff_proj"],
+    ["sum_proj[budget=10]", "sum_proj", "diff_proj[budget=10]", "cs_proj"],
+])
+def test_inline_budget_stays_with_its_check(suite):
+    # a check's inline budget must not reach later checks on the same set
+    A = gen_family(FamilySpec.random_subset(1 << 40, 30, seed=3))
+    alone = {cid: run_check(cid, A).verdict for cid in suite}
+    assert alone["diff_proj[budget=10]"] == "skipped(budget)"
+    for order in (suite, suite[::-1]):
+        assert {r.check_id: r.verdict for r in run_check_suite(A, order)} == alone
+        rows = run_scan([FamilySpec.random_subset(1 << 40, 1, seed=3)], [30], order)
+        assert {r.check_id: r.verdict for r in rows} == alone
+
+
 def test_sum_proj_pass_and_guard():
     r = run_check("sum_proj", gen_family(FamilySpec.ap(1, 1, 64)))
     assert r.verdict == "pass"
