@@ -102,9 +102,7 @@ def _resolve_set(args, cfg) -> FiniteSet:
 
 def _reseed(spec: FamilySpec, seed: int) -> FamilySpec:
     """Fill the seed slot of seedable family kinds when none was given."""
-    if spec.kind == "RandomSubset" and len(spec.args) == 1:
-        return FamilySpec(spec.kind, (spec.args[0], seed), spec.n)
-    if spec.kind == "Perturbed" and len(spec.args) == 1:
+    if spec.kind in ("RandomSubset", "Perturbed") and len(spec.args) == 1:
         return FamilySpec(spec.kind, (spec.args[0], seed), spec.n)
     return spec
 
@@ -393,10 +391,7 @@ def main(argv=None) -> int:
         cfg_all = _load_config(args.config)
         cfg = cfg_all.get(args.command, cfg_all)  # flat or per-command sections
         return _COMMANDS[args.command](args, cfg)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except UnknownCheckError as exc:
+    except (UsageError, UnknownCheckError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except SumsetLabError as exc:

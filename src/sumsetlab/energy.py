@@ -9,7 +9,9 @@ gives representation tables, pair sets and pair-set sizes alike.  Counting
 is O(|A||B|) vector accumulation, because every downstream inequality
 check treats these counts as exact combinatorial quantities.
 
-Sort, never hash: distinct values are counted by sorting.  Membership of
+Sort, never hash or histogram: an int64 representation table or pair-set
+size is one in-place sort of the |A||B| pair values (int32 when they fit),
+then a count of the runs.  Membership of
 whole blocks of pair values in a set goes through `pair_membership`.  When
 the pair values and the set fit int64 and lie in a short range, it reads a
 0/1 occupancy table indexed by value minus the range's start, a
@@ -92,21 +94,19 @@ class RepFn:
     """Representation function of a pair-set operation.
 
     counts(x) = number of ordered pairs (a, b) in A x B with a op b = x.
-    Total mass is always |A| * |B|.  One layout: the support as integers
-    scaled by `scale`, sorted, with aligned int64 `counts_array`.  Those
-    scaled values are an int64 array when they fit (`is_numpy`) and a
-    sorted list of Python ints past int64.  An int64 table may hold them as
-    a sorted raw array plus run starts and gather them only when someone
-    asks; moment energies touch counts alone, which keeps the n**2-sized
-    value gather off the hot path.  Exact values are unscaled only for what
-    `counts`, `items`, `select` and `support` return.
+    Total mass is always |A| * |B|.  One layout: `scaled_values`, the
+    support as integers scaled by `scale` in increasing order, with aligned
+    int64 `counts_array`.  The scaled values are an int32 or int64 array
+    when they fit int64 (`is_numpy`) and a sorted list of Python ints past
+    int64.  Exact values are unscaled only for what `counts`, `items`,
+    `select` and `support` return.
     """
 
-    __slots__ = ("op", "left_size", "right_size", "scale", "counts_array",
-                 "_values", "_flat", "_starts", "_dict")
+    __slots__ = ("op", "left_size", "right_size", "scale", "scaled_values",
+                 "counts_array", "_dict")
 
     def __init__(self, op, left_size, right_size, *, values=None, scale=1,
-                 counts=None, flat=None, starts=None):
+                 counts=None):
         if left_size * right_size >= 1 << 63:
             raise DomainError(
                 f"pair mass {left_size} * {right_size} does not fit int64 counts"
@@ -115,18 +115,16 @@ class RepFn:
         self.left_size = left_size
         self.right_size = right_size
         self.scale = scale
+        self.scaled_values = values
         self.counts_array = counts
-        self._values = values
-        self._flat = flat
-        self._starts = starts
         self._dict = None
 
     # -- basic shape ---------------------------------------------------------
 
     @property
     def is_numpy(self) -> bool:
-        """True when the scaled values are an int64 array."""
-        return not isinstance(self._values, list)
+        """True when the scaled values are a numpy array."""
+        return not isinstance(self.scaled_values, list)
 
     @property
     def size(self) -> int:
@@ -136,15 +134,6 @@ class RepFn:
     @property
     def mass(self) -> int:
         return self.left_size * self.right_size
-
-    @property
-    def scaled_values(self):
-        """The sorted support times `scale`: an int64 array, or a list of
-        Python ints past int64."""
-        if self._values is None:
-            self._values = self._flat[self._starts]
-            self._flat = self._starts = None
-        return self._values
 
     @property
     def counts(self) -> dict:
@@ -222,70 +211,41 @@ def common_scaled(A: FiniteSet, B: FiniteSet):
 
 
 def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
-    """All |A||B| values of a op b as one flat scaled int array.
+    """All |A||B| values of a op b as one fresh flat scaled int array.
 
-    Returns (values, scale, lo, hi), with lo and hi the exact extremes for
-    a sum or difference of nonempty sets and None otherwise; or None when
-    the values may not fit int64, and always for ratios.
+    Returns (values, scale), or None when the values may not fit int64, and
+    always for ratios.  Sums and differences whose values fit int32 come as
+    int32: half the memory traffic in the sort.
     """
     if op in ("sum", "diff"):
         com = common_scaled(A, B)
         if com is None:
             return None
         a, b, s = com
-        lo = hi = None
-        if a.size and b.size:
-            # exact result bounds come straight from the operand extremes
-            if op == "sum":
-                lo, hi = int(a[0] + b[0]), int(a[-1] + b[-1])
-            else:
-                lo, hi = int(a[0] - b[-1]), int(a[-1] - b[0])
-            if _abs_bound([int(a[0]), int(a[-1])]) \
-                    + _abs_bound([int(b[0]), int(b[-1])]) < (1 << 31):
-                # results fit int32: half the memory traffic in the sort
-                a = a.astype(np.int32)
-                b = b.astype(np.int32)
+        if a.size and b.size and _abs_bound([int(a[0]), int(a[-1])]) \
+                + _abs_bound([int(b[0]), int(b[-1])]) < (1 << 31):
+            a = a.astype(np.int32)
+            b = b.astype(np.int32)
         m = a[:, None] + b[None, :] if op == "sum" else a[:, None] - b[None, :]
-        return m.ravel(), s, lo, hi
+        return m.ravel(), s
     if op == "prod":
         iva, ivb = A.int_view, B.int_view
         if iva.arr is not None and ivb.arr is not None \
                 and _abs_bound(iva.ints) * _abs_bound(ivb.ints) < INT64_SAFE:
-            flat = (iva.arr[:, None] * ivb.arr[None, :]).ravel()
-            return flat, iva.scale * ivb.scale, None, None
+            return (iva.arr[:, None] * ivb.arr[None, :]).ravel(), iva.scale * ivb.scale
     return None
 
 
-# spans up to this get the linear histogram kernel instead of a sort
-_BINCOUNT_SPAN_LIMIT = 16_777_216
-
-
-def _repfn_from_flat(op, nl, nr, flat: np.ndarray, scale: int,
-                     lo: int | None, hi: int | None) -> RepFn:
-    """Aggregate a raw array of outcome values into a RepFn.
-
-    Small-span integer data goes through one np.bincount pass; anything
-    else is sorted in place and run-length encoded, deferring the value
-    gather until somebody asks for support values.
-    """
-    if flat.size == 0:
-        return RepFn(op, nl, nr, values=flat, scale=scale,
-                     counts=np.array([], dtype=np.int64))
-    if lo is not None and hi - lo <= _BINCOUNT_SPAN_LIMIT and hi - lo <= 16 * flat.size:
-        hist = np.bincount(flat - lo, minlength=hi - lo + 1)
-        vals = np.flatnonzero(hist)
-        cnt = hist[vals]
-        return RepFn(op, nl, nr, values=vals + lo, scale=scale,
-                     counts=cnt.astype(np.int64))
+def _repfn_from_flat(op, nl, nr, flat: np.ndarray, scale: int) -> RepFn:
+    """Aggregate a fresh raw array of outcome values into a RepFn: sort it in
+    place, run-length encode it and gather the support values."""
     flat.sort()
     keep = np.empty(flat.size, dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=keep[1:])
     starts = np.flatnonzero(keep)
-    cnt = np.empty(starts.size, dtype=np.int64)
-    np.subtract(starts[1:], starts[:-1], out=cnt[:-1])
-    cnt[-1] = flat.size - starts[-1]
-    return RepFn(op, nl, nr, scale=scale, counts=cnt, flat=flat, starts=starts)
+    return RepFn(op, nl, nr, values=flat[starts], scale=scale,
+                 counts=np.diff(starts, append=flat.size))
 
 
 def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
@@ -411,7 +371,7 @@ class _PairGroups:
 
 
 def _distinct_count_fingerprint(A: FiniteSet, B: FiniteSet, op: str) -> int:
-    """Exact |A op B| for sets whose values need not fit int64.
+    """Exact |A op B| for ratios and values past int64.
 
     Counts the key groups of `_PairGroups` and, in each group that holds
     distinct values, the distinct values beyond one (with a set), so the
@@ -469,24 +429,25 @@ def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
     When the values fit int64 it sorts them in place and counts the breaks;
     otherwise (ratios, and big values such as geometric families reaching
     2**n) it uses the exact residue-keyed counter
-    `_distinct_count_fingerprint` in linear memory.
+    `_distinct_count_fingerprint`.
     """
     _require_op(op)
     if len(A) == 0 or len(B) == 0:
         return 0
     if op == "ratio" and 0 in B.members:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
-    if len(A) * len(B) <= 40_000_000:
-        outer = _outer_int64(A, B, op)
-        if outer is not None:
-            flat = outer[0]  # a fresh array: sorting it in place is safe
-            flat.sort()
-            return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
-    return _distinct_count_fingerprint(A, B, op)
+    outer = _outer_int64(A, B, op)
+    if outer is None:
+        return _distinct_count_fingerprint(A, B, op)
+    flat = outer[0]
+    flat.sort()
+    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
 
 
 # pair values held at once by `pair_membership`
 _MEMBERSHIP_CHUNK = 1 << 15
+# widest 0/1 occupancy table `pair_membership` builds (16 MiB of bool)
+_BINCOUNT_SPAN_LIMIT = 16_777_216
 # `pair_membership` answers from an occupancy table when its width is at most
 # this many times |X||Y| + |P| (and at most `_BINCOUNT_SPAN_LIMIT`).  Timing
 # both paths on random sets (2-core x86-64, numpy 2.4) the table was 3-20

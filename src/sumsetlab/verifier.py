@@ -65,6 +65,13 @@ REL_SLACK = 1e-9
 EXP_SP = 4.0 / 3.0 + 10.0 / 4407.0
 EXP_CSUM = 46.0 / 29.0
 EXP_CDIFF = 8.0 / 5.0 + 1.0 / 3440.0
+_OBJECTIVE_EXPONENTS = {
+    "thm_sp": EXP_SP,
+    "thm_csum": EXP_CSUM,
+    "thm_cdiff": EXP_CDIFF,
+}
+# pair operations whose largest set size each theorem divides by n**exponent
+_OBJECTIVE_OPS = {"thm_sp": ("sum", "prod"), "thm_csum": ("sum",), "thm_cdiff": ("diff",)}
 
 # Default cap on pair operations in the membership loop of projection counts.
 DEFAULT_PAIR_BUDGET = 8_000_000
@@ -106,6 +113,34 @@ class _Skip(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(as_rational(x))
+
+
+# how each check parameter is read from its text (inline) or JSON value
+_PARAM_KINDS = {
+    "s": _fraction,
+    "const_scale": _fraction,
+    "budget": int,
+    "size_guard": int,
+    "slopes": int,
+    "intercepts": int,
+}
+
+
+def _param(check: str, params: dict, name: str, default=None):
+    """Check parameter `name` read by its `_PARAM_KINDS` entry, or `default`
+    when it is absent; a malformed value raises DomainError naming the check
+    and the parameter."""
+    if name not in params:
+        return default
+    raw = params[name]
+    try:
+        return _PARAM_KINDS[name](raw)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise DomainError(f"check {check}: malformed parameter {name}={raw!r}") from exc
 
 
 def _safe_ratio(lhs: float, rhs: float) -> float:
@@ -172,10 +207,12 @@ class SetCore:
 
 
 class EvalContext:
-    """One check evaluation: the SetCore of A, the SetCore of the pair (A, B)
-    (`core` itself when B is A or omitted), the parameters and the budget."""
+    """One evaluation of the check `check`: the SetCore of A, the SetCore of
+    the pair (A, B) (`core` itself when B is A or omitted), the parameters
+    and the budget."""
 
-    def __init__(self, core: SetCore, B: FiniteSet | None, params: dict):
+    def __init__(self, check: str, core: SetCore, B: FiniteSet | None, params: dict):
+        self.check = check
         self.core = core
         self.A = core.A
         if B is None or B is core.A or B == core.A:
@@ -184,7 +221,11 @@ class EvalContext:
             self.pair = SetCore(core.A, B)
         self.B = self.pair.B
         self.params = params
-        self.budget = int(params["budget"]) if "budget" in params else core.budget
+        self.budget = self.param("budget", core.budget)
+
+    def param(self, name: str, default):
+        """The parameter `name`, read as `_param` reads it."""
+        return _param(self.check, self.params, name, default)
 
     def desc(self, extra: str = "") -> str:
         d = f"|A|={len(self.A)}"
@@ -196,7 +237,7 @@ class EvalContext:
 
     def const_scale(self) -> Fraction:
         # harness self-test hook: scales the lhs before comparison
-        return Fraction(as_rational(self.params.get("const_scale", 1)))
+        return self.param("const_scale", Fraction(1))
 
 
 def _verdict_exact(lhs, rhs, scale: Fraction) -> str:
@@ -299,7 +340,7 @@ def _chk_e127_trivial(ctx: EvalContext, cid: str) -> CheckResult:
 
 
 def _chk_holder_s(ctx: EvalContext, cid: str) -> CheckResult:
-    s = Fraction(as_rational(ctx.params.get("s", Fraction(3, 2))))
+    s = ctx.param("s", Fraction(3, 2))
     if not (1 < s < 3):
         raise DomainError("holder_s requires s strictly between 1 and 3")
     es = ctx.pair.E(s).approx
@@ -343,7 +384,7 @@ def _chk_convex_e3(ctx: EvalContext, cid: str) -> CheckResult:
 
 
 def _chk_convex_es(ctx: EvalContext, cid: str) -> CheckResult:
-    s = Fraction(as_rational(ctx.params.get("s", Fraction(3, 2))))
+    s = ctx.param("s", Fraction(3, 2))
     if not (1 < s < 3):
         raise DomainError("convex_es requires s strictly between 1 and 3")
     lhs = ctx.pair.E(s).approx
@@ -360,7 +401,7 @@ def _chk_prop_ea(ctx: EvalContext, cid: str) -> CheckResult:
 
 def _chk_rs_prop(ctx: EvalContext, cid: str) -> CheckResult:
     n = len(ctx.A)
-    guard = int(ctx.params.get("size_guard", 200))
+    guard = ctx.param("size_guard", 200)
     if n > guard:
         raise _Skip("budget")
     if 0 in ctx.A.members:
@@ -406,31 +447,19 @@ def _chk_lemma6_e3(ctx: EvalContext, cid: str) -> CheckResult:
     return CheckResult(cid, ctx.desc(), e3, rhs, ratio, "ratio-report")
 
 
-def _chk_thm_sp(ctx: EvalContext, cid: str) -> CheckResult:
-    n = len(ctx.A)
-    big = max(ctx.core.pair_size("sum"), ctx.core.pair_size("prod"))
-    rhs = float(n) ** EXP_SP
+def _chk_theorem_ratio(ctx: EvalContext, cid: str) -> CheckResult:
+    # the largest of the theorem's pair sets against n**exponent
+    big = max(ctx.core.pair_size(op) for op in _OBJECTIVE_OPS[ctx.check])
+    rhs = float(len(ctx.A)) ** _OBJECTIVE_EXPONENTS[ctx.check]
     return _res(cid, ctx.desc(), big, rhs, "ratio-report")
-
-
-def _chk_thm_csum(ctx: EvalContext, cid: str) -> CheckResult:
-    n = len(ctx.A)
-    rhs = float(n) ** EXP_CSUM
-    return _res(cid, ctx.desc(), ctx.core.pair_size("sum"), rhs, "ratio-report")
-
-
-def _chk_thm_cdiff(ctx: EvalContext, cid: str) -> CheckResult:
-    n = len(ctx.A)
-    rhs = float(n) ** EXP_CDIFF
-    return _res(cid, ctx.desc(), ctx.core.pair_size("diff"), rhs, "ratio-report")
 
 
 def _chk_st_measure(ctx: EvalContext, cid: str) -> CheckResult:
     n = len(ctx.A)
     if n == 0:
         raise _Skip("guard:empty")
-    slopes = int(ctx.params.get("slopes", math.isqrt(n - 1) + 1))
-    intercepts = int(ctx.params.get("intercepts", n))
+    slopes = ctx.param("slopes", math.isqrt(n - 1) + 1)
+    intercepts = ctx.param("intercepts", n)
     fam = integer_line_family(slopes, intercepts)
     count = count_incidences_lines(ctx.A, ctx.A, fam)
     points = n * n
@@ -489,11 +518,11 @@ REGISTRY: dict[str, CheckDef] = {
                             "|A|^18 / (|S|^{1/2} |AA|^4 |A+A|^8)"),
     "lemma6_e3": CheckDef(_chk_lemma6_e3, "ratio", derived_b=True,
                           doc="E_3(A,B) vs |B|^2 |AA|^{35/2} |A+A|^{24} / |A|^54"),
-    "thm_sp": CheckDef(_chk_thm_sp, "ratio",
+    "thm_sp": CheckDef(_chk_theorem_ratio, "ratio",
                        doc="max(|A+A|,|AA|) vs |A|^{4/3 + 10/4407}"),
-    "thm_csum": CheckDef(_chk_thm_csum, "ratio", needs_convex=True,
+    "thm_csum": CheckDef(_chk_theorem_ratio, "ratio", needs_convex=True,
                          doc="|A+A| vs |A|^{46/29} for convex A"),
-    "thm_cdiff": CheckDef(_chk_thm_cdiff, "ratio", needs_convex=True,
+    "thm_cdiff": CheckDef(_chk_theorem_ratio, "ratio", needs_convex=True,
                           doc="|A-A| vs |A|^{8/5 + 1/3440} for convex A"),
     "st_measure": CheckDef(_chk_st_measure, "ratio",
                            doc="incidences of A x A with an integer line family vs "
@@ -522,7 +551,10 @@ def check_ids() -> list[str]:
 
 
 def parse_check_id(check_id: str) -> tuple[str, dict]:
-    """Split 'holder_s[s=12/5]' into ('holder_s', {'s': '12/5'})."""
+    """Split 'holder_s[s=12/5]' into ('holder_s', {'s': '12/5'}).
+
+    A malformed value of a known parameter raises DomainError (see `_param`).
+    """
     base, sep, rest = check_id.partition("[")
     base = base.strip()
     if base not in REGISTRY:
@@ -538,6 +570,9 @@ def parse_check_id(check_id: str) -> tuple[str, dict]:
             if not eq:
                 raise UnknownCheckError(f"malformed check parameter {piece!r}")
             params[k.strip()] = v.strip()
+    for name in params:
+        if name in _PARAM_KINDS:
+            _param(base, params, name)
     return base, params
 
 
@@ -552,7 +587,8 @@ def run_check(
     """Evaluate one registered check on A (and B where the check uses a pair).
 
     Budget and guard trips surface as skipped verdicts, never exceptions;
-    only an unknown id or malformed parameters raise.
+    only an unknown id (UnknownCheckError) or malformed parameters
+    (DomainError) raise.
     """
     base, inline = parse_check_id(check_id)
     merged = dict(inline)
@@ -564,7 +600,7 @@ def run_check(
     if cdef.needs_convex and not is_convex(A):
         return CheckResult(check_id, f"|A|={len(A)}", math.nan, math.nan, math.nan,
                            "skipped(not-convex)")
-    ctx = EvalContext(core, B, merged)
+    ctx = EvalContext(base, core, B, merged)
     try:
         return cdef.fn(ctx, check_id)
     except _Skip as sk:
@@ -716,15 +752,6 @@ class SearchResult:
     best: FiniteSet
     ratio: float
     trajectory: tuple[float, ...]
-
-
-_OBJECTIVE_EXPONENTS = {
-    "thm_sp": EXP_SP,
-    "thm_csum": EXP_CSUM,
-    "thm_cdiff": EXP_CDIFF,
-}
-# pair operations whose largest set size each objective divides by n**exponent
-_OBJECTIVE_OPS = {"thm_sp": ("sum", "prod"), "thm_csum": ("sum",), "thm_cdiff": ("diff",)}
 
 
 def _objective_ratio(objective: str, values: list[int]) -> float:

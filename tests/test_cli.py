@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sumsetlab.cli import main
 
 
@@ -170,6 +172,24 @@ def test_scan_malformed_family_is_a_usage_error(capsys):
     assert run_cli("scan", "--families", "AP(1,x)", "--sizes", "8",
                    "--checks", "cs_energy") == 2
     assert "'AP(1,x)'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, named", [
+    (("--checks", "holder_s[s=x]"), "check holder_s: malformed parameter s="),
+    (("--checks", "diff_proj[budget=x]"), "check diff_proj: malformed parameter budget="),
+    (("--checks", "rs_prop[size_guard=1/2]"), "check rs_prop: malformed parameter size_guard="),
+    (("--checks", "st_measure[slopes=x]"), "check st_measure: malformed parameter slopes="),
+    (("--check-params", '{"const_scale": "1/0"}'), "malformed parameter const_scale="),
+])
+def test_verify_malformed_check_parameter_is_a_usage_error(capsys, args, named):
+    assert run_cli("verify", "--family", "AP(1,1)", "--n", "10", *args) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_scan_malformed_check_parameter_is_a_usage_error(capsys):
+    assert run_cli("scan", "--families", "AP(1,1)", "--sizes", "8",
+                   "--checks", "cs_energy,holder_s[s=x]") == 2
+    assert "malformed parameter s='x'" in capsys.readouterr().err
 
 
 def test_incidence_grid(capsys):

@@ -569,6 +569,110 @@ def test_repfn_rejects_mass_beyond_int64():
     with pytest.raises(DomainError):
         RepFn("sum", 1 << 32, 1 << 31)
 
+
+# -- the int64 table kernel: one in-place sort ----------------------------------
+
+def _assert_int64_table(A, B, op):
+    """rep_fn's int64 table of A op B against the naive oracle, and every
+    reading of it (get, select, pair_set_size) against the table."""
+    f = rep_fn(A, B, op)
+    want = oracle_rep_counts(A.elements, B.elements, op)
+    assert f.is_numpy
+    assert list(f.counts.items()) == sorted(want.items())
+    vals = f.scaled_values
+    assert isinstance(vals, np.ndarray) and np.issubdtype(vals.dtype, np.integer)
+    assert vals.size == f.size == len(want)
+    assert bool(np.all(vals[1:] > vals[:-1]))
+    assert [as_rational(Fraction(int(v), f.scale)) for v in vals] == sorted(want)
+    assert f.counts_array.dtype == np.int64 and int(f.counts_array.sum()) == f.mass
+    for x, c in want.items():
+        assert f.get(x) == c
+    lo, hi = min(want), max(want)
+    for x in (lo - 1, hi + 1, Fraction(lo + hi, 2) + Fraction(1, 1009)):
+        assert f.get(x) == want.get(x, 0)
+    popular = f.counts_array >= 2
+    assert f.select(popular).elements == tuple(sorted(x for x, c in want.items() if c >= 2))
+    assert f.support().elements == tuple(sorted(want))
+    assert pair_set_size(A, B, op) == f.size
+
+
+def _pinned_span_sets(na, nb, span, offset, rng):
+    """Sets of sizes na and nb whose sums and differences span exactly
+    `span`: A's width plus B's width; A starts at `offset`, B at 0."""
+    wa = rng.randint(na - 1, span - (nb - 1))
+    wb = span - wa
+    A = [offset, offset + wa] + [offset + x for x in rng.sample(range(1, wa), na - 2)]
+    B = [0, wb] + rng.sample(range(1, wb), nb - 2)
+    return make_set(A), make_set(B)
+
+
+@st.composite
+def _int64_table_operands(draw):
+    """(A, B) pairs whose int64 tables sit on both sides of the former
+    histogram rule (span <= 16 * pairs and <= 2**24) and on both sides of
+    the int32 downcast of sum and difference values."""
+    kind = draw(st.sampled_from(["ap", "ap21", "pinned", "wide24", "wide40"]))
+    same = draw(st.booleans())
+    if kind in ("ap", "ap21"):
+        # span far below the pair count
+        a, d = (Fraction(1, 3), Fraction(2, 7)) if kind == "ap21" else (
+            draw(st.integers(-50, 50)), draw(st.integers(1, 9)))
+        A = gen_family(FamilySpec.ap(a, d, draw(st.integers(1, 30))))
+        B = gen_family(FamilySpec.ap(a, d * 2, draw(st.integers(1, 30))))
+    elif kind == "pinned":
+        na, nb = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+        extra = draw(st.sampled_from([0, 1]))
+        offset = draw(st.sampled_from([0, -(1 << 31), 1 << 40]))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        if same:
+            # A - A and A + A span twice A's width: 16|A|**2 and 16|A|**2 + 2
+            width = 8 * na * na + extra
+            A = B = make_set([offset, offset + width]
+                             + [offset + x for x in rng.sample(range(1, width), na - 2)])
+        else:
+            A, B = _pinned_span_sets(na, nb, 16 * na * nb + extra, offset, rng)
+    else:
+        bound = 1 << (25 if kind == "wide24" else 40)
+        elems = st.lists(st.integers(-bound, bound), min_size=1, max_size=12)
+        A, B = make_set(draw(elems)), make_set(draw(elems))
+    return A, (A if same else B)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_int64_table_operands(), st.sampled_from(["sum", "diff", "prod"]))
+def test_int64_table_matches_oracle_across_span_regimes(AB, op):
+    A, B = AB
+    # products of values near 2**31 and beyond leave int64
+    assume(importlib.import_module("sumsetlab.energy")._outer_int64(A, B, op) is not None)
+    _assert_int64_table(A, B, op)
+
+
+@pytest.mark.parametrize("offset, dtype", [(0, np.int32), (1 << 40, np.int64)])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("op", ["sum", "diff"])
+def test_int64_table_pinned_at_former_histogram_rule(offset, dtype, extra, op):
+    # spans 16 * pairs (the histogram took it) and 16 * pairs + 1 (it did not)
+    en = importlib.import_module("sumsetlab.energy")
+    A, B = _pinned_span_sets(7, 5, 16 * 7 * 5 + extra, offset, random.Random(extra))
+    flat, scale = en._outer_int64(A, B, op)
+    assert flat.dtype == dtype and scale == 1
+    assert int(flat.max()) - int(flat.min()) == 16 * flat.size + extra
+    _assert_int64_table(A, B, op)
+    _assert_int64_table(A, A, op)
+
+
+def test_int64_table_past_histogram_span_limit():
+    # a span past 2**24 with int32 values, and the scale-21 rational AP
+    A = make_set([-(1 << 25), -7, 0, 3, 11, 1 << 25])
+    for op in ("sum", "diff", "prod"):
+        _assert_int64_table(A, A, op)
+    R = gen_family(FamilySpec.ap(Fraction(1, 3), Fraction(2, 7), 25))
+    assert R.int_view.scale == 21
+    for op in ("sum", "diff", "prod"):
+        _assert_int64_table(R, R, op)
+        _assert_int64_table(R, A, op)
+
+
 def test_empty_sets():
     E = make_set([])
     assert pair_set(E, A123, "sum") == E

@@ -32,3 +32,17 @@ def test_package_has_no_hash_based_unique():
                         and counts[0].value.value is True):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_has_no_bincount():
+    # tables and cardinalities sort in place: a histogram costs 8 bytes per
+    # unit of value span, and measured 3-8x slower than the sort on
+    # difference tables whose span is about 2-8 times the pair count
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "bincount" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert found == []

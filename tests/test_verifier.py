@@ -45,6 +45,50 @@ def test_unknown_check_raises():
         run_check("holder_s[s:3/2]", A123)
 
 
+@pytest.mark.parametrize("check, params", [
+    ("holder_s", {"s": "x"}),
+    ("convex_es", {"s": "1/0"}),
+    ("popular_mass", {"const_scale": "1/0"}),
+    ("e2_interp", {"const_scale": 1.5}),
+    ("diff_proj", {"budget": "x"}),
+    ("rs_prop", {"size_guard": "1/2"}),
+    ("st_measure", {"slopes": "x"}),
+    ("st_measure", {"intercepts": None}),
+])
+def test_malformed_check_parameter_raises_domain_error(check, params):
+    from sumsetlab import DomainError
+
+    (name, raw), = params.items()
+    A = gen_family(FamilySpec.convex_power(2, 8))
+    with pytest.raises(DomainError, match=f"check {check}: malformed parameter {name}="):
+        run_check(check, A, params=params)
+    if isinstance(raw, str):
+        inline = f"{check}[{name}={raw}]"
+        with pytest.raises(DomainError, match=f"malformed parameter {name}="):
+            run_check(inline, A)
+        with pytest.raises(DomainError, match=f"malformed parameter {name}="):
+            run_scan([FamilySpec.convex_power(2, 1)], [8], [inline])
+
+
+def test_theorem_ratios_read_the_objective_tables(monkeypatch):
+    from sumsetlab.verifier import SetCore
+
+    A = gen_family(FamilySpec.convex_power(2, 12))
+    asked = []
+    real = SetCore.pair_size
+    monkeypatch.setattr(SetCore, "pair_size",
+                        lambda self, op: asked.append(op) or real(self, op))
+    exps = {"thm_sp": 4 / 3 + 10 / 4407, "thm_csum": 46 / 29, "thm_cdiff": 8 / 5 + 1 / 3440}
+    ops = {"thm_sp": ("sum", "prod"), "thm_csum": ("sum",), "thm_cdiff": ("diff",)}
+    for check, exp in exps.items():
+        asked.clear()
+        r = run_check(check, A)
+        want = max(pair_set_size(A, A, op) for op in ops[check])
+        assert asked == list(ops[check])
+        assert (r.lhs, r.rhs, r.verdict) == (want, 12.0 ** exp, "ratio-report")
+        assert r.inputs_desc == "|A|=12"
+
+
 def test_diff_proj_frozen_example():
     r = run_check("diff_proj", A123)
     assert r.verdict == "pass"
