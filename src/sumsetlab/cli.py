@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, stats, verify, scan, incidence, search.  Exit codes:
-0 ok, 1 at least one assert-type check failed, 2 usage error, 3 I/O error.
+0 ok, 1 at least one assert-type check failed, 2 usage error, 3 I/O error,
+4 program fault (a check or scan cell with verdict error(<type>)), which
+takes precedence over 1.
 Config precedence is CLI flags > JSON config file > built-in defaults, and
 every command is deterministic given its full configuration (the default
 seed is 0 so bare invocations reproduce).  Output files are written
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_FAULT = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -138,7 +141,7 @@ def _compute_stats(A: FiniteSet) -> dict:
         "diffset": core.pair_size("diff"),
         "is_convex": is_convex(A),
     }
-    if 0 in A.members:
+    if 0 in A:
         stats["prodset"] = "n/a(0 in A)"
         stats["ratioset"] = "n/a(0 in A)"
         stats["E2_mult"] = "n/a(0 in A)"
@@ -208,7 +211,17 @@ def _cmd_verify(args, cfg) -> int:
         sys.stderr.write(f"{r.check_id}: {r.verdict}\n")
     text = _results_table(results, _opt(args, cfg, "format", "csv"))
     _emit(text, _opt(args, cfg, "out", None))
-    return EXIT_CHECK_FAILED if any(r.verdict == "fail" for r in results) else EXIT_OK
+    return _exit_code(results)
+
+
+def _exit_code(results) -> int:
+    """EXIT_FAULT on any error verdict, else EXIT_CHECK_FAILED on any
+    failure, else EXIT_OK."""
+    if any(r.verdict.startswith("error(") for r in results):
+        return EXIT_FAULT
+    if any(r.verdict == "fail" for r in results):
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def _cmd_scan(args, cfg) -> int:
@@ -239,8 +252,7 @@ def _cmd_scan(args, cfg) -> int:
     n_fail = sum(1 for r in rows if r.verdict == "fail")
     if n_fail:
         sys.stderr.write(f"{n_fail} failing cells\n")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _exit_code(rows)
 
 
 def _cmd_incidence(args, cfg) -> int:

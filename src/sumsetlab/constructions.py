@@ -24,6 +24,7 @@ that pins the convention.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -107,22 +108,35 @@ def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:
 def _sum_popular_mask(counts: np.ndarray, n: int, support: int, ambient: int):
     """Boolean mask of sigma counts meeting n^2 / (8 support log ambient).
 
-    Float comparison with an exact high-precision fallback whenever a count
-    sits within 1e-9 (relative) of the threshold.  The threshold is
-    irrational (rational / log m), so sufficient precision always separates.
+    Float comparison with an exact fallback (`_meets_log_threshold`)
+    whenever a count sits within 1e-9 (relative) of the threshold.
     """
     thr = n * n / (8.0 * support * ambient_log(ambient))
     c = counts.astype(np.float64)
     mask = c >= thr
     near = np.abs(c - thr) <= 1e-9 * max(1.0, thr)
-    if near.any():
-        import mpmath
-
-        with mpmath.workdps(60):
-            t = mpmath.mpf(n * n) / (8 * support * mpmath.log(ambient))
-            for i in np.nonzero(near)[0]:
-                mask[i] = mpmath.mpf(int(counts[i])) >= t
+    for i in np.flatnonzero(near):
+        mask[i] = _meets_log_threshold(int(counts[i]), n * n, 8 * support, ambient)
     return mask
+
+
+def _meets_log_threshold(c: int, num: int, den: int, m: int) -> bool:
+    """Exactly whether c >= num / (den ln m), i.e. c den ln m >= num, for m >= 2.
+
+    `decimal`'s ln is correctly rounded, so at p digits ln m lies within one
+    unit in the last place of the result; the precision doubles until that
+    interval decides the comparison, which it does because ln m is
+    irrational.
+    """
+    digits = 32
+    while True:
+        ln = decimal.Context(prec=digits).ln(m)
+        ulp = Fraction(10) ** (ln.adjusted() - digits + 1)
+        if c * den * (Fraction(ln) - ulp) >= num:
+            return True
+        if c * den * (Fraction(ln) + ulp) < num:
+            return False
+        digits *= 2
 
 
 def popular_sums(X: FiniteSet, ambient_size: int) -> FiniteSet:

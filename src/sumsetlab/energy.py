@@ -259,7 +259,7 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     outer = _outer_int64(A, B, op)
     if outer is not None:
         return _repfn_from_flat(op, len(A), len(B), *outer)
-    if op == "ratio" and 0 in B.members:
+    if op == "ratio" and 0 in B:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
     values, counts, scale = _grouped_table(A, B, op)
     return RepFn(op, len(A), len(B), values=values, scale=scale, counts=counts)
@@ -285,10 +285,13 @@ _PAIR_FUNCS = {
 }
 
 
-def _residues(ints: list[int]) -> np.ndarray:
-    """Each integer modulo the product of the `_KEY_PRIMES`, as int64."""
+def _key_parts(iv, m: int) -> list[np.ndarray]:
+    """Residue key parts of m * iv.ints: int64 values modulo each of the
+    `_KEY_PRIMES`, from the view's cached residues mod their product (a
+    residue and m mod p are below 2**31, so each product fits int64)."""
     p1, p2 = _KEY_PRIMES
-    return np.fromiter((x % (p1 * p2) for x in ints), dtype=np.int64, count=len(ints))
+    r = iv.residues(p1 * p2)
+    return [r % p * (m % p) % p for p in (p1, p2)]
 
 
 class _PairGroups:
@@ -309,32 +312,31 @@ class _PairGroups:
         if op == "ratio":
             B = FiniteSet(Fraction(1, b) for b in B.elements)
             op, same = "prod", False
-        a, b, self.scale = _pair_operands(A, B, op)
+        ma, mb, self.scale = _pair_factors(A, B, op)
+        a, ka = _times(A.int_view.ints, ma), _key_parts(A.int_view, ma)
         if same:
             # j < i gives the positive differences: a is sorted
-            b = a
+            b, kb = a, ka
             ii, jj = (x.astype(np.int32) for x in np.tril_indices(len(a), -1 if op == "diff" else 0))
         else:
+            b, kb = _times(B.int_view.ints, mb), _key_parts(B.int_view, mb)
             ii = np.repeat(np.arange(len(a), dtype=np.int32), len(b))
             jj = np.tile(np.arange(len(b), dtype=np.int32), len(a))
         self.op, self.same = op, same
         self.a, self.b, self.ii, self.jj = a, b, ii, jj
 
-        # key = (v mod p1) * 2**31 + (v mod p2), from one Python % per element
-        p1, p2 = _KEY_PRIMES
-        ra = _residues(a)
-        rb = ra if same else _residues(b)
+        # key = (v mod p1) * 2**31 + (v mod p2), from the operands' residues
         ufunc, self._f = _PAIR_FUNCS[op]
 
-        def residues(p: int) -> np.ndarray:
-            r = (ra % p)[ii]
-            ufunc(r, (rb % p)[jj], out=r)
-            r %= p
+        def residues(k: int) -> np.ndarray:
+            r = ka[k][ii]
+            ufunc(r, kb[k][jj], out=r)
+            r %= _KEY_PRIMES[k]
             return r
 
-        key = residues(p1)
+        key = residues(0)
         key <<= 31
-        key += residues(p2)
+        key += residues(1)
         self.order = np.argsort(key)
         key = key[self.order]
         self.head = np.empty(key.size, dtype=bool)
@@ -434,7 +436,7 @@ def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
     _require_op(op)
     if len(A) == 0 or len(B) == 0:
         return 0
-    if op == "ratio" and 0 in B.members:
+    if op == "ratio" and 0 in B:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
     outer = _outer_int64(A, B, op)
     if outer is None:
@@ -496,9 +498,10 @@ def _int64_lookup(x: np.ndarray, y: np.ndarray, op: str, p: np.ndarray):
     return block
 
 
-def _residue_lookup(x: list[int], y: list[int], op: str, p: list[int]):
-    """block(r0, r1): whether x[i] op y[j] lies in the sorted list p, for
-    rows r0 <= i < r1, with values that need not fit int64.
+def _residue_lookup(op: str, scaled):
+    """block(r0, r1): whether x[i] op y[j] lies in the sorted p, for rows
+    r0 <= i < r1, with values that need not fit int64; `scaled` holds the
+    int views of X, Y and P with the multipliers that make x, y and p.
 
     Each pair's residue key (as in `_PairGroups`) is looked up in p's sorted
     keys; a key hit names one element of p with that key, which is compared
@@ -507,16 +510,16 @@ def _residue_lookup(x: list[int], y: list[int], op: str, p: list[int]):
     """
     p1, p2 = _KEY_PRIMES
     ufunc, f = _PAIR_FUNCS[op]
-    rx, ry, rp = _residues(x), _residues(y), _residues(p)
-    xa, ya = (np.stack((r % p1, r % p2)) for r in (rx, ry))
-    table = ((rp % p1) << 31) + rp % p2
+    x, y, p = (_times(iv.ints, m) for iv, m in scaled)
+    (x1, x2), (y1, y2), (t1, t2) = (_key_parts(iv, m) for iv, m in scaled)
+    table = (t1 << 31) + t2
     by_key = np.argsort(table)
     table = table[by_key]
 
     def block(r0, r1):
-        v = ufunc.outer(xa[0, r0:r1], ya[0]) % p1
+        v = ufunc.outer(x1[r0:r1], y1) % p1
         v <<= 31
-        v += ufunc.outer(xa[1, r0:r1], ya[1]) % p2
+        v += ufunc.outer(x2[r0:r1], y2) % p2
         idx = np.searchsorted(table, v)
         np.minimum(idx, table.size - 1, out=idx)
         hit = table[idx] == v
@@ -558,8 +561,7 @@ def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
         x, y, p = (iv.arr * m if m != 1 else iv.arr for iv, m in scaled)
         block = _int64_lookup(x, y, op, p)
     else:
-        x, y, p = (_times(iv.ints, m) for iv, m in scaled)
-        block = _residue_lookup(x, y, op, p)
+        block = _residue_lookup(op, scaled)
     rows = max(1, _MEMBERSHIP_CHUNK // len(Y))
     for r0 in range(0, len(X), rows):
         hit = block(r0, r0 + rows)

@@ -80,36 +80,44 @@ class _IntView:
     """Scaled-integer image of a set: ints[i] = scale * elements[i].
 
     `scale` is the positive lcm of all denominators, so the ints carry the
-    full additive structure of the set.  `arr` is an int64 numpy mirror when
-    every scaled value fits, else None (big-integer fallbacks take over).
+    full additive structure of the set; at scale 1 `ints` is the set's own
+    element tuple.  `arr` is an int64 numpy mirror when every scaled value
+    fits, else None (big-integer fallbacks take over).
     """
 
-    __slots__ = ("ints", "scale", "arr")
+    __slots__ = ("ints", "scale", "arr", "_mods")
 
-    def __init__(self, ints: list[int], scale: int, arr: np.ndarray | None = None):
+    def __init__(self, ints: Sequence[int], scale: int, arr: np.ndarray | None = None):
         self.ints = ints
         self.scale = scale
         if ints and max(abs(ints[0]), abs(ints[-1])) < INT64_SAFE:
             self.arr = np.array(ints, dtype=np.int64) if arr is None else arr
         else:
             self.arr = np.array([], dtype=np.int64) if not ints else None
+        self._mods: dict[int, np.ndarray] = {}
+
+    def residues(self, modulus: int) -> np.ndarray:
+        """ints mod `modulus` (at most 2**63) as int64, computed once per modulus."""
+        if modulus not in self._mods:
+            self._mods[modulus] = np.fromiter((x % modulus for x in self.ints),
+                                              dtype=np.int64, count=len(self.ints))
+        return self._mods[modulus]
 
 
 class FiniteSet:
     """Canonical sorted, duplicate-free collection of exact rationals.
 
-    Immutable after construction; safe to share between workers.  Membership
-    is O(1) expected via an internal frozenset, ordering queries via the
-    sorted element tuple.
+    Immutable after construction; safe to share between workers.  The sorted
+    element tuple is the only copy of the values: membership is a binary
+    search in it (exact comparisons, no hash).
     """
 
-    __slots__ = ("elements", "_members", "_iv")
+    __slots__ = ("elements", "_iv")
 
     def __init__(self, values: Iterable = ()):
         self.elements: tuple[Rational, ...] = tuple(
             sorted({as_rational(v) for v in values})
         )
-        self._members = None
         self._iv = None
 
     @classmethod
@@ -117,7 +125,6 @@ class FiniteSet:
         # Internal fast path: caller guarantees strictly increasing canonical values.
         obj = cls.__new__(cls)
         obj.elements = tuple(elements)
-        obj._members = None
         obj._iv = None
         return obj
 
@@ -140,7 +147,7 @@ class FiniteSet:
         obj = cls._from_sorted(
             ints if scale == 1 else [as_rational(Fraction(v, scale)) for v in ints]
         )
-        obj._iv = _IntView(ints, scale, arr)
+        obj._iv = _IntView(obj.elements if scale == 1 else ints, scale, arr)
         return obj
 
     # -- container protocol -------------------------------------------------
@@ -155,7 +162,7 @@ class FiniteSet:
         return self.elements[i]
 
     def __contains__(self, x) -> bool:
-        return as_rational(x) in self.members
+        return sorted_contains(self.elements, as_rational(x))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteSet) and self.elements == other.elements
@@ -175,12 +182,6 @@ class FiniteSet:
     # -- views ---------------------------------------------------------------
 
     @property
-    def members(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(self.elements)
-        return self._members
-
-    @property
     def int_view(self) -> _IntView:
         """Scaled-integer image (cached). See _IntView."""
         if self._iv is None:
@@ -189,7 +190,7 @@ class FiniteSet:
                 if not isinstance(x, int):
                     scale = scale * x.denominator // math.gcd(scale, x.denominator)
             if scale == 1:
-                ints = list(self.elements)
+                ints = self.elements
             else:
                 ints = [
                     x * scale if isinstance(x, int)
@@ -198,14 +199,6 @@ class FiniteSet:
                 ]
             self._iv = _IntView(ints, scale)
         return self._iv
-
-    def __getstate__(self):
-        return self.elements
-
-    def __setstate__(self, state):
-        self.elements = state
-        self._members = None
-        self._iv = None
 
     def __reduce__(self):
         return (FiniteSet._from_sorted, (self.elements,))

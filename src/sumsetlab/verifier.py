@@ -22,7 +22,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +88,8 @@ class CheckResult:
     lhs: float
     rhs: float
     ratio: float
-    verdict: str  # "pass" | "fail" | "ratio-report" | "skipped(<reason>)"
+    # "pass" | "fail" | "ratio-report" | "skipped(<reason>)" | "error(<exception type>)"
+    verdict: str
 
     @property
     def failed(self) -> bool:
@@ -404,7 +407,7 @@ def _chk_rs_prop(ctx: EvalContext, cid: str) -> CheckResult:
     guard = ctx.param("size_guard", 200)
     if n > guard:
         raise _Skip("budget")
-    if 0 in ctx.A.members:
+    if 0 in ctx.A:
         raise _Skip("zero-in-set")
     r = ctx.core.rep("ratio")
     cls = dominant_dyadic_class(r, 2)
@@ -586,9 +589,10 @@ def run_check(
 ) -> CheckResult:
     """Evaluate one registered check on A (and B where the check uses a pair).
 
-    Budget and guard trips surface as skipped verdicts, never exceptions;
-    only an unknown id (UnknownCheckError) or malformed parameters
-    (DomainError) raise.
+    Budget and guard trips surface as skipped verdicts, never exceptions.
+    An unknown id (UnknownCheckError) and malformed parameters (DomainError)
+    raise, and so does a program fault, which `run_check_suite` and
+    `run_scan` turn into an "error(<type>)" verdict.
     """
     base, inline = parse_check_id(check_id)
     merged = dict(inline)
@@ -614,6 +618,25 @@ def run_check(
                            "skipped(zero-in-set)")
 
 
+# errors that name a bad request rather than a fault of the program
+_USAGE_ERRORS = (DomainError, UnknownCheckError)
+
+
+def _run_isolated(check_id: str, A: FiniteSet, B: FiniteSet | None, params: dict | None,
+                  core: SetCore, where: str) -> CheckResult:
+    """`run_check`, with a program fault turned into the verdict
+    "error(<exception type>)" and its traceback written to stderr, headed by
+    `where`, so the checks after it still run.  Usage errors raise."""
+    try:
+        return run_check(check_id, A, B, params, core=core)
+    except _USAGE_ERRORS:
+        raise
+    except Exception as exc:  # a fault in one check must not stop the others
+        sys.stderr.write(f"error in {check_id} on {where}:\n{traceback.format_exc()}")
+        return CheckResult(check_id, f"|A|={len(A)}", math.nan, math.nan, math.nan,
+                           f"error({type(exc).__name__})")
+
+
 def run_check_suite(
     A: FiniteSet,
     checks=DEFAULT_VERIFY_CHECKS,
@@ -621,9 +644,13 @@ def run_check_suite(
     params: dict | None = None,
     budget: int | None = DEFAULT_PAIR_BUDGET,
 ) -> list[CheckResult]:
-    """Run several checks on one set, sharing all cached quantities."""
+    """Run several checks on one set, sharing all cached quantities.
+
+    A program fault in one check gives it the verdict "error(<type>)" (see
+    `_run_isolated`); usage errors raise as in `run_check`.
+    """
     core = SetCore(A, budget=budget)
-    return [run_check(cid, A, B, params, core=core) for cid in checks]
+    return [_run_isolated(cid, A, B, params, core, f"|A|={len(A)}") for cid in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +684,7 @@ def _eval_cell_group(args) -> list[ScanRow]:
         B = None
         if REGISTRY[base].derived_b:
             B = _derived_b(seed, label, n, cid)
-        try:
-            res = run_check(cid, A, B, core=core)
-        except Exception as exc:  # defensive: a bug in one cell must not kill a scan
-            res = CheckResult(cid, f"|A|={len(A)}", math.nan, math.nan, math.nan,
-                              f"skipped(error:{type(exc).__name__})")
+        res = _run_isolated(cid, A, B, None, core, f"{label} n={n}")
         rows.append(ScanRow(label, n, cid, res.lhs, res.rhs, res.ratio, res.verdict,
                             time.perf_counter() - t0))
     return rows
@@ -679,7 +702,9 @@ def run_scan(
     """Evaluate every (family, size, check) cell.
 
     Rows come back in lexicographic (family label, n, check id) order no
-    matter how many workers ran; per-cell errors downgrade to skipped rows.
+    matter how many workers ran.  A family that cannot be generated gives
+    "skipped(gen-error:<type>)" rows, and a program fault in a cell the
+    verdict "error(<type>)" (see `_run_isolated`); usage errors raise.
     """
     checks = list(checks)
     for cid in checks:

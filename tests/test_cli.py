@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sumsetlab import ExactnessError
 from sumsetlab.cli import main
 
 
@@ -270,3 +271,40 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n2\n3\n"
+
+
+@pytest.mark.parametrize("fault", [ExactnessError, ZeroDivisionError])
+def test_fault_is_an_error_verdict_and_exit_4(monkeypatch, capsys, fault):
+    from sumsetlab import verifier
+
+    def broken(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(verifier, "projection_count", broken)
+    assert run_cli("scan", "--families", "AP(1,1),GP(1,2)", "--sizes", "16",
+                   "--checks", "diff_proj,cs_energy") == 4
+    out, err = capsys.readouterr()
+    # family labels hold commas: split from the right
+    verdicts = {(row[0], row[2]): row[6]
+                for row in (line.rsplit(",", 7) for line in out.splitlines()[1:])}
+    kind = f"error({fault.__name__})"
+    assert verdicts == {("AP(1,1)", "diff_proj"): kind, ("AP(1,1)", "cs_energy"): "pass",
+                        ("GP(1,2)", "diff_proj"): kind, ("GP(1,2)", "cs_energy"): "pass"}
+    assert err.count(f"{fault.__name__}: injected") == 2 and "Traceback" in err
+
+    assert run_cli("verify", "--family", "AP(1,1)", "--n", "16",
+                   "--checks", "diff_proj,cs_energy") == 4
+    out, err = capsys.readouterr()
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == [kind, "pass"]
+    assert f"{fault.__name__}: injected" in err and "Traceback" in err
+    # a fault outranks a failed check
+    assert run_cli("verify", "--family", "AP(1,1)", "--n", "16", "--checks",
+                   "diff_proj,cs_energy", "--check-params", '{"const_scale": 1000}') == 4
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_parameter_outside_its_domain_is_a_usage_error(capsys, command):
+    where = (["--family", "AP(1,1)", "--n", "8"] if command == "verify"
+             else ["--families", "AP(1,1)", "--sizes", "8"])
+    assert run_cli(command, *where, "--checks", "cs_energy,holder_s[s=3]") == 2
+    assert "holder_s requires s strictly between 1 and 3" in capsys.readouterr().err

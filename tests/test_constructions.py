@@ -38,7 +38,7 @@ A123 = make_set([1, 2, 3])
 def test_popular_differences_examples():
     assert popular_differences(A123).elements == (-2, -1, 0, 1, 2)
     assert popular_differences(make_set([7])).elements == (0,)
-    assert 0 in popular_differences(gen_family(FamilySpec.gp(1, 2, 8))).members
+    assert 0 in popular_differences(gen_family(FamilySpec.gp(1, 2, 8)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,7 +84,7 @@ def test_per_rich_element_pair_bound(A):
     P = popular_differences(A)
     n = len(A)
     for r in rich_difference_elements(A, P):
-        hits = sum(1 for a in A if (r - a) in P.members)
+        hits = sum(1 for a in A if (r - a) in P)
         assert 11 * hits * hits >= 4 * n * n
 
 
@@ -102,7 +102,7 @@ def test_popular_sums_subset_of_sumset(X, ambient):
     from sumsetlab import pair_set
 
     ps = popular_sums(X, ambient)
-    assert ps.members <= pair_set(X, X, "sum").members
+    assert set(ps) <= set(pair_set(X, X, "sum"))
 
 
 def test_popular_sums_ambient_domain():
@@ -135,7 +135,33 @@ def test_popular_sums_threshold_matches_exact_arithmetic():
         with mpmath.workdps(80):
             thr = mpmath.mpf(len(X) ** 2) / (8 * s.size * mpmath.log(m))
             want = {x for x, c in s.counts.items() if mpmath.mpf(c) >= thr}
-        assert popular_sums(X, m).members == want
+        assert set(popular_sums(X, m)) == want
+
+
+def test_sum_popular_mask_decides_counts_next_to_a_large_threshold(monkeypatch):
+    # n = 10**6, support 1, ambient 3: the threshold 10**12 / (8 ln 3) is
+    # about 1.14e11, and counts at its floor and ceiling lie within the 1e-9
+    # float window, so the exact decimal comparison decides them
+    import mpmath
+    from sumsetlab import constructions as C
+
+    n, support, ambient = 10 ** 6, 1, 3
+    with mpmath.workdps(100):
+        thr = mpmath.mpf(n * n) / (8 * support * mpmath.log(ambient))
+        floor = int(mpmath.floor(thr))
+        counts = [floor - 1, floor, floor + 1, floor + 2]
+        want = [mpmath.mpf(c) >= thr for c in counts]
+    assert want == [False, False, True, True]
+    calls = []
+    exact = C._meets_log_threshold
+    monkeypatch.setattr(C, "_meets_log_threshold", lambda *a: calls.append(a) or exact(*a))
+    got = C._sum_popular_mask(np.array(counts, dtype=np.int64), n, support, ambient)
+    assert got.tolist() == want
+    assert len(calls) == len(counts)
+    # 10**40 ln 3 next to an integer: 32 digits cannot decide, 64 can
+    with mpmath.workdps(100):
+        edge = int(mpmath.floor(mpmath.mpf(10) ** 40 * mpmath.log(3)))
+    assert exact(10 ** 40, edge, 1, 3) and not exact(10 ** 40, edge + 1, 1, 3)
 
 
 # -- refinement ------------------------------------------------------------------
@@ -162,7 +188,7 @@ def test_refine_contract(kind, n):
     B, trace = refine_rich_core(A)
     assert len(trace.iterates) <= math.floor(ambient_log(n)) + 1
     for big, small in zip(trace.iterates, trace.iterates[1:]):
-        assert small.members <= big.members
+        assert set(small) <= set(big)
     if trace.stop_reason == "energy-criterion-met":
         assert 2 * len(B) >= len(A)
 
@@ -273,10 +299,10 @@ def test_triple_count_sum_matches_bruteforce(B, ambient):
     want = 0
     for r1 in R:
         for r2 in R:
-            if (r1 - r2) not in cls.members.members:
+            if (r1 - r2) not in cls.members:
                 continue
             for b in B:
-                if (r1 + b) in P.members and (r2 + b) in P.members:
+                if (r1 + b) in P and (r2 + b) in P:
                     want += 1
     assert count == want
     assert 2 * count >= level * cls_size * len(B)
@@ -310,7 +336,7 @@ def test_fiber_enumeration_matches_collision_bound():
     S = [
         (r, a1, a2)
         for r in R for a1 in A for a2 in A
-        if (r - a1) in P.members and (r - a2) in P.members and (a1 - a2) in P.members
+        if (r - a1) in P and (r - a2) in P and (a1 - a2) in P
     ]
     image = {}
     for (r, a1, a2) in S:

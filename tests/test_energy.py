@@ -73,7 +73,7 @@ def test_rep_fn_matches_oracle_and_mass(A, B, op):
 
 
 @settings(max_examples=30, deadline=None)
-@given(rational_sets.filter(lambda s: 0 not in s.members), rational_sets)
+@given(rational_sets.filter(lambda s: 0 not in s), rational_sets)
 def test_rep_fn_ratio_matches_oracle(B, A):
     f = rep_fn(A, B, "ratio")
     assert f.counts == oracle_rep_counts(A.elements, B.elements, "ratio")
@@ -475,7 +475,7 @@ def test_fingerprint_counter_matches_python_set(A, B, op, same):
 
     if same:
         B = A
-    assume(op != "ratio" or 0 not in B.members)
+    assume(op != "ratio" or 0 not in B)
     want = len({_PY_OPS[op](a, b) for a in A for b in B})
     assert _distinct_count_fingerprint(A, B, op) == want
     assert pair_set_size(A, B, op) == want
@@ -494,7 +494,7 @@ def test_fingerprint_counter_resolves_forced_collisions(monkeypatch):
     Q = make_set([Fraction(k, 3) for k in range(-20, 21, 3)] + [1 << 70])
     for A, B in ((G, G), (G, R), (R, R), (R, Q), (Q, Q), (Q, G)):
         for op in ("sum", "diff", "prod", "ratio"):
-            if op == "ratio" and 0 in B.members:
+            if op == "ratio" and 0 in B:
                 continue
             want = len({_PY_OPS[op](a, b) for a in A for b in B})
             assert en._distinct_count_fingerprint(A, B, op) == want
@@ -508,7 +508,7 @@ def test_fingerprint_counter_resolves_forced_collisions(monkeypatch):
 def test_rep_fn_table_matches_oracle_past_int64(A, B, op, same):
     if same:
         B = A
-    assume(op != "ratio" or 0 not in B.members)
+    assume(op != "ratio" or 0 not in B)
     want = oracle_rep_counts(A.elements, B.elements, op)
     f = rep_fn(A, B, op)
     assert f.counts == want
@@ -533,7 +533,7 @@ def test_grouped_table_resolves_forced_collisions(monkeypatch):
     Q = make_set([Fraction(k, 3) for k in range(-20, 21, 3)] + [1 << 70])
     for A, B in ((G, G), (G, R), (R, R), (R, Q), (Q, Q), (Q, G)):
         for op in ("sum", "diff", "prod", "ratio"):
-            if op == "ratio" and 0 in B.members:
+            if op == "ratio" and 0 in B:
                 continue
             want = oracle_rep_counts(A.elements, B.elements, op)
             assert rep_fn(A, B, op).counts == want
@@ -902,3 +902,44 @@ def test_repfn_select_carries_exact_int_view():
     B = make_set(range(-40, 40, 3))
     _assert_same_as_fresh(rep_fn(B, B, "diff").support())
     _assert_same_as_fresh(rep_fn(B, B, "prod").support())
+
+
+# -- residue keys computed once per set -----------------------------------------
+
+def test_residues_computed_once_per_set(monkeypatch):
+    se = importlib.import_module("sumsetlab.sets")
+    from sumsetlab.constructions import popular_differences, rich_difference_elements
+
+    real = se._IntView.residues
+    seen: dict = {}  # (view, modulus) -> the residue arrays handed out
+    keep = []  # holds every view and array, so no id is reused
+
+    def spy(self, modulus):
+        r = real(self, modulus)
+        keep.append((self, r))
+        seen.setdefault((id(self), modulus), set()).add(id(r))
+        return r
+
+    monkeypatch.setattr(se._IntView, "residues", spy)
+    A = gen_family(FamilySpec.gp(1, 2, 64))  # sums and products pass int64
+    for op in ("sum", "diff", "prod", "ratio"):
+        rep_fn(A, A, op)
+        pair_set_size(A, A, op)
+    P = popular_differences(A)
+    rich_difference_elements(A, P)
+    projection_count(P, P)
+    assert seen and all(len(ids) == 1 for ids in seen.values())
+    assert len(keep) > 2 * len(seen)  # the cached residues are read again
+
+
+def test_residue_cache_follows_the_key_primes(monkeypatch):
+    # residues are cached per modulus: after the primes change, the same set
+    # is keyed afresh, and forced collisions still give exact tables
+    en = importlib.import_module("sumsetlab.energy")
+    A = gen_family(FamilySpec.gp(1, 2, 66))
+    want = {op: (rep_fn(A, A, op).counts, pair_set_size(A, A, op))
+            for op in ("sum", "diff", "prod", "ratio")}
+    monkeypatch.setattr(en, "_KEY_PRIMES", (3, 5))
+    for op, (counts, size) in want.items():
+        assert rep_fn(A, A, op).counts == counts
+        assert pair_set_size(A, A, op) == size == len(counts)

@@ -46,3 +46,30 @@ def test_package_has_no_bincount():
         and "bincount" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
     assert found == []
+
+
+def test_finite_set_keeps_no_hash_table():
+    # a FiniteSet answers membership by bisection on its sorted elements;
+    # no module builds a frozenset copy of a set's values
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "frozenset" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert found == []
+    assert not hasattr(sumsetlab.FiniteSet, "members")
+    assert not hasattr(sumsetlab.make_set([1, 2]), "members")
+
+
+def test_package_does_not_import_mpmath():
+    # mpmath is a test-only oracle; the exact threshold fallback uses decimal
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")
+    ]
+    assert found == []

@@ -250,3 +250,52 @@ def test_from_scaled_matches_fresh_set(values, scale):
         assert got.arr.dtype == np.int64 and got.arr.tolist() == want.arr.tolist()
     back = pickle.loads(pickle.dumps(S))
     assert back == S and back.int_view.ints == want.ints and back.int_view.scale == want.scale
+
+
+# -- membership by bisection, and copies of sets -------------------------------
+
+# GP(1,2) values past 2**61 share Python's int hash with smaller powers
+# (hash(2**k) == 2**(k % 61)), so a hash-based lookup would compare them
+_membership_values = st.one_of(
+    st.integers(0, 140).map(lambda k: 1 << k),
+    st.integers(0, 140).map(lambda k: -(1 << k) + 1),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_membership_values, max_size=12), st.lists(_membership_values, max_size=12),
+       st.booleans())
+def test_membership_matches_python_set(values, probes, with_zero):
+    A = make_set(values + [0] if with_zero else [v for v in values if v != 0])
+    members = set(A.elements)
+    for x in probes + list(A.elements) + [0] + [2 * x + 1 for x in A.elements]:
+        assert (x in A) == (x in members)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteSet.from_scaled(np.array([-3, 0, 5, 1 << 61], dtype=np.int64), 1),
+    lambda: FiniteSet.from_scaled(np.array([-6, 4, 10], dtype=np.int64), 6),
+    lambda: FiniteSet.from_scaled(np.array([], dtype=np.int64), 5),
+    lambda: make_set([1 << k for k in range(0, 130, 7)]),
+    lambda: make_set([Fraction(1, 3), -2, Fraction(7, 4), 0]),
+    lambda: make_set([]),
+], ids=["scaled-int", "scaled-rational", "scaled-empty", "fresh-bigint",
+        "fresh-rational", "fresh-empty"])
+def test_copies_keep_equality_hash_and_int_view(make):
+    import copy
+    import pickle
+
+    S = make()
+    view = S.int_view
+    if view.scale == 1:  # a set of integers keeps one copy of its values
+        assert view.ints is S.elements
+    copies = [pickle.loads(pickle.dumps(S, protocol=proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(S), copy.deepcopy(S)]
+    for back in copies:
+        assert back == S and hash(back) == hash(S) and back.elements == S.elements
+        got = back.int_view
+        assert type(got.ints) is type(view.ints) and got.ints == view.ints
+        assert got.scale == view.scale
