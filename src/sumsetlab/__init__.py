@@ -60,6 +60,7 @@ from .incidence import (
     CurveTranslate,
     Line,
     count_incidences_curve,
+    count_incidences_grid,
     count_incidences_lines,
     integer_line_family,
     read_lines_csv,

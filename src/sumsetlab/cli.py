@@ -28,9 +28,10 @@ from .sets import (
     gen_family,
     is_convex,
     read_set_file,
+    read_utf8_text,
     split_top_level,
 )
-from .incidence import count_incidences_lines, integer_line_family, read_lines_csv, st_ratio
+from .incidence import count_incidences_grid, count_incidences_lines, read_lines_csv, st_ratio
 from .verifier import (
     DEFAULT_VERIFY_CHECKS,
     SetCore,
@@ -71,10 +72,10 @@ def _emit(text: str, out: str | None) -> None:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_utf8_text(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise UsageError("config file must hold a JSON object")
     return cfg
 
 
@@ -88,6 +89,25 @@ def _opt(args, cfg: dict, key: str, default):
     return default
 
 
+def _as_int(key: str, val) -> int:
+    """`val`, an int or its decimal text, as an integer; anything else from
+    a flag or a config file (2.5, true, "abc") is a usage error naming its
+    key."""
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val
+    if isinstance(val, str):
+        try:
+            return int(val)
+        except ValueError:
+            pass
+    raise UsageError(f"{key} must be an integer, got {val!r}")
+
+
+def _int_opt(args, cfg: dict, key: str, default):
+    val = _opt(args, cfg, key, default)
+    return val if val is None else _as_int(key, val)
+
+
 def _resolve_set(args, cfg) -> FiniteSet:
     infile = _opt(args, cfg, "infile", None)
     family = _opt(args, cfg, "family", None)
@@ -95,11 +115,10 @@ def _resolve_set(args, cfg) -> FiniteSet:
         raise UsageError("supply exactly one set source: --family or --in")
     if infile is not None:
         return read_set_file(infile)
-    n = _opt(args, cfg, "n", None)
+    n = _int_opt(args, cfg, "n", None)
     if n is None:
         raise UsageError("--family needs --n")
-    spec = FamilySpec.parse(family, int(n))
-    spec = _reseed(spec, int(_opt(args, cfg, "seed", 0)))
+    spec = _reseed(FamilySpec.parse(family, n), _int_opt(args, cfg, "seed", 0))
     return gen_family(spec)
 
 
@@ -120,10 +139,10 @@ class UsageError(Exception):
 
 def _cmd_gen(args, cfg) -> int:
     family = _opt(args, cfg, "family", None)
-    n = _opt(args, cfg, "n", None)
+    n = _int_opt(args, cfg, "n", None)
     if family is None or n is None:
         raise UsageError("gen requires --family and --n")
-    spec = _reseed(FamilySpec.parse(family, int(n)), int(_opt(args, cfg, "seed", 0)))
+    spec = _reseed(FamilySpec.parse(family, n), _int_opt(args, cfg, "seed", 0))
     A = gen_family(spec)
     lines = "".join(f"{x}\n" for x in A.elements)
     _emit(lines, _opt(args, cfg, "out", None))
@@ -204,8 +223,8 @@ def _cmd_verify(args, cfg) -> int:
     raw_params = _opt(args, cfg, "check_params", None)
     if raw_params:
         params = json.loads(raw_params) if isinstance(raw_params, str) else raw_params
-    budget = _opt(args, cfg, "budget", None)
-    kwargs = {} if budget is None else {"budget": int(budget)}
+    budget = _int_opt(args, cfg, "budget", None)
+    kwargs = {} if budget is None else {"budget": budget}
     results = run_check_suite(A, check_list, params=params, **kwargs)
     for r in results:
         sys.stderr.write(f"{r.check_id}: {r.verdict}\n")
@@ -232,19 +251,19 @@ def _cmd_scan(args, cfg) -> int:
         raise UsageError("scan requires --families, --sizes, and --checks")
     if isinstance(families_raw, str):
         families_raw = split_top_level(families_raw)
-    seed = int(_opt(args, cfg, "seed", 0))
+    seed = _int_opt(args, cfg, "seed", 0)
     families = [_reseed(FamilySpec.parse(f, 1), seed) for f in families_raw]
     if isinstance(sizes_raw, str):
-        sizes = [int(s) for s in sizes_raw.split(",") if s.strip()]
+        sizes = [_as_int("sizes", s) for s in sizes_raw.split(",") if s.strip()]
     else:
-        sizes = [int(s) for s in sizes_raw]
+        sizes = [_as_int("sizes", s) for s in sizes_raw]
     if isinstance(checks_raw, str):
         checks = split_top_level(checks_raw)
     else:
         checks = list(checks_raw)
-    jobs = int(_opt(args, cfg, "jobs", 1))
-    budget = _opt(args, cfg, "budget", None)
-    kwargs = {} if budget is None else {"budget": int(budget)}
+    jobs = _int_opt(args, cfg, "jobs", 1)
+    budget = _int_opt(args, cfg, "budget", None)
+    kwargs = {} if budget is None else {"budget": budget}
     rows = run_scan(families, sizes, checks, seed=seed, jobs=jobs, **kwargs)
     fmt = _opt(args, cfg, "format", "csv")
     text = scan_rows_to_json(rows) if fmt == "json" else scan_rows_to_csv(rows)
@@ -256,17 +275,10 @@ def _cmd_scan(args, cfg) -> int:
 
 
 def _cmd_incidence(args, cfg) -> int:
-    grid = _opt(args, cfg, "grid", None)
+    n = _int_opt(args, cfg, "grid", None)
     lines_file = _opt(args, cfg, "lines", None)
-    if grid is not None:
-        n = int(grid)
-        A = FiniteSet(range(1, n + 1))
-        B = A
-        if lines_file:
-            lines = read_lines_csv(lines_file)
-        else:
-            slopes = int(_opt(args, cfg, "slopes", math.isqrt(max(n - 1, 0)) + 1))
-            lines = integer_line_family(slopes, n)
+    if n is not None:
+        A = B = FiniteSet(range(1, n + 1))
     else:
         xset = _opt(args, cfg, "xset", None)
         yset = _opt(args, cfg, "yset", None)
@@ -274,14 +286,20 @@ def _cmd_incidence(args, cfg) -> int:
             raise UsageError("incidence requires --grid N or (--xset FILE --lines FILE)")
         A = read_set_file(xset)
         B = read_set_file(yset) if yset else A
+    if lines_file:
         lines = read_lines_csv(lines_file)
-    count = count_incidences_lines(A, B, lines)
+        count, n_lines = count_incidences_lines(A, B, lines), len(lines)
+    else:
+        # the integer family y = m x + c, counted as slope and intercept ranges
+        slopes = _int_opt(args, cfg, "slopes", math.isqrt(max(n - 1, 0)) + 1)
+        count = count_incidences_grid(A, B, slopes, n)
+        n_lines = slopes * n if slopes > 0 and n > 0 else 0
     points = len(A) * len(B)
     report = {
         "incidences": count,
         "points": points,
-        "lines": len(lines),
-        "st_ratio": st_ratio(count, points, len(lines)) if points and lines else 0.0,
+        "lines": n_lines,
+        "st_ratio": st_ratio(count, points, n_lines) if points and n_lines else 0.0,
     }
     fmt = _opt(args, cfg, "format", "text")
     if fmt == "json":
@@ -294,12 +312,12 @@ def _cmd_incidence(args, cfg) -> int:
 
 def _cmd_search(args, cfg) -> int:
     objective = _opt(args, cfg, "objective", None)
-    n = _opt(args, cfg, "n", None)
+    n = _int_opt(args, cfg, "n", None)
     if objective is None or n is None:
         raise UsageError("search requires --objective and --n")
-    budget = int(_opt(args, cfg, "budget", 1000))
-    seed = int(_opt(args, cfg, "seed", 0))
-    result = search_extremal(str(objective), int(n), budget, seed)
+    budget = _int_opt(args, cfg, "budget", 1000)
+    seed = _int_opt(args, cfg, "seed", 0)
+    result = search_extremal(str(objective), n, budget, seed)
     out = _opt(args, cfg, "out", None)
     body = "".join(f"{x}\n" for x in result.best.elements)
     _emit(body, out)
@@ -402,6 +420,8 @@ def main(argv=None) -> int:
     try:
         cfg_all = _load_config(args.config)
         cfg = cfg_all.get(args.command, cfg_all)  # flat or per-command sections
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config section {args.command!r} must be a JSON object")
         return _COMMANDS[args.command](args, cfg)
     except (UsageError, UnknownCheckError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")

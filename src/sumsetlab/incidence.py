@@ -2,7 +2,11 @@
 
 Points are A x B for finite rational sets A, B.  Lines must have finite
 nonzero slope (a zero-slope line meets a Cartesian grid in |A| points and
-breaks the incidence regime being measured, so it is rejected).  Convex
+breaks the incidence regime being measured, so it is rejected).  An
+explicit family of `Line`s (from a file or the caller) is counted by
+`count_incidences_lines`; the integer family y = m x + c, 1 <= m <= S,
+1 <= c <= K, is counted by `count_incidences_grid` as ranges of slopes and
+intercepts, with two binary searches per (slope, a) and no `Line` built.  Convex
 curves are evaluated as lookup tables over integer arguments only: a
 translate of the interpolant of a convex set touches the grid exactly where
 table[x - h] - v lands in B, so no smooth interpolation is needed.
@@ -16,18 +20,28 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import pair_membership
 from .errors import DivisionDomainError, DomainError
-from .sets import FiniteSet, Rational, as_rational, is_convex, transform
+from .sets import (
+    INT64_SAFE,
+    FiniteSet,
+    Rational,
+    as_rational,
+    is_convex,
+    read_utf8_text,
+    transform,
+)
 
 __all__ = [
     "Line",
     "CurveTranslate",
     "count_incidences_lines",
+    "count_incidences_grid",
     "count_incidences_curve",
     "st_ratio",
     "integer_line_family",
@@ -91,6 +105,55 @@ def count_incidences_lines(A: FiniteSet, B: FiniteSet, lines) -> int:
     return total
 
 
+# Queries per pair of binary searches in count_incidences_grid: a block of
+# slopes times |A| stays near this many.
+_GRID_BLOCK = 1 << 16
+
+
+def count_incidences_grid(A: FiniteSet, B: FiniteSet, slope_count: int,
+                          intercept_count: int) -> int:
+    """Exact #{(a, b, m, c) : a in A, b in B, 1 <= m <= S, 1 <= c <= K,
+    b = m*a + c} for S = slope_count, K = intercept_count: the incidences of
+    A x B with `integer_line_family(S, K)`, counted without building it.
+
+    On one denominator s (alpha = s*a, beta = s*b) the point lies on the line
+    exactly when beta = m*alpha + c*s.  Each beta is keyed
+    (beta mod s)*W + (beta div s - qmin), W = qmax - qmin + 1, and the keys
+    are sorted once.  For m*alpha = q*s + r the hits are then the keys in
+    [r*W + q + 1 - qmin, r*W + q + K - qmin], clipped to residue r's block
+    of W keys: two binary searches, S*|A|*log|B| work in all against the
+    S*K*|A| pair tests of the explicit family.  The key arithmetic runs on
+    int64 when a bound on every key, query and m*alpha stays below
+    INT64_SAFE, and on Python ints (object arrays) past it.
+    """
+    S, K = slope_count, intercept_count
+    if S <= 0 or K <= 0 or len(A) == 0 or len(B) == 0:
+        return 0
+    iva, ivb = A.int_view, B.int_view
+    s = math.lcm(iva.scale, ivb.scale)
+    ma, mb = s // iva.scale, s // ivb.scale
+    alpha = [v * ma for v in iva.ints] if ma != 1 else iva.ints
+    beta = [v * mb for v in ivb.ints] if mb != 1 else ivb.ints
+    qmin = beta[0] // s
+    width = beta[-1] // s - qmin + 1
+    amax = max(abs(alpha[0]), abs(alpha[-1]))
+    bound = max(abs(beta[0]), abs(beta[-1])) + s * width + S * amax + K + abs(qmin) + 1
+    dtype = np.int64 if bound < INT64_SAFE else object
+    alpha = np.array(alpha, dtype=dtype)
+    beta = np.array(beta, dtype=dtype)
+    keys = np.sort((beta % s) * width + (beta // s - qmin))
+    step = max(1, _GRID_BLOCK // len(alpha))
+    total = 0
+    for m0 in range(1, S + 1, step):
+        prod = np.arange(m0, min(m0 + step, S + 1)).astype(dtype)[:, None] * alpha
+        q, base = prod // s, (prod % s) * width
+        lo = base + np.maximum(q + 1 - qmin, 0)
+        hi = base + np.minimum(q + K - qmin, width - 1)
+        hits = np.searchsorted(keys, hi, "right") - np.searchsorted(keys, lo, "left")
+        total += int(np.maximum(hits, 0).sum())
+    return total
+
+
 def count_incidences_curve(x_range: int, B: FiniteSet, translates) -> int:
     """Exact solution count of table(x - h) - v = b over x in [1, x_range].
 
@@ -123,7 +186,10 @@ def st_ratio(incidences: int, points: int, lines: int) -> float:
 
 
 def integer_line_family(slope_count: int, intercept_count: int) -> list[Line]:
-    """{y = m x + b : m in 1..slope_count, b in 1..intercept_count}."""
+    """{y = m x + b : m in 1..slope_count, b in 1..intercept_count}, as one
+    `Line` per line: for files and callers that need the lines themselves.
+    `count_incidences_grid` counts this family's incidences as ranges,
+    without building it."""
     return [
         Line(m, b)
         for m in range(1, slope_count + 1)
@@ -137,7 +203,7 @@ def integer_line_family(slope_count: int, intercept_count: int) -> list[Line]:
 
 def read_lines_csv(path) -> list[Line]:
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with read_utf8_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (row[0].strip().startswith("#")):
                 continue

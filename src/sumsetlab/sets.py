@@ -15,6 +15,7 @@ subsets) and the element-per-line file format.
 from __future__ import annotations
 
 import bisect
+import io
 import math
 import random
 import re
@@ -37,6 +38,7 @@ __all__ = [
     "FamilySpec",
     "gen_family",
     "read_set_file",
+    "read_utf8_text",
     "write_set_file",
     "parse_rational",
     "split_top_level",
@@ -478,9 +480,26 @@ def gen_family(spec: FamilySpec, n: int | None = None) -> FiniteSet:
 # Set literal files: one element per line, 'p' or 'p/q', '#' comments
 # ---------------------------------------------------------------------------
 
+def read_utf8_text(path, newline=None) -> io.StringIO:
+    """File `path` decoded as UTF-8, read back as `open(path,
+    encoding="utf-8", newline=newline)` would read it.  A byte that is not
+    UTF-8 raises DomainError naming the file and the line that holds it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        raise DomainError(
+            f"{path}:{lineno}: not UTF-8 text (byte {data[exc.start]:#04x})"
+        ) from exc
+    return io.StringIO(text, newline=newline)
+
+
 def read_set_file(path) -> FiniteSet:
     vals = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -44,7 +44,7 @@ from .constructions import (
     refine_rich_core,
     rich_difference_elements,
 )
-from .incidence import count_incidences_lines, integer_line_family, st_ratio
+from .incidence import count_incidences_grid, st_ratio
 
 __all__ = [
     "CheckResult",
@@ -463,13 +463,13 @@ def _chk_st_measure(ctx: EvalContext, cid: str) -> CheckResult:
         raise _Skip("guard:empty")
     slopes = ctx.param("slopes", math.isqrt(n - 1) + 1)
     intercepts = ctx.param("intercepts", n)
-    fam = integer_line_family(slopes, intercepts)
-    count = count_incidences_lines(ctx.A, ctx.A, fam)
+    count = count_incidences_grid(ctx.A, ctx.A, slopes, intercepts)
+    lines = slopes * intercepts if slopes > 0 and intercepts > 0 else 0
     points = n * n
-    ratio = st_ratio(count, points, len(fam))
-    denom = (points * len(fam)) ** (2.0 / 3.0) + len(fam)
+    ratio = st_ratio(count, points, lines)
+    denom = (points * lines) ** (2.0 / 3.0) + lines
     return CheckResult(
-        cid, ctx.desc(f"|L|={len(fam)},I={count}"), float(count), denom, ratio,
+        cid, ctx.desc(f"|L|={lines},I={count}"), float(count), denom, ratio,
         "ratio-report",
     )
 

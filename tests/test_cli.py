@@ -308,3 +308,32 @@ def test_parameter_outside_its_domain_is_a_usage_error(capsys, command):
              else ["--families", "AP(1,1)", "--sizes", "8"])
     assert run_cli(command, *where, "--checks", "cs_energy,holder_s[s=3]") == 2
     assert "holder_s requires s strictly between 1 and 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, body, argv, message", [
+    ("cfg.json", b"[1]\n", ["--config", "{}", "gen", "--family", "AP(1,1)"],
+     "config file must hold a JSON object"),
+    ("cfg.json", b'{"n": "abc"}\n', ["--config", "{}", "gen", "--family", "AP(1,1)"],
+     "n must be an integer, got 'abc'"),
+    ("cfg.json", b'{"n": 3.5}\n', ["--config", "{}", "gen", "--family", "AP(1,1)"],
+     "n must be an integer, got 3.5"),
+    ("set.txt", b"1\n2\n\xff3\n", ["stats", "--in", "{}"], "set.txt:3: not UTF-8 text"),
+    ("lines.csv", b"slope,intercept\n1,0\n\xfe,2\n",
+     ["incidence", "--grid", "4", "--lines", "{}"], "lines.csv:3: not UTF-8 text"),
+], ids=["config-not-an-object", "config-non-integer", "config-float",
+        "set-file-not-utf8", "lines-file-not-utf8"])
+def test_input_file_fault_is_a_usage_error(tmp_path, capsys, name, body, argv, message):
+    path = tmp_path / name
+    path.write_bytes(body)
+    assert run_cli(*(a.format(path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_incidence_grid_counts_the_family_as_ranges(capsys):
+    assert run_cli("incidence", "--grid", "64", "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lines"] == 8 * 64 and payload["incidences"] == 5312
+    assert run_cli("incidence", "--grid", "64", "--slopes", "0", "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lines"] == payload["incidences"] == 0 and payload["st_ratio"] == 0.0

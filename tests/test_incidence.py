@@ -1,6 +1,8 @@
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,18 +11,23 @@ from sumsetlab import (
     CurveTranslate,
     DivisionDomainError,
     DomainError,
+    FamilySpec,
     FiniteSet,
     Line,
     count_incidences_curve,
+    count_incidences_grid,
     count_incidences_lines,
+    gen_family,
     integer_line_family,
     make_set,
     read_lines_csv,
+    run_check,
     st_ratio,
     transform,
     write_lines_csv,
 )
 from conftest import oracle_incidences
+from sumsetlab.sets import INT64_SAFE
 
 A123 = make_set([1, 2, 3])
 
@@ -194,3 +201,91 @@ def test_rational_grid_counts_without_a_python_loop_per_point(monkeypatch):
     assert count_incidences_lines(A, A, rational) == 1378
     monkeypatch.undo()
     assert count_incidences_lines(A, A, rational) == oracle_incidences(A, A, rational)
+
+
+# -- the integer line family counted as ranges -------------------------------------
+
+def _grid_agrees(A, B, S, K):
+    """count_incidences_grid against the naive oracle and the explicit family."""
+    family = integer_line_family(S, K)
+    got = count_incidences_grid(A, B, S, K)
+    assert got == oracle_incidences(A, B, family)
+    assert got == count_incidences_lines(A, B, family)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=12).map(make_set),
+       st.lists(st.integers(-40, 40), max_size=12).map(make_set),
+       st.integers(-2, 6), st.integers(-2, 30))
+def test_grid_count_matches_oracle_on_integer_sets(A, B, S, K):
+    _grid_agrees(A, B, S, K)
+
+
+def test_grid_count_across_scales():
+    rng = random.Random(5)
+    for den_a, den_b in ((3, 7), (1, 7), (3, 1), (21, 21)):
+        for _ in range(8):
+            A = make_set([Fraction(rng.randint(-60, 60), den_a) for _ in range(10)])
+            B = make_set([Fraction(rng.randint(-60, 60), den_b) for _ in range(10)])
+            _grid_agrees(A, B, 5, 12)
+    # the pinned count of test_rational_grid_counts_without_a_python_loop_per_point
+    A = make_set([Fraction(1, 3) + j * Fraction(2, 7) for j in range(64)])
+    assert count_incidences_grid(A, A, 8, 64) == 366
+
+
+def test_grid_count_past_int64_takes_python_ints():
+    A = gen_family(FamilySpec.parse("GP(1,2)", 66))
+    assert A.elements[-1] > INT64_SAFE
+    assert _grid_agrees(A, A, 3, 8) > 0
+    B = make_set([x + 1 for x in A] + [3 * x + 5 for x in A])
+    # every a lies on y = x + 1 and on y = 3x + 5, small a on more lines
+    assert _grid_agrees(A, B, 3, 5) >= 2 * len(A)
+
+
+def test_grid_count_empty_sets_and_empty_families():
+    assert count_incidences_grid(make_set([]), A123, 3, 3) == 0
+    assert count_incidences_grid(A123, make_set([]), 3, 3) == 0
+    for S, K in ((0, 5), (5, 0), (-1, 5), (5, -1), (-2, -3)):
+        assert count_incidences_grid(A123, A123, S, K) == 0
+
+
+@pytest.mark.parametrize("x, dtype", [(1 << 58, "int64"), (1 << 61, "object")],
+                         ids=["int64", "object"])
+def test_grid_count_on_both_sides_of_the_int64_bound(monkeypatch, x, dtype):
+    seen = set()
+    searchsorted = np.searchsorted
+
+    def spy(keys, *args, **kwargs):
+        seen.add(keys.dtype.name)
+        return searchsorted(keys, *args, **kwargs)
+
+    A = make_set([x, x + 2])
+    B = make_set([x + 1, 2 * x + 3, 2 * x + 7, -x])
+    monkeypatch.setattr(np, "searchsorted", spy)
+    got = count_incidences_grid(A, B, 2, 3)
+    monkeypatch.undo()
+    assert seen == {dtype}
+    # (x, x+1) on y = x + 1, (x, 2x+3) on y = 2x + 3, (x+2, 2x+7) on y = 2x + 3
+    assert got == _grid_agrees(A, B, 2, 3) == 3
+
+
+def test_grid_count_with_an_intercept_count_past_int64():
+    A, B = make_set([-3, 1, 2]), make_set([-5, 10, 20])
+    for K in ((1 << 63) - 5, 1 << 70):
+        expected = sum(1 <= b - m * a <= K for m in (1, 2) for a in A for b in B)
+        assert count_incidences_grid(A, B, 2, K) == expected
+
+
+def test_st_measure_builds_no_line_and_tests_no_pair(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("st_measure built a Line or called pair_membership")
+
+    monkeypatch.setattr(Line, "__post_init__", forbidden)
+    monkeypatch.setattr(sys.modules["sumsetlab.energy"], "pair_membership", forbidden)
+    monkeypatch.setattr(sys.modules["sumsetlab.incidence"], "pair_membership", forbidden)
+    A = make_set(range(1, 13))
+    r = run_check("st_measure", A)
+    monkeypatch.undo()
+    assert r.verdict == "ratio-report"
+    assert r.lhs == count_incidences_lines(A, A, integer_line_family(4, 12))
