@@ -14,6 +14,7 @@ truncated artifact.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .errors import SumsetLabError, UnknownCheckError
 from .sets import (
     FamilySpec,
     FiniteSet,
+    as_int,
     gen_family,
     is_convex,
     read_set_file,
@@ -35,6 +37,7 @@ from .incidence import count_incidences_grid, count_incidences_lines, read_lines
 from .verifier import (
     DEFAULT_VERIFY_CHECKS,
     SetCore,
+    json_text,
     run_check_suite,
     run_scan,
     scan_rows_to_csv,
@@ -90,17 +93,12 @@ def _opt(args, cfg: dict, key: str, default):
 
 
 def _as_int(key: str, val) -> int:
-    """`val`, an int or its decimal text, as an integer; anything else from
-    a flag or a config file (2.5, true, "abc") is a usage error naming its
-    key."""
-    if isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if isinstance(val, str):
-        try:
-            return int(val)
-        except ValueError:
-            pass
-    raise UsageError(f"{key} must be an integer, got {val!r}")
+    """`val` read by `sets.as_int`; anything else from a flag or a config
+    file (2.5, true, "abc") is a usage error naming its key."""
+    try:
+        return as_int(val)
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be an integer, got {val!r}") from None
 
 
 def _int_opt(args, cfg: dict, key: str, default):
@@ -192,18 +190,7 @@ def _cmd_stats(args, cfg) -> int:
 
 def _results_table(results, fmt: str) -> str:
     if fmt == "json":
-        payload = [
-            {
-                "check_id": r.check_id,
-                "inputs_desc": r.inputs_desc,
-                "lhs": r.lhs if math.isfinite(r.lhs) else str(r.lhs),
-                "rhs": r.rhs if math.isfinite(r.rhs) else str(r.rhs),
-                "ratio": r.ratio if math.isfinite(r.ratio) else str(r.ratio),
-                "verdict": r.verdict,
-            }
-            for r in results
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(dataclasses.asdict(r) for r in results)
     lines = ["check_id,inputs_desc,lhs,rhs,ratio,verdict"]
     for r in results:
         lines.append(

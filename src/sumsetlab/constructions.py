@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .sets import FiniteSet
-from .energy import EnergyValue, RepFn, energy, pair_membership, rep_fn
+from .energy import EnergyValue, RepFn, energy, moment, pair_membership, rep_fn
 
 __all__ = [
     "ambient_log",
@@ -249,33 +249,19 @@ def dominant_dyadic_class(f: RepFn, k) -> DyadicClass:
     # counts stay below 2^53, so float log2 followed by floor is exact; the
     # levels fit uint8, whose stable sort is one radix pass
     j = np.floor(np.log2(counts.astype(np.float64))).astype(np.uint8)
-    kr = Fraction(k) if not isinstance(k, float) else k
-    integral = (isinstance(kr, Fraction) and kr.denominator == 1) or (
-        isinstance(kr, float) and kr.is_integer()
-    )
-    best_j = -1
-    best_mass_f = -1.0
-    best_mass_exact: int | None = None
+    best_j, best_mass = -1, None
     # the levels in increasing order, each one's counts in table order, so a
     # float moment sums the same array as a mask of the level would
     order = np.argsort(j, kind="stable")
     for sel in np.split(counts[order], np.flatnonzero(np.diff(j[order])) + 1):
-        jv = int(sel[0]).bit_length() - 1
-        if integral:
-            ki = int(kr)
-            uniq, mult = np.unique(sel, return_counts=True)
-            exact = sum(int(m) * int(u) ** ki for u, m in zip(uniq.tolist(), mult.tolist()))
-            mass_f = float(exact)
-        else:
-            exact = None
-            mass_f = float(np.sum(np.power(sel.astype(np.float64), float(kr))))
-        if mass_f > best_mass_f:
-            best_j, best_mass_f, best_mass_exact = jv, mass_f, exact
+        mass = moment(sel, k)
+        if best_mass is None or mass.approx > best_mass.approx:
+            best_j, best_mass = int(sel[0]).bit_length() - 1, mass
     return DyadicClass(
-        level=1 << int(best_j),
+        level=1 << best_j,
         members=f.select(j == best_j),
-        weighted_mass=EnergyValue(best_mass_exact, best_mass_f),
-        exponent=float(kr),
+        weighted_mass=best_mass,
+        exponent=float(Fraction(k)),
     )
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "pair_membership",
     "rep_fn",
     "energy",
+    "moment",
     "projection_count",
     "dump_repfn_csv",
     "load_repfn_csv",
@@ -593,13 +594,12 @@ def to_float(x: int) -> float:
         return math.inf
 
 
-def energy(f: RepFn, k) -> EnergyValue:
-    """k-th moment of the representation function: sum of counts(x)**k.
+def moment(counts: np.ndarray, k) -> EnergyValue:
+    """sum(counts ** k) over a count array.
 
     Integer k: exact big-integer arithmetic.  Fractional k: float64 powers
     with pairwise summation (relative error well under the documented 1e-12
-    at desk scale).  k = 1 recovers |A||B|; a ratio-op RepFn yields the
-    multiplicative energies.
+    at desk scale).
     """
     kr = as_rational(k) if not isinstance(k, float) else k
     if isinstance(kr, float):
@@ -609,14 +609,19 @@ def energy(f: RepFn, k) -> EnergyValue:
             kr = int(kr)
     elif kr < 0:
         raise DomainError("energy exponent must be >= 0")
-    c = f.counts_array
     if isinstance(kr, int):
-        uniq, mult = np.unique(c, return_counts=True)
+        uniq, mult = np.unique(counts, return_counts=True)
         total = sum(int(m) * int(u) ** kr for u, m in zip(uniq.tolist(), mult.tolist()))
         return EnergyValue(total, to_float(total))
-    kf = float(kr)
-    approx = float(np.sum(np.power(c.astype(np.float64), kf)))
-    return EnergyValue(None, approx)
+    return EnergyValue(None, float(np.sum(np.power(counts.astype(np.float64), float(kr)))))
+
+
+def energy(f: RepFn, k) -> EnergyValue:
+    """k-th moment of the representation function: sum of counts(x)**k,
+    computed by `moment`.  k = 1 recovers |A||B|; a ratio-op RepFn yields
+    the multiplicative energies.
+    """
+    return moment(f.counts_array, k)
 
 
 # ---------------------------------------------------------------------------

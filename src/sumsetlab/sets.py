@@ -30,6 +30,7 @@ from .errors import DomainError, InfeasibleSpecError, InvalidScaleError
 __all__ = [
     "Rational",
     "as_rational",
+    "as_int",
     "FiniteSet",
     "make_set",
     "transform",
@@ -71,6 +72,16 @@ def as_rational(x) -> Rational:
             "float elements are not exact; pass Fraction(...) or a 'p/q' string"
         )
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
+
+
+def as_int(x) -> int:
+    """An int that is not a bool, or its decimal text, as an integer; any
+    other value (2.5, 3.0, True, "abc") raises TypeError or ValueError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        return int(x)
+    raise TypeError(f"cannot interpret {type(x).__name__} as an integer")
 
 
 def parse_rational(text: str) -> Rational:

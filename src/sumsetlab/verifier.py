@@ -1,16 +1,19 @@
 """Registry of named inequality checks, the scan harness, and extremal search.
 
-Two species of check:
+A check only measures: it returns the two sides of its statement (and the
+text it adds to the inputs description).  `run_check` alone judges the
+measurement, by the check's registered kind:
 
-  * assert-type: an inequality that holds exactly for every finite set, with
-    the constant extracted from the proof chain it implements.  Pure-integer
-    statements are compared in exact arithmetic; whenever a fractional-power
-    energy appears on either side, the comparison allows a 1e-9 relative
+  * assert: an inequality that holds exactly for every finite set, with
+    the constant extracted from the proof chain it implements.  The verdict
+    is "pass" when lhs * const_scale <= rhs.  Integer and rational sides
+    are compared in exact arithmetic; whenever a fractional-power energy
+    (a float) appears on either side, the comparison allows a 1e-9 relative
     slack (no inequality in the suite is tighter than that away from
     degenerate inputs, and the degenerate ones evaluate exactly).
 
-  * ratio-report: an asymptotic claim whose constant is unknown.  The check
-    computes lhs/rhs as a measurement and can never fail.
+  * ratio: an asymptotic claim whose constant is unknown.  The verdict is
+    "ratio-report": lhs/rhs is a measurement and can never fail.
 
 Checks are addressed by stable string ids (the external interface of the
 scan CSV and the CLI).  A parametrized id may carry its parameters inline,
@@ -20,6 +23,7 @@ e.g. "holder_s[s=12/5]".
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import sys
@@ -35,7 +39,9 @@ from .errors import (
     DomainError,
     UnknownCheckError,
 )
-from .sets import FamilySpec, FiniteSet, as_rational, gen_family, intersect_dilate, is_convex
+from .sets import (
+    FamilySpec, FiniteSet, as_int, as_rational, gen_family, intersect_dilate, is_convex,
+)
 from .energy import energy, pair_set_size, projection_count, rep_fn, to_float
 from .constructions import (
     TWELVE_SEVENTHS,
@@ -58,6 +64,7 @@ __all__ = [
     "search_extremal",
     "scan_rows_to_csv",
     "scan_rows_to_json",
+    "json_text",
     "SetCore",
 ]
 
@@ -99,6 +106,11 @@ class CheckResult:
     def skipped(self) -> bool:
         return self.verdict.startswith("skipped")
 
+    @classmethod
+    def unmeasured(cls, check_id: str, inputs_desc: str, verdict: str) -> "CheckResult":
+        """A skipped or faulted evaluation: no sides, no ratio."""
+        return cls(check_id, inputs_desc, math.nan, math.nan, math.nan, verdict)
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -126,10 +138,10 @@ def _fraction(x) -> Fraction:
 _PARAM_KINDS = {
     "s": _fraction,
     "const_scale": _fraction,
-    "budget": int,
-    "size_guard": int,
-    "slopes": int,
-    "intercepts": int,
+    "budget": as_int,
+    "size_guard": as_int,
+    "slopes": as_int,
+    "intercepts": as_int,
 }
 
 
@@ -238,78 +250,59 @@ class EvalContext:
             d += "," + extra
         return d
 
-    def const_scale(self) -> Fraction:
-        # harness self-test hook: scales the lhs before comparison
-        return self.param("const_scale", Fraction(1))
 
+@dataclass(frozen=True)
+class Measurement:
+    """What a check measured: the two sides of its statement (int, Fraction
+    or float), the text it appends to `EvalContext.desc`, and its ratio
+    when it computes lhs/rhs itself (in log space, say)."""
 
-def _verdict_exact(lhs, rhs, scale: Fraction) -> str:
-    return "pass" if Fraction(lhs) * scale <= Fraction(rhs) else "fail"
-
-
-def _verdict_float(lhs: float, rhs: float, scale: Fraction) -> str:
-    slack = REL_SLACK * max(abs(lhs), abs(rhs), 1.0)
-    return "pass" if lhs * float(scale) <= rhs + slack else "fail"
-
-
-def _res(check_id, desc, lhs, rhs, verdict) -> CheckResult:
-    lf, rf = to_float(lhs), to_float(rhs)
-    return CheckResult(check_id, desc, lf, rf, _safe_ratio(lf, rf), verdict)
+    lhs: object
+    rhs: object
+    desc: str = ""
+    ratio: float | None = None
 
 
 # ---------------------------------------------------------------------------
 # Assert-type checks
 # ---------------------------------------------------------------------------
 
-def _chk_cs_energy(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_cs_energy(ctx: EvalContext) -> Measurement:
     op = ctx.params.get("op", "diff")
     if op not in ("sum", "diff"):
         raise DomainError("cs_energy op must be 'sum' or 'diff'")
     e2 = ctx.pair.E(2).exact  # sum of squared counts; equal for sum and diff
     lhs = (len(ctx.A) * len(ctx.B)) ** 2
     rhs = ctx.pair.pair_size(op) * e2
-    return _res(cid, ctx.desc(f"op={op}"), lhs, rhs,
-                _verdict_exact(lhs, rhs, ctx.const_scale()))
+    return Measurement(lhs, rhs, f"op={op}")
 
 
-def _chk_cs_proj(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_cs_proj(ctx: EvalContext) -> Measurement:
     # collision bound for the map (a, b) -> a op b on the domain A x B
     op = ctx.params.get("op", "sum")
     collisions = ctx.pair.E(2, op).exact
     lhs = (len(ctx.A) * len(ctx.B)) ** 2
     rhs = ctx.pair.rep(op).size * collisions
-    return _res(cid, ctx.desc(f"op={op}"), lhs, rhs,
-                _verdict_exact(lhs, rhs, ctx.const_scale()))
+    return Measurement(lhs, rhs, f"op={op}")
 
 
-def _chk_popular_mass(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_popular_mass(ctx: EvalContext) -> Measurement:
     n = len(ctx.A)
-    mass = ctx.core.popular_diff_mass()
-    lhs = Fraction(10, 11) * n * n
-    return _res(cid, ctx.desc(), lhs, mass,
-                _verdict_exact(lhs, mass, ctx.const_scale()))
+    return Measurement(Fraction(10, 11) * n * n, ctx.core.popular_diff_mass())
 
 
-def _chk_rich_size(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_rich_size(ctx: EvalContext) -> Measurement:
     # strict half bound: |R| > |A|/2, i.e. |R| >= floor(|A|/2) + 1 over ints
-    n = len(ctx.A)
-    rich = len(ctx.core.rich_diff())
-    lhs = n // 2 + 1
-    return _res(cid, ctx.desc(), lhs, rich,
-                _verdict_exact(lhs, rich, ctx.const_scale()))
+    return Measurement(len(ctx.A) // 2 + 1, len(ctx.core.rich_diff()))
 
 
-def _chk_diff_proj(ctx: EvalContext, cid: str) -> CheckResult:
-    n = len(ctx.A)
+def _chk_diff_proj(ctx: EvalContext) -> Measurement:
     e3 = ctx.core.E(3).exact
     proj = ctx.core.proj_popular_diff(ctx.budget)
-    lhs = Fraction(9, 484) * n ** 6
-    rhs = e3 * proj
-    return _res(cid, ctx.desc(), lhs, rhs,
-                _verdict_exact(lhs, rhs, ctx.const_scale()))
+    return Measurement(Fraction(9, 484) * len(ctx.A) ** 6, e3 * proj)
 
 
-def _chk_sum_proj(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_sum_proj(ctx: EvalContext) -> Measurement:
     if len(ctx.A) < 3:
         raise _Skip("guard:too-small")
     core_set, trace = ctx.core.refinement()
@@ -320,29 +313,21 @@ def _chk_sum_proj(ctx: EvalContext, cid: str) -> CheckResult:
     proj = projection_count(trace.popular, dclass.members, budget=ctx.budget)
     e3 = energy(trace.table, 3).exact
     prod = dclass.level * len(dclass.members) * len(core_set)
-    lhs_sq = Fraction(prod, 2) ** 2
-    rhs = e3 * proj
-    return _res(
-        cid,
-        ctx.desc(f"|B|={len(core_set)},level={dclass.level},class={len(dclass.members)}"),
-        lhs_sq, rhs, _verdict_exact(lhs_sq, rhs, ctx.const_scale()),
-    )
+    return Measurement(Fraction(prod, 2) ** 2, e3 * proj,
+                       f"|B|={len(core_set)},level={dclass.level},class={len(dclass.members)}")
 
 
-def _chk_e127_trivial(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_e127_trivial(ctx: EvalContext) -> Measurement:
     n = len(ctx.A)
     if n == 0:
         raise _Skip("guard:empty")
     e = ctx.core.E(TWELVE_SEVENTHS).approx
     lo_violation = (n * n) / e if e > 0 else math.inf
     hi_violation = e / float(n) ** 3
-    lhs = max(lo_violation, hi_violation)
-    scale = ctx.const_scale()
-    verdict = _verdict_float(lhs, 1.0, scale)
-    return _res(cid, ctx.desc(f"E12/7={e:.6g}"), lhs, 1.0, verdict)
+    return Measurement(max(lo_violation, hi_violation), 1.0, f"E12/7={e:.6g}")
 
 
-def _chk_holder_s(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_holder_s(ctx: EvalContext) -> Measurement:
     s = ctx.param("s", Fraction(3, 2))
     if not (1 < s < 3):
         raise DomainError("holder_s requires s strictly between 1 and 3")
@@ -351,58 +336,53 @@ def _chk_holder_s(ctx: EvalContext, cid: str) -> CheckResult:
     mass = len(ctx.A) * len(ctx.B)
     exp1 = float((s - 1) / 2)
     exp2 = float((3 - s) / 2)
-    rhs = e3 ** exp1 * float(mass) ** exp2
-    return _res(cid, ctx.desc(f"s={s}"), es, rhs,
-                _verdict_float(es, rhs, ctx.const_scale()))
+    return Measurement(es, e3 ** exp1 * float(mass) ** exp2, f"s={s}")
 
 
-def _chk_e2_interp(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_e2_interp(ctx: EvalContext) -> Measurement:
     e2 = float(ctx.core.E(2).approx)
     rhs = ctx.core.E(TWELVE_SEVENTHS).approx ** (7.0 / 9.0) * ctx.core.E(3).approx ** (2.0 / 9.0)
-    return _res(cid, ctx.desc(), e2, rhs, _verdict_float(e2, rhs, ctx.const_scale()))
+    return Measurement(e2, rhs)
 
 
-def _chk_e32_interp(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_e32_interp(ctx: EvalContext) -> Measurement:
     n = len(ctx.A)
     lhs = ctx.core.E(Fraction(3, 2)).approx ** (2.0 / 3.0)
     rhs = float(n) ** 0.4 * ctx.core.E(TWELVE_SEVENTHS).approx ** (7.0 / 15.0)
-    return _res(cid, ctx.desc(), lhs, rhs, _verdict_float(lhs, rhs, ctx.const_scale()))
+    return Measurement(lhs, rhs)
 
 
-def _chk_e2_lower(ctx: EvalContext, cid: str) -> CheckResult:
-    n = len(ctx.A)
-    lhs = n ** 4
-    rhs = ctx.core.pair_size("sum") * ctx.core.E(2).exact
-    return _res(cid, ctx.desc(), lhs, rhs, _verdict_exact(lhs, rhs, ctx.const_scale()))
+def _chk_e2_lower(ctx: EvalContext) -> Measurement:
+    return Measurement(len(ctx.A) ** 4, ctx.core.pair_size("sum") * ctx.core.E(2).exact)
 
 
 # ---------------------------------------------------------------------------
 # Ratio-report checks
 # ---------------------------------------------------------------------------
 
-def _chk_convex_e3(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_convex_e3(ctx: EvalContext) -> Measurement:
     lhs = float(ctx.pair.E(3).approx)
     rhs = float(len(ctx.A)) * float(len(ctx.B)) ** 2
-    return _res(cid, ctx.desc(), lhs, rhs, "ratio-report")
+    return Measurement(lhs, rhs)
 
 
-def _chk_convex_es(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_convex_es(ctx: EvalContext) -> Measurement:
     s = ctx.param("s", Fraction(3, 2))
     if not (1 < s < 3):
         raise DomainError("convex_es requires s strictly between 1 and 3")
     lhs = ctx.pair.E(s).approx
     rhs = float(len(ctx.A)) * float(len(ctx.B)) ** float((s + 1) / 2)
-    return _res(cid, ctx.desc(f"s={s}"), lhs, rhs, "ratio-report")
+    return Measurement(lhs, rhs, f"s={s}")
 
 
-def _chk_prop_ea(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_prop_ea(ctx: EvalContext) -> Measurement:
     n = len(ctx.A)
     lhs = ctx.core.E(Fraction(12, 5)).approx
     rhs = float(n) ** (38.0 / 15.0) * float(ctx.core.pair_size("diff")) ** (4.0 / 45.0)
-    return _res(cid, ctx.desc(), lhs, rhs, "ratio-report")
+    return Measurement(lhs, rhs)
 
 
-def _chk_rs_prop(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_rs_prop(ctx: EvalContext) -> Measurement:
     n = len(ctx.A)
     guard = ctx.param("size_guard", 200)
     if n > guard:
@@ -429,14 +409,10 @@ def _chk_rs_prop(ctx: EvalContext, cid: str) -> CheckResult:
     rhs = math.exp(log_rhs) if log_rhs < 700 else math.inf
     ratio = math.exp(math.log(lhs) - log_rhs)
     q_ratio = math.exp(math.log(quantile) - log_rhs)
-    return CheckResult(
-        cid,
-        ctx.desc(f"|S|={s_sz},q64={quantile},q64_ratio={q_ratio:.4g}"),
-        lhs, rhs, ratio, "ratio-report",
-    )
+    return Measurement(lhs, rhs, f"|S|={s_sz},q64={quantile},q64_ratio={q_ratio:.4g}", ratio)
 
 
-def _chk_lemma6_e3(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_lemma6_e3(ctx: EvalContext) -> Measurement:
     n = len(ctx.A)
     e3 = ctx.pair.E(3).approx
     log_rhs = (
@@ -447,17 +423,17 @@ def _chk_lemma6_e3(ctx: EvalContext, cid: str) -> CheckResult:
     )
     rhs = math.exp(log_rhs) if log_rhs < 700 else math.inf
     ratio = math.exp(math.log(e3) - log_rhs) if e3 > 0 else 0.0
-    return CheckResult(cid, ctx.desc(), e3, rhs, ratio, "ratio-report")
+    return Measurement(e3, rhs, ratio=ratio)
 
 
-def _chk_theorem_ratio(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_theorem_ratio(ctx: EvalContext) -> Measurement:
     # the largest of the theorem's pair sets against n**exponent
     big = max(ctx.core.pair_size(op) for op in _OBJECTIVE_OPS[ctx.check])
     rhs = float(len(ctx.A)) ** _OBJECTIVE_EXPONENTS[ctx.check]
-    return _res(cid, ctx.desc(), big, rhs, "ratio-report")
+    return Measurement(big, rhs)
 
 
-def _chk_st_measure(ctx: EvalContext, cid: str) -> CheckResult:
+def _chk_st_measure(ctx: EvalContext) -> Measurement:
     n = len(ctx.A)
     if n == 0:
         raise _Skip("guard:empty")
@@ -466,12 +442,9 @@ def _chk_st_measure(ctx: EvalContext, cid: str) -> CheckResult:
     count = count_incidences_grid(ctx.A, ctx.A, slopes, intercepts)
     lines = slopes * intercepts if slopes > 0 and intercepts > 0 else 0
     points = n * n
-    ratio = st_ratio(count, points, lines)
+    ratio = st_ratio(count, points, lines)  # a 0-line family is a usage error
     denom = (points * lines) ** (2.0 / 3.0) + lines
-    return CheckResult(
-        cid, ctx.desc(f"|L|={lines},I={count}"), float(count), denom, ratio,
-        "ratio-report",
-    )
+    return Measurement(count, denom, f"|L|={lines},I={count}", ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +562,11 @@ def run_check(
 ) -> CheckResult:
     """Evaluate one registered check on A (and B where the check uses a pair).
 
-    Budget and guard trips surface as skipped verdicts, never exceptions.
-    An unknown id (UnknownCheckError) and malformed parameters (DomainError)
-    raise, and so does a program fault, which `run_check_suite` and
-    `run_scan` turn into an "error(<type>)" verdict.
+    The check measures and `_judge` gives the verdict.  Budget and guard
+    trips surface as skipped verdicts, never exceptions.  An unknown id
+    (UnknownCheckError) and malformed parameters (DomainError) raise, and so
+    does a program fault, which `run_check_suite` and `run_scan` turn into
+    an "error(<type>)" verdict.
     """
     base, inline = parse_check_id(check_id)
     merged = dict(inline)
@@ -602,20 +576,36 @@ def run_check(
     if core is None:
         core = SetCore(A)
     if cdef.needs_convex and not is_convex(A):
-        return CheckResult(check_id, f"|A|={len(A)}", math.nan, math.nan, math.nan,
-                           "skipped(not-convex)")
+        return CheckResult.unmeasured(check_id, f"|A|={len(A)}", "skipped(not-convex)")
     ctx = EvalContext(base, core, B, merged)
     try:
-        return cdef.fn(ctx, check_id)
-    except _Skip as sk:
-        return CheckResult(check_id, ctx.desc(), math.nan, math.nan, math.nan,
-                           f"skipped({sk.reason})")
-    except BudgetExceededError:
-        return CheckResult(check_id, ctx.desc(), math.nan, math.nan, math.nan,
-                           "skipped(budget)")
-    except DivisionDomainError:
-        return CheckResult(check_id, ctx.desc(), math.nan, math.nan, math.nan,
-                           "skipped(zero-in-set)")
+        measured = cdef.fn(ctx)
+    except (_Skip, BudgetExceededError, DivisionDomainError) as exc:
+        reason = (exc.reason if isinstance(exc, _Skip)
+                  else "budget" if isinstance(exc, BudgetExceededError) else "zero-in-set")
+        return CheckResult.unmeasured(check_id, ctx.desc(), f"skipped({reason})")
+    return _judge(check_id, cdef.kind, ctx, measured)
+
+
+def _judge(check_id: str, kind: str, ctx: EvalContext, m: Measurement) -> CheckResult:
+    """The verdict on a measurement: "ratio-report" for a ratio check; for an
+    assert check "pass" when lhs * const_scale <= rhs, in exact rational
+    arithmetic unless either side is a float (a fractional-power energy),
+    which is allowed the relative slack REL_SLACK."""
+    lhs, rhs = m.lhs, m.rhs
+    if kind == "ratio":
+        verdict = "ratio-report"
+    else:
+        # harness self-test hook: scales the lhs before comparison
+        scale = ctx.param("const_scale", Fraction(1))
+        if isinstance(lhs, float) or isinstance(rhs, float):
+            holds = lhs * float(scale) <= rhs + REL_SLACK * max(abs(lhs), abs(rhs), 1.0)
+        else:
+            holds = Fraction(lhs) * scale <= Fraction(rhs)
+        verdict = "pass" if holds else "fail"
+    lf, rf = to_float(lhs), to_float(rhs)
+    ratio = _safe_ratio(lf, rf) if m.ratio is None else m.ratio
+    return CheckResult(check_id, ctx.desc(m.desc), lf, rf, ratio, verdict)
 
 
 # errors that name a bad request rather than a fault of the program
@@ -633,8 +623,7 @@ def _run_isolated(check_id: str, A: FiniteSet, B: FiniteSet | None, params: dict
         raise
     except Exception as exc:  # a fault in one check must not stop the others
         sys.stderr.write(f"error in {check_id} on {where}:\n{traceback.format_exc()}")
-        return CheckResult(check_id, f"|A|={len(A)}", math.nan, math.nan, math.nan,
-                           f"error({type(exc).__name__})")
+        return CheckResult.unmeasured(check_id, f"|A|={len(A)}", f"error({type(exc).__name__})")
 
 
 def run_check_suite(
@@ -724,14 +713,6 @@ def run_scan(
     return rows
 
 
-def _fmt_cell(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return str(x)
-
-
 def scan_rows_to_csv(rows) -> str:
     """Canonical scan artifact. elapsed_s is fixed at 0 in serialized output
     so that identical configurations produce byte-identical files regardless
@@ -740,32 +721,35 @@ def scan_rows_to_csv(rows) -> str:
     out = ["family,n,check_id,lhs,rhs,ratio,verdict,elapsed_s"]
     for r in rows:
         out.append(
-            f"{r.family},{r.n},{r.check_id},{_fmt_cell(r.lhs)},{_fmt_cell(r.rhs)},"
-            f"{_fmt_cell(r.ratio)},{r.verdict},0.000000"
+            f"{r.family},{r.n},{r.check_id},{r.lhs!r},{r.rhs!r},{r.ratio!r},{r.verdict},0.000000"
         )
     return "\n".join(out) + "\n"
 
 
-def scan_rows_to_json(rows) -> str:
-    import json
-
-    def clean(x: float):
-        return x if math.isfinite(x) else str(x)
-
+def json_text(records) -> str:
+    """The JSON array of the dicts `records`, indented, with each non-finite
+    float written as its text ("nan", "inf"), which JSON has no number for."""
     payload = [
+        {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in rec.items()}
+        for rec in records
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def scan_rows_to_json(rows) -> str:
+    return json_text(
         {
             "family": r.family,
             "n": r.n,
             "check_id": r.check_id,
-            "lhs": clean(r.lhs),
-            "rhs": clean(r.rhs),
-            "ratio": clean(r.ratio),
+            "lhs": r.lhs,
+            "rhs": r.rhs,
+            "ratio": r.ratio,
             "verdict": r.verdict,
             "elapsed_s": 0.0,
         }
         for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -337,3 +337,26 @@ def test_incidence_grid_counts_the_family_as_ranges(capsys):
     assert run_cli("incidence", "--grid", "64", "--slopes", "0", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["lines"] == payload["incidences"] == 0 and payload["st_ratio"] == 0.0
+
+
+@pytest.mark.parametrize("family, check, params, shown", [
+    ("AP(1,1)", "st_measure", '{"slopes": 2.5}', "slopes=2.5"),
+    ("AP(1,1)", "st_measure", '{"slopes": true}', "slopes=True"),
+    ("AP(1,1)", "st_measure", '{"slopes": 3.0}', "slopes=3.0"),
+    ("GP(1,2)", "rs_prop", '{"size_guard": 7.9}', "size_guard=7.9"),
+    ("AP(1,1)", "st_measure[slopes=2.5]", None, "slopes='2.5'"),
+], ids=["float", "bool", "integral-float", "size-guard-float", "inline-float"])
+def test_integer_check_parameter_rejects_non_integers(capsys, family, check, params, shown):
+    # an integer parameter is an int or its decimal text; a JSON float or
+    # bool is not truncated to one
+    extra = [] if params is None else ["--check-params", params]
+    assert run_cli("verify", "--family", family, "--n", "8", "--checks", check, *extra) == 2
+    err = capsys.readouterr().err
+    assert f"malformed parameter {shown}" in err and "Traceback" not in err
+
+
+def test_integer_check_parameter_accepts_int_and_decimal_text(capsys):
+    for params in ('{"slopes": 3}', '{"slopes": "3"}'):
+        assert run_cli("verify", "--family", "AP(1,1)", "--n", "8", "--checks",
+                       "st_measure", "--check-params", params) == 0
+        assert '"|A|=8,|L|=24,' in capsys.readouterr().out

@@ -73,3 +73,27 @@ def test_package_does_not_import_mpmath():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")
     ]
     assert found == []
+
+
+def test_only_the_judge_decides_a_verdict():
+    # checks measure and `run_check` judges: the verdicts a measurement can
+    # earn are named, and a CheckResult is built, only in run_check and its
+    # judging helper.  CheckResult's own properties read a verdict, and its
+    # `unmeasured` constructor carries a skip or fault verdict it is handed.
+    judges = {"run_check", "_judge"}
+    tree = ast.parse((PACKAGE_DIR / "verifier.py").read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in judges:
+            continue
+        if isinstance(top, ast.ClassDef) and top.name == "CheckResult":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in ("pass", "fail", "ratio-report"):
+                found.append(f"{getattr(top, 'name', type(top).__name__)}:{node.lineno}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "CheckResult":
+                found.append(f"{getattr(top, 'name', type(top).__name__)}:{node.lineno}")
+    assert found == []
+    assert {name for name in judges
+            if any(isinstance(t, ast.FunctionDef) and t.name == name for t in tree.body)} == judges

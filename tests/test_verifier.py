@@ -372,3 +372,40 @@ def test_search_argument_validation():
         search_extremal("thm_sp", 8, 0)
     with pytest.raises(DomainError):
         search_extremal("nope", 8, 10)
+
+
+# -- the judge: one verdict rule for every check -----------------------------
+
+def test_exact_assert_passes_at_its_boundary_and_fails_just_above():
+    A = gen_family(FamilySpec.random_subset(400, 20, seed=4))
+    r = run_check("rich_size", A)
+    lhs, rhs = Fraction(int(r.lhs)), Fraction(int(r.rhs))
+    assert r.verdict == "pass" and lhs < rhs
+    at = rhs / lhs
+    assert run_check("rich_size", A, params={"const_scale": str(at)}).verdict == "pass"
+    above = at * (1 + Fraction(1, 10 ** 20))  # below float resolution
+    assert run_check("rich_size", A, params={"const_scale": str(above)}).verdict == "fail"
+
+
+def test_float_assert_allows_the_relative_slack_and_no_more():
+    A = gen_family(FamilySpec.random_subset(400, 20, seed=4))
+    r = run_check("e2_interp", A)
+    assert r.verdict == "pass" and 1 < r.lhs < r.rhs
+    tight = Fraction(r.rhs) / Fraction(r.lhs)
+    inside = tight * (1 + Fraction(1, 10 ** 10))
+    outside = tight * (1 + Fraction(1, 10 ** 7))
+    assert run_check("e2_interp", A, params={"const_scale": str(inside)}).verdict == "pass"
+    assert run_check("e2_interp", A, params={"const_scale": str(outside)}).verdict == "fail"
+
+
+def test_const_scale_is_read_only_for_a_measured_assert_check():
+    # a ratio check never reads it, and a skipped check stops before its verdict
+    bad = {"const_scale": "x"}
+    assert run_check("thm_sp", A123, params=bad).verdict == "ratio-report"
+    r = run_check("sum_proj", make_set([1, 2]), params=bad)
+    assert r.verdict == "skipped(guard:too-small)"
+    assert run_check("e127_trivial", make_set([]), params=bad).verdict == "skipped(guard:empty)"
+    from sumsetlab import DomainError
+
+    with pytest.raises(DomainError, match="malformed parameter const_scale="):
+        run_check("cs_energy", A123, params=bad)
