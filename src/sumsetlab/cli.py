@@ -27,6 +27,7 @@ from .sets import (
     FamilySpec,
     FiniteSet,
     as_int,
+    format_rational,
     gen_family,
     is_convex,
     read_set_file,
@@ -142,7 +143,7 @@ def _cmd_gen(args, cfg) -> int:
         raise UsageError("gen requires --family and --n")
     spec = _reseed(FamilySpec.parse(family, n), _int_opt(args, cfg, "seed", 0))
     A = gen_family(spec)
-    lines = "".join(f"{x}\n" for x in A.elements)
+    lines = "".join(f"{format_rational(x)}\n" for x in A.elements)
     _emit(lines, _opt(args, cfg, "out", None))
     return EXIT_OK
 
@@ -306,7 +307,7 @@ def _cmd_search(args, cfg) -> int:
     seed = _int_opt(args, cfg, "seed", 0)
     result = search_extremal(str(objective), n, budget, seed)
     out = _opt(args, cfg, "out", None)
-    body = "".join(f"{x}\n" for x in result.best.elements)
+    body = "".join(f"{format_rational(x)}\n" for x in result.best.elements)
     _emit(body, out)
     traj_path = _opt(args, cfg, "trajectory", None)
     if traj_path:

@@ -22,13 +22,16 @@ key group that holds distinct values, which takes a key collision.
 The one floating-point path is `projection_count`'s fast path for integer
 sets of moderate span: the difference-count function of a set is the
 autocorrelation of its 0/1 indicator vector, computed with float64 real
-FFTs and rounded to the nearest integers.  The transforms run on the least
-even length of the form 2**a 3**b 5**c above the span, not the next power
-of two.  Its exactness rests on two things (see `_difference_counts_fft`):
-Percival's rounding-error bound for FFT convolution, proved for a complex
-radix-2 transform and carried over to numpy's mixed-radix real transforms
-without a proof (each radix-r pass counted as r - 1 radix-2 stages), under
-which the kernel refuses operands whose error could reach 1/4; and a
+FFTs and rounded to the nearest integers.  The vector is cut into K >= 2
+blocks of at most about `_FFT_BLOCK` points, so that one transform stays in
+cache; each block is transformed on the least even length of the form
+2**a 3**b 5**c at or above twice its length, and the K spectra are combined
+pointwise before K inverse transforms.  Its exactness rests on two things
+(see `_difference_counts_fft`): Percival's rounding-error bound for FFT
+convolution, proved for a complex radix-2 transform and carried over to
+numpy's mixed-radix real transforms without a proof (each radix-r pass
+counted as r - 1 radix-2 stages, the K-term sums as ceil(log2 K) more),
+under which the kernel refuses operands whose error could reach 1/4; and a
 certification of every rounded table, which raises on any failed check.
 Sets whose span is too large use the sorted-membership loop under a work
 budget.
@@ -48,7 +51,14 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, DivisionDomainError, DomainError, ExactnessError
-from .sets import INT64_SAFE, FiniteSet, Rational, as_rational, sorted_contains
+from .sets import (
+    INT64_SAFE,
+    FiniteSet,
+    Rational,
+    as_rational,
+    format_rational,
+    sorted_contains,
+)
 
 __all__ = [
     "PAIR_OPS",
@@ -67,19 +77,30 @@ __all__ = [
 
 PAIR_OPS = ("sum", "diff", "prod", "ratio")
 
-# Up to this scaled span the FFT correlation path transforms at most
-# 4 199 040 = 2**7 3**8 5 float64 points (32 MiB per working array); above it
-# the membership loop (with budget) takes over.
+# Up to this scaled span the FFT correlation path runs (at the limit: 17
+# blocks, each transformed on 497 664 = 2**11 3**5 float64 points, 3.8 MiB
+# per working array, about 25 bytes per span point in all); above it the
+# membership loop (with budget) takes over.
 _POLY_SPAN_LIMIT = 4_194_304
+# Block length of the FFT path (see `_difference_counts_fft`): a span of L
+# points is cut into max(2, ceil(L / _FFT_BLOCK)) blocks, each transformed on
+# about twice its length, so transforms stay near 2**19 points, where
+# pocketfft's cost per point has not yet doubled.  Spans below 2**19 keep the
+# two-halves layout.  Swept over 2**14 .. 2**19 on random sets with spans
+# 3e4 .. 4e6 (2-core x86-64, 4 MiB L2, numpy 2.4): see CHANGES.md.
+_FFT_BLOCK = 1 << 18
 # "auto" cost model: the FFT path's work is N*log2(N) for transforms on N
 # points (`_fft_length`), the membership loop's is its pair operations, and
-# one pair operation is charged 2 units of FFT work.  Timing both paths
-# forced, best of 3-5, on random sets P = Q with spans 12 288, 49 152,
-# 196 608 and 786 432 (N = 12 500, 50 000, 196 830, 787 320; 2-core x86-64,
-# numpy 2.4) at 0.7 and 1.4 times the break-even |P| the model predicts gave
-# 2.2-4.8 ns per pair (the loop reads an occupancy table there) against
-# 3.1-7.2 ns per unit, a ratio of 0.40-1.09, and the loop won all 16 cases
-# at both 4 and 2 units per pair.  The ratio calls for about 1/2; the
+# one pair operation is charged 2 units of FFT work.  It was calibrated on
+# the two-halves kernel, which transformed every span on N points; past
+# 2 * _FFT_BLOCK the blocked kernel is cheaper than N*log2(N) predicts, so
+# the model there favours the loop slightly more than it should.  Timing
+# both paths forced, best of 3-5, on random sets P = Q with spans 12 288,
+# 49 152, 196 608 and 786 432 (N = 12 500, 50 000, 196 830, 787 320;
+# 2-core x86-64, numpy 2.4) at 0.7 and 1.4 times the break-even |P| the
+# model predicts gave 2.2-4.8 ns per pair (the loop reads an occupancy table
+# there) against 3.1-7.2 ns per unit, a ratio of 0.40-1.09, and the loop won
+# all 16 cases at both 4 and 2 units per pair.  The ratio calls for about 1/2; the
 # constant stays at 2 because below about 1.8 the set pinned in
 # test_projection_count_auto_takes_fft_kernel_on_pinned_case (|P| = 500,
 # N = 30 000) would leave the FFT.
@@ -736,11 +757,57 @@ def _certified_counts(raw: np.ndarray, even: np.ndarray, p_ints) -> np.ndarray:
     return counts
 
 
-def _half_spectrum(pos: np.ndarray, half: int) -> np.ndarray:
-    """rfft on 2*half points of the 0/1 vector with ones at `pos` (< half)."""
-    x = np.zeros(half)
+def _block_layout(span: int) -> tuple[int, int, int]:
+    """Block count K, transform length M and stage count of
+    `_difference_counts_fft` for a set of span `span`.
+
+    The span + 1 = L points are cut into K = max(2, ceil(L / `_FFT_BLOCK`))
+    blocks of M/2 points, M the least even 2**a 3**b 5**c at or above
+    2 ceil(L / K) (`_fft_length`).  `stages` is M's radix-2-equivalent stage
+    count plus ceil(log2 K) for the K-term sums of block spectra.
+    """
+    length = span + 1
+    k = max(2, -(-length // _FFT_BLOCK))
+    m, stages = _fft_length(2 * -(-length // k) - 1)
+    return k, m, stages + (k - 1).bit_length()
+
+
+def _block_spectrum(pos: np.ndarray, b: int) -> np.ndarray:
+    """rfft on 2*b points of the 0/1 vector with ones at `pos` (< b)."""
+    x = np.zeros(b)
     x[pos] = 1.0
-    return np.fft.rfft(x, 2 * half)
+    return np.fft.rfft(x, 2 * b)
+
+
+def _correlate_spectra(rows: list) -> None:
+    """Replace block spectra X_0 .. X_{K-1} in place by
+    S_t = sum_i X_{i+t} conj(X_i), t = 0 .. K-1 (S_0 = sum_i |X_i|**2).
+
+    Row t is overwritten in increasing t; its own term X_t conj(X_0) comes
+    first, and the later rows it reads are still unchanged, so only the
+    conjugates of rows 1 .. K-2 are copied.  For K > 2 this runs one column
+    tile of _FFT_BLOCK / 4 complex points over all K rows (1 MiB at 2**18) at
+    a time, so that a tile stays in cache while each row is read K times;
+    for K = 2 nothing is copied and the rows are taken whole.
+    """
+    k = len(rows)
+    width = rows[0].size
+    tile = width if k == 2 else max(1, _FFT_BLOCK // (4 * k))
+    for lo in range(0, width, tile):
+        x = [row[lo:lo + tile] for row in rows]
+        power = np.square(x[0].real)
+        power += np.square(x[0].imag)
+        for xi in x[1:]:
+            power += np.square(xi.real)
+            power += np.square(xi.imag)
+        conj = [np.conjugate(xi) for xi in x[1:k - 1]]
+        np.conjugate(x[0], out=x[0])
+        term = np.empty_like(x[0]) if conj else None
+        for t in range(1, k):
+            x[t] *= x[0]
+            for i in range(1, k - t):
+                x[t] += np.multiply(x[i + t], conj[i - 1], out=term)
+        x[0][:] = power
 
 
 def _difference_counts_fft(p_ints) -> np.ndarray:
@@ -751,19 +818,31 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
     Returns counts with counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for
     d = 0..max(P) - min(P), the span; the count at -d is the one at d.
 
-    The indicator vector of P - min(P) is cut into halves x0 and x1 of h
-    points each, 2h = N the least even 2**a 3**b 5**c above the span
+    Layout (`_block_layout`): the indicator vector x of P - min(P), of
+    L = span + 1 points, is cut into K = max(2, ceil(L / `_FFT_BLOCK`))
+    blocks x_0 .. x_{K-1} of b points each, where 2b = M is the least even
+    number of the form 2**i 3**j 5**l at or above 2 ceil(L / K)
     (`_fft_length`; over spans 1 000 .. `_POLY_SPAN_LIMIT` it averages 1.007
-    times span + 1, where a power of two averages 1.39 times).  Then
-    counts[d] = (x0*x0 + x1*x1)[d] + (x1*x0)[d - h], where (a*b)[e] =
-    sum_i a[i + e] b[i] has lags -h < e < h.  Both
-    correlations come from float64 transforms on N points without
-    wrap-around: rfft of each half, |X0|**2 + |X1|**2 and X1 conj(X0)
-    pointwise, one irfft each.  Working in halves keeps every transform at N
-    points rather than the 2N that one autocorrelation of the whole vector
-    needs, so peak memory is about five float64 arrays of N/2 complex points
-    (two spectra, plus the output, scratch and twiddle table of the transform
-    in flight).
+    times that, where a power of two averages 1.39 times).  The last block
+    may run past the span; its tail is zero.  With
+    (u*v)[e] = sum_j u[j + e] v[j], whose
+    lags -b < e < b fit a cyclic correlation on M points without
+    wrap-around, and R_t = sum_i x_{i+t}*x_i,
+
+        counts[t*b + e] = R_t[e] + R_{t+1}[e - b],  0 <= e < b, R_K = 0.
+
+    Each block is transformed once with rfft on M points, the spectra are
+    combined pointwise into S_t = sum_i X_{i+t} conj(X_i) in place
+    (`_correlate_spectra`), and each S_t is inverted with one irfft: 2K
+    transforms on M points, 4L points in all, as for one autocorrelation
+    in two halves.  K = 2 is that two-halves layout (spans below
+    2 * `_FFT_BLOCK`); larger spans take more blocks, so that one transform
+    stays in cache instead of growing with the span (pocketfft's cost per
+    point doubles past about 2**20 points).  Each spectrum and each R_t
+    but R_0 is freed once consumed, so peak numpy memory is about
+    24 + 16/K bytes per span point: the K spectra (16), then the float
+    table, its rounded copies and R_0 in `_certified_counts` (26 bytes at
+    K = 9, 30 at K = 3, 34 at K = 2 under tracemalloc).
 
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound
@@ -773,53 +852,54 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
             ((1+eps)^(3m) (1+eps*sqrt5)^(3m+1) (1+beta)^(3m) - 1),
 
     with eps = 2**-53 and beta = 2**-50 an assumed allowance for the error
-    of the roots of unity, ||x|| ||y|| replaced by 2|P|, which exceeds the
-    norms of the two correlations an entry sums
-    (||x0||**2 + ||x1||**2 + ||x0|| ||x1|| <= 1.5|P|), and m the
-    radix-2-equivalent stage count of `_fft_length`, which counts each
-    radix-r pass as r - 1 stages.  That bound is proved for a complex radix-2
-    transform.  numpy's rfft/irfft are pocketfft's real FFTPACK-style
-    radix-2/3/4/5 passes with a real-to-complex post-twiddle, and the bound
-    and the stage count are carried over to them without a proof.  Within
-    `_POLY_SPAN_LIMIT` its largest value, 1.08e-6, falls on span 3 906 249
-    (N = 2 * 5**9, m = 37, |P| <= 3 906 250).  The kernel raises
-    ExactnessError before any transform when it reaches 1/4 (possible only
-    when a caller forces this path past the span limit).
-    Exactness rests also on `_certified_counts`, which checks every table
-    after rounding and raises ExactnessError on any failure.
+    of the roots of unity, and ||x|| ||y|| replaced by 2|P|: by
+    Cauchy-Schwarz sum_i ||x_{i+t}|| ||x_i|| <= sum_i ||x_i||**2 = |P|
+    bounds the norms that R_t sums, and an entry adds two of them.  m is
+    the radix-2-equivalent stage count of `_fft_length` for M, which counts
+    each radix-r pass as r - 1 stages, plus ceil(log2 K) stages for the
+    K-term sums S_t.  That bound is proved for a complex radix-2 transform.
+    numpy's rfft/irfft are pocketfft's real FFTPACK-style radix-2/3/4/5
+    passes with a real-to-complex post-twiddle, and the bound, the stage
+    count and the charge for the K-term sums are carried over to them
+    without a proof.  Within `_POLY_SPAN_LIMIT` its largest value, 1.00e-6,
+    falls on span 4 049 999 (K = 16, M = 2 * 3**4 * 5**5, m = 29 + 4,
+    |P| <= 4 050 000).  The kernel raises ExactnessError before any
+    transform when it reaches 1/4 (possible only when a caller forces this
+    path past the span limit).  Exactness rests also on `_certified_counts`,
+    which checks every table after rounding (R_0 gives the symmetry check)
+    and raises ExactnessError on any failure.
     """
     span = int(p_ints[-1]) - int(p_ints[0])
     size = len(p_ints)
-    n, stages = _fft_length(span)
+    k, m, stages = _block_layout(span)
     bound = _fft_correlation_error_bound(size, stages)
     if not bound < _FFT_ERROR_LIMIT:
         raise ExactnessError(
-            f"FFT correlation of {size} points on {n} ({stages} radix-2 "
-            f"stages) has error allowance {bound:.3g}, not below {_FFT_ERROR_LIMIT}"
+            f"FFT correlation of {size} points in {k} blocks on {m} ({stages} "
+            f"radix-2 stages) has error allowance {bound:.3g}, not below "
+            f"{_FFT_ERROR_LIMIT}"
         )
-    # each working array is freed once consumed: the transform length, not
-    # |P|, sets the peak memory
-    h = n // 2
+    b = m // 2
     pos = _offsets(p_ints)
-    cut = int(np.searchsorted(pos, h))
-    f0 = _half_spectrum(pos[:cut], h)
-    f1 = _half_spectrum(pos[cut:] - h, h)
+    cuts = np.searchsorted(pos, b * np.arange(1, k))
+    rows = [_block_spectrum(part - i * b, b)
+            for i, part in enumerate(np.split(pos, cuts))]
     del pos
-    power = np.square(f0.real)
-    power += np.square(f0.imag)
-    power += np.square(f1.real)
-    power += np.square(f1.imag)
-    f1 *= np.conjugate(f0, out=f0)
-    f0[:] = power
-    del power
-    even = np.fft.irfft(f0, 2 * h)
-    del f0
-    cross = np.fft.irfft(f1, 2 * h)
-    del f1
-    # lag d < h sums both terms (x1*x0 at d - h sits at index h + d);
-    # lag d >= h has only x1*x0 at d - h
-    raw = np.concatenate((even[:h] + cross[h:], cross[:h]))
-    del cross
+    _correlate_spectra(rows)
+    # block t of the table is R_t's lags 0..b-1 plus R_{t+1}'s lags -b..-1,
+    # which sit at indices b..M-1
+    even = prev = np.fft.irfft(rows[0], m)
+    rows[0] = None
+    for t in range(1, k):
+        cur = np.fft.irfft(rows[t], m)
+        rows[t] = None
+        if t == 1:
+            # allocated only now, when two spectra are already freed
+            raw = np.empty(k * b)
+        np.add(prev[:b], cur[b:], out=raw[(t - 1) * b:t * b])
+        prev = cur
+    raw[(k - 1) * b:] = prev[:b]
+    del prev, cur
     return _certified_counts(raw, even, p_ints)[: span + 1]
 
 
@@ -887,7 +967,7 @@ def dump_repfn_csv(f: RepFn, path) -> None:
         w = csv.writer(fh)
         w.writerow(["value", "count"])
         for v, c in f.items():
-            w.writerow([str(v), c])
+            w.writerow([format_rational(v), c])
 
 
 def load_repfn_csv(path) -> dict:

@@ -42,6 +42,7 @@ __all__ = [
     "read_utf8_text",
     "write_set_file",
     "parse_rational",
+    "format_rational",
     "split_top_level",
     "sorted_contains",
 ]
@@ -53,11 +54,50 @@ Rational = int | Fraction
 INT64_SAFE = 1 << 62
 
 
+# Decimal text of integers is read and written in chunks of this many digits.
+# 640 is the least value that sys.set_int_max_str_digits accepts, so below
+# it no setting of that process-wide limit (4 300 digits by default) refuses
+# an element: GP(1,2) at n = 15 000 reaches 4 516 digits.
+_DECIMAL_CHUNK = 600
+_DECIMAL_BASE = 10 ** _DECIMAL_CHUNK
+_LONG_RATIONAL = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_text(v: int) -> str:
+    if -_DECIMAL_BASE < v < _DECIMAL_BASE:
+        return str(v)
+    chunks = []
+    q = abs(v)
+    while q >= _DECIMAL_BASE:
+        q, r = divmod(q, _DECIMAL_BASE)
+        chunks.append(str(r).zfill(_DECIMAL_CHUNK))
+    chunks.append(str(q))
+    return ("-" if v < 0 else "") + "".join(reversed(chunks))
+
+
+def _int_from_digits(digits: str) -> int:
+    head = len(digits) % _DECIMAL_CHUNK or _DECIMAL_CHUNK
+    v = int(digits[:head])
+    for lo in range(head, len(digits), _DECIMAL_CHUNK):
+        v = v * _DECIMAL_BASE + int(digits[lo:lo + _DECIMAL_CHUNK])
+    return v
+
+
+def format_rational(x: Rational) -> str:
+    """Decimal text 'p' or 'p/q' of an exact rational, the text str() gives,
+    for integers of any length (`as_rational` reads it back)."""
+    if isinstance(x, Fraction):
+        return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+    return _int_text(x)
+
+
 def as_rational(x) -> Rational:
     """Normalize a value to canonical exact form (int, or Fraction in lowest terms).
 
     Floats are refused: silently accepting them would smuggle binary rounding
-    into exact set membership.
+    into exact set membership.  Text is read as `Fraction` reads it; text
+    of the form 'p' or 'p/q' longer than `_DECIMAL_CHUNK` is read in chunks,
+    so that integers past Python's int/str digit limit parse.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a rational element")
@@ -66,7 +106,14 @@ def as_rational(x) -> Rational:
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, str):
-        return as_rational(Fraction(x.strip()))
+        text = x.strip()
+        m = _LONG_RATIONAL.fullmatch(text) if len(text) > _DECIMAL_CHUNK else None
+        if m is None:
+            return as_rational(Fraction(text))
+        sign, num, den = m.groups()
+        v = _int_from_digits(num)
+        v = -v if sign == "-" else v
+        return v if den is None else as_rational(Fraction(v, _int_from_digits(den)))
     if isinstance(x, float):
         raise TypeError(
             "float elements are not exact; pass Fraction(...) or a 'p/q' string"
@@ -185,10 +232,10 @@ class FiniteSet:
 
     def __repr__(self) -> str:
         if len(self) <= 8:
-            body = ", ".join(str(x) for x in self.elements)
+            body = ", ".join(map(format_rational, self.elements))
         else:
-            head = ", ".join(str(x) for x in self.elements[:3])
-            tail = ", ".join(str(x) for x in self.elements[-2:])
+            head = ", ".join(map(format_rational, self.elements[:3]))
+            tail = ", ".join(map(format_rational, self.elements[-2:]))
             body = f"{head}, ... {tail}"
         return f"FiniteSet({{{body}}}, n={len(self)})"
 
@@ -525,4 +572,4 @@ def read_set_file(path) -> FiniteSet:
 def write_set_file(A: FiniteSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for x in A.elements:
-            fh.write(f"{x}\n")
+            fh.write(f"{format_rational(x)}\n")

@@ -28,6 +28,23 @@ def test_gen_to_stdout(capsys):
     assert capsys.readouterr().out == "1\n2\n3\n4\n"
 
 
+def test_gen_and_stats_past_the_int_str_digit_limit(tmp_path, capsys):
+    # 2**14 999 has 4 516 digits, past the 4 300 that str() accepts by default
+    from sumsetlab import FamilySpec, gen_family, read_set_file
+
+    out = tmp_path / "gp.txt"
+    assert run_cli("gen", "--family", "GP(1,2)", "--n", "15000", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 15_000 and len(lines[-1]) == 4_516
+    top = tmp_path / "top.txt"
+    top.write_text("\n".join(lines[-2:]) + "\n")
+    want = gen_family(FamilySpec.parse("GP(1,2)", 15_000)).elements[-2:]
+    assert read_set_file(top).elements == want
+    capsys.readouterr()
+    assert run_cli("stats", "--in", str(top), "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["sumset"] == 3
+
+
 def test_gen_missing_args():
     assert run_cli("gen", "--family", "AP(1,1)") == 2
 

@@ -412,6 +412,122 @@ def test_fft_kernel_on_dense_verify_shaped_set(monkeypatch):
     assert all(m % 2 == 0 and _radix_stages(m) is not None for m in lengths)
 
 
+def _check_difference_table(en, P):
+    counts = en._difference_counts_fft(P)
+    assert counts.dtype == np.int64 and counts.size == P[-1] - P[0] + 1
+    want = oracle_rep_counts(P, P, "diff")
+    got = {s * d: int(c) for d, c in enumerate(counts.tolist()) if c for s in (1, -1)}
+    assert got == want
+
+
+@pytest.mark.parametrize("block", [8, 13, 64])
+def test_fft_block_layout_at_block_boundaries(block):
+    # a small _FFT_BLOCK gives small sets K = 2 .. 47 blocks of b points; the
+    # spans K*b - 1, K*b and K*b + 1 fill the last block's top slot, then
+    # spill into a new one (b is rounded up to a smooth length, so for an
+    # odd block K*b - 1 already takes more than K blocks)
+    en = importlib.import_module("sumsetlab.energy")
+    rng = random.Random(block)
+    with mock.patch.object(en, "_FFT_BLOCK", block):
+        seen = set()
+        for blocks in (2, 3, 7, 40):
+            k, m, _ = en._block_layout(blocks * block - 1)
+            b = m // 2
+            for span in (blocks * block - 1, k * b - 1, k * b, k * b + 1):
+                k_span, m_span, _ = en._block_layout(span)
+                seen.add(k_span)
+                b_span = m_span // 2
+                first = rng.sample(range(1, b_span), min(20, b_span - 1))
+                # the block holding the span's top point (rounding M up to a
+                # smooth length can leave the K-th block past the span)
+                top = range(max(1, span // b_span * b_span), span)
+                last = rng.sample(top, min(20, len(top)))
+                spread = rng.sample(range(1, span), min(60, span - 1))
+                for inner in (first, last, spread, []):
+                    P = sorted({0, span, *inner})
+                    _check_difference_table(en, [p - 5 for p in P])
+                    S = make_set(P)
+                    assert projection_count(S, S, strategy="poly") == projection_count(
+                        S, S, strategy="hash")
+        assert {2, 3, 7, 40} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([8, 13, 32, 64]),
+       st.lists(st.integers(0, 400), min_size=1, max_size=40),
+       st.sampled_from([0, -700, 2 ** 70, -(2 ** 90)]))
+def test_fft_block_layout_matches_oracle(block, values, shift):
+    # Python ints past int64 with a small span take the list path
+    en = importlib.import_module("sumsetlab.energy")
+    P = sorted({v + shift for v in values})
+    with mock.patch.object(en, "_FFT_BLOCK", block):
+        _check_difference_table(en, P)
+        S = make_set(P)
+        Q = make_set([P[0] - P[-1], 0, 1, (P[-1] - P[0]) // 2, P[-1] - P[0] + 1])
+        for R in (S, Q):
+            assert projection_count(S, R, strategy="poly") == projection_count(
+                S, R, strategy="hash")
+
+
+def _corrupt_irfft(monkeypatch, row, deltas):
+    # add deltas[j] at negative lag j - b of the inverse transform of S_row,
+    # whose lags -b..-1 land in block row - 1 of the table
+    calls = []
+    irfft = np.fft.irfft
+
+    def patched(a, m):
+        out = irfft(a, m)
+        if len(calls) == row:
+            for lag, delta in deltas.items():
+                out[m // 2 + lag] += delta
+        calls.append(m)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", patched)
+    return calls
+
+
+@pytest.mark.parametrize("deltas", [
+    {5: 1.0},                              # one lag: mass
+    {3: 1.0, 9: -1.0},                     # mass kept: first moment
+    {j: 1.0 for j in range(2, 12)},        # a band: mass and moment
+    {j: 0.3 for j in range(4, 8)},         # a band off the integers
+])
+@pytest.mark.parametrize("row", [1, 2, 6])
+def test_fft_certification_covers_every_block(monkeypatch, row, deltas):
+    en = importlib.import_module("sumsetlab.energy")
+    monkeypatch.setattr(en, "_FFT_BLOCK", 32)
+    rng = random.Random(row)
+    P = sorted({0, 250, *rng.sample(range(250), 90)})
+    k, m, _ = en._block_layout(P[-1])
+    assert k > row
+    _check_difference_table(en, P)
+    calls = _corrupt_irfft(monkeypatch, row, deltas)
+    with pytest.raises(ExactnessError, match="failed certification"):
+        en._difference_counts_fft(P)
+    assert calls == [m] * k
+
+
+def test_fft_kernel_peak_memory_per_span_point():
+    # the two-halves kernel peaked at 34.4 bytes of numpy memory per span
+    # point; blocks of a large span free each spectrum once inverted
+    import tracemalloc
+
+    en = importlib.import_module("sumsetlab.energy")
+    rng = np.random.default_rng(21)
+    span = (1 << 21) + 12_345
+    P = np.unique(np.concatenate(([0, span], rng.integers(0, span, 20_000))))
+    assert en._block_layout(span)[0] > 2
+    tracemalloc.start()
+    try:
+        counts = en._difference_counts_fft(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(counts[0]) == P.size and int(counts[span]) == 1
+    assert peak < 34.4 * span
+
+
 # -- pair set sizes ------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)

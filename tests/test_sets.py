@@ -19,6 +19,8 @@ from sumsetlab import (
     transform,
     write_set_file,
 )
+from sumsetlab.energy import dump_repfn_csv, load_repfn_csv, rep_fn
+from sumsetlab.sets import as_rational, format_rational
 from conftest import rational_sets
 
 
@@ -207,6 +209,32 @@ def test_set_file_roundtrip(tmp_path):
     path = tmp_path / "a.txt"
     write_set_file(A, path)
     assert read_set_file(path) == A
+
+
+def test_set_file_roundtrip_past_the_int_str_digit_limit(tmp_path):
+    # GP(1,2)'s top elements at n = 15 000 have up to 4 516 digits, past the
+    # 4 300 that str() and int() accept by default
+    top = gen_family(FamilySpec.parse("GP(1,2)", 15_000)).elements[-4:]
+    A = make_set([*top, -top[-1], Fraction(top[-1], 3), 7])
+    assert len(format_rational(top[-1])) == 4_516
+    for x in A.elements:
+        assert as_rational(format_rational(x)) == x
+    assert as_rational(f" +{format_rational(top[0])}\n") == top[0]
+    path = tmp_path / "top.txt"
+    write_set_file(A, path)
+    assert read_set_file(path) == A
+    f = rep_fn(make_set(top), make_set([1, 2]), "diff")
+    csv_path = tmp_path / "rep.csv"
+    dump_repfn_csv(f, csv_path)
+    assert load_repfn_csv(csv_path) == f.counts
+    assert repr(A).startswith(f"FiniteSet({{-{format_rational(top[-1])}, ")
+
+
+@pytest.mark.parametrize("text", ["1/0", "12" * 400 + "/0"])
+def test_set_file_zero_denominator_is_a_bad_line(tmp_text, text):
+    p = tmp_text("bad.txt", f"1\n{text}\n")
+    with pytest.raises(DomainError, match=":2"):
+        read_set_file(p)
 
 
 def test_set_file_comments_and_blanks(tmp_text):
