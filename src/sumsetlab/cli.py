@@ -153,6 +153,11 @@ _STAT_ENERGY_KS = (Fraction(3, 2), Fraction(12, 7), 2, Fraction(12, 5), 3)
 
 def _compute_stats(A: FiniteSet) -> dict:
     core = SetCore(A)
+    # the energies below need these tables; built first, they give
+    # pair_size the sizes of A - A and A / A
+    core.rep("diff")
+    if 0 not in A:
+        core.rep("ratio")
     stats: dict = {
         "n": len(A),
         "sumset": core.pair_size("sum"),

@@ -20,6 +20,12 @@ implement:
 "log" always means the natural logarithm; nothing here depends on the base
 except through absorbed constants, and `ambient_log` is the single place
 that pins the convention.
+
+The difference-side functions take A's difference table (`table=`) when
+the caller holds it.  Past int64 that table knows the entry of every pair
+(`RepFn.pair_pos`), and rich elements and the triple count read which
+pairs have popular differences from it instead of looking each pair value
+up in P.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -74,10 +81,14 @@ def popular_difference_mass(A: FiniteSet, *, table: RepFn | None = None) -> tupl
     if len(A) == 0:
         raise DomainError("popular_differences needs a nonempty set")
     d = rep_fn(A, A, "diff") if table is None else table
-    c = d.counts_array
+    mask = _popular_mask(d)
+    return d.select(mask), int(d.counts_array[mask].sum())
+
+
+def _popular_mask(d: RepFn) -> np.ndarray:
+    """Where the counts of the difference table `d` of A are popular."""
     # counts <= |A| and |A-A| <= |A|^2 keep this far inside int64
-    mask = 11 * c * d.size >= len(A) ** 2
-    return d.select(mask), int(c[mask].sum())
+    return 11 * d.counts_array * d.size >= d.left_size ** 2
 
 
 def popular_differences(A: FiniteSet) -> FiniteSet:
@@ -85,15 +96,42 @@ def popular_differences(A: FiniteSet) -> FiniteSet:
     return popular_difference_mass(A)[0]
 
 
-def rich_difference_elements(A: FiniteSet, P: FiniteSet) -> FiniteSet:
+def rich_difference_elements(A: FiniteSet, P: FiniteSet, *,
+                             table: RepFn | None = None) -> FiniteSet:
     """Elements x of A with |(x - A) & P| >= 2|A|/sqrt(11).
 
     The irrational threshold is tested by squaring: 11 c^2 >= 4 |A|^2
-    (both sides nonnegative, boundary counted as rich).
+    (both sides nonnegative, boundary counted as rich).  `table` is
+    rep_fn(A, A, "diff") when the caller already holds it.  When it carries
+    pair positions (values past int64, see `RepFn.pair_pos`), P must be its
+    popular selection, and each count is read from the popular mask at the
+    table entries of the pairs: no pair value is computed or looked up.
+    Otherwise every pair value is looked up in P by `pair_membership`.
     """
     n = len(A)
-    c = pair_membership(A, A, "diff", P, per_row=True)
-    return _elements_where(A, 11 * c * c >= 4 * n * n)
+    if table is None or table.pair_pos is None:
+        c = pair_membership(A, A, "diff", P, per_row=True)
+    else:
+        mask = _popular_mask(table)
+        if not _is_selection(table, mask, P):
+            raise DomainError("P is not the popular selection of the difference table")
+        c = np.count_nonzero(table.pair_mask(mask), axis=1)
+    return _elements_where(A, _is_rich(c, n))
+
+
+def _is_rich(c: np.ndarray, n: int) -> np.ndarray:
+    return 11 * c * c >= 4 * n * n
+
+
+def _is_selection(d: RepFn, mask: np.ndarray, P: FiniteSet) -> bool:
+    """Whether P is the set of values of the table `d` where `mask` is true,
+    compared exactly at the table's scale."""
+    iv = P.int_view
+    m, rest = divmod(d.scale, iv.scale)
+    if rest or len(P) != int(np.count_nonzero(mask)):
+        return False
+    picked = itertools.compress(d.scaled_values, mask.tolist())
+    return all(map(operator.eq, picked, iv.ints if m == 1 else (v * m for v in iv.ints)))
 
 
 def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:
@@ -276,11 +314,17 @@ def _masked_product_sum(left: np.ndarray, right: np.ndarray, mask: np.ndarray) -
     return int(round(float(np.sum(inner * mask))))
 
 
-def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) -> int:
+def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000,
+                                     table: RepFn | None = None) -> int:
     """#{(r, a1, a2) in R x A x A : r-a1, r-a2, a1-a2 all popular differences}.
 
     R is the rich-difference subset.  Cubic cost, so guarded by size;
-    override size_guard to push past the default 1000.
+    override size_guard to push past the default 1000.  `table` is
+    rep_fn(A, A, "diff") when the caller already holds it.  One matrix of
+    popular pairs decides everything: it is read from the table's pair
+    positions when it carries them (see `rich_difference_elements`), else
+    looked up by one `pair_membership` call; its rows count the rich
+    elements, and the rich rows are R's shifts.
     """
     n = len(A)
     if n > size_guard:
@@ -289,11 +333,14 @@ def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) ->
         )
     if n == 0:
         raise DomainError("triple count needs a nonempty set")
-    P = popular_differences(A)
-    R = rich_difference_elements(A, P)
-
-    pair_ok = pair_membership(A, A, "diff", P)  # [a1, a2]: a1 - a2 popular
-    shift_ok = pair_membership(R, A, "diff", P)  # [r, a]: r - a popular
+    d = rep_fn(A, A, "diff") if table is None else table
+    mask = _popular_mask(d)
+    # [a1, a2]: a1 - a2 popular
+    if d.pair_pos is None:
+        pair_ok = pair_membership(A, A, "diff", d.select(mask))
+    else:
+        pair_ok = d.pair_mask(mask)
+    shift_ok = pair_ok[_is_rich(np.count_nonzero(pair_ok, axis=1), n)]  # [r, a]: r - a popular
     return _masked_product_sum(shift_ok, pair_ok, shift_ok)
 
 

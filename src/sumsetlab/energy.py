@@ -17,7 +17,11 @@ the pair values and the set fit int64 and lie in a short range, it reads a
 0/1 occupancy table indexed by value minus the range's start, a
 direct-address table with no hashing; otherwise it looks the values or
 their residue keys up in sorted arrays.  A Python set or dict only splits a
-key group that holds distinct values, which takes a key collision.
+key group that holds distinct values, which takes a key collision.  A
+same-set difference table from the residue-keyed kernel records each
+pair's table entry (`RepFn.pair_pos`), so whether a pair's difference lies
+in a selection of that table, such as its popular differences, is read
+from the table (`RepFn.pair_mask`) and needs no lookup at all.
 
 The one floating-point path is `projection_count`'s fast path for integer
 sets of moderate span: the difference-count function of a set is the
@@ -122,13 +126,19 @@ class RepFn:
     when they fit int64 (`is_numpy`) and a sorted list of Python ints past
     int64.  Exact values are unscaled only for what `counts`, `items`,
     `select` and `support` return.
+
+    A same-set difference table built by the residue-keyed kernel (values
+    past int64) also carries `pair_pos`: for each pair i > j of
+    the set's sorted elements, in the order of np.tril_indices(|A|, -1),
+    the int32 index of a_i - a_j in `counts_array`.  `pair_mask` reads it.
+    It is None for every other table, int64 ones included.
     """
 
     __slots__ = ("op", "left_size", "right_size", "scale", "scaled_values",
-                 "counts_array", "_dict")
+                 "counts_array", "pair_pos", "_dict")
 
     def __init__(self, op, left_size, right_size, *, values=None, scale=1,
-                 counts=None):
+                 counts=None, pair_pos=None):
         if left_size * right_size >= 1 << 63:
             raise DomainError(
                 f"pair mass {left_size} * {right_size} does not fit int64 counts"
@@ -139,6 +149,7 @@ class RepFn:
         self.scale = scale
         self.scaled_values = values
         self.counts_array = counts
+        self.pair_pos = pair_pos
         self._dict = None
 
     # -- basic shape ---------------------------------------------------------
@@ -190,6 +201,21 @@ class RepFn:
     def support(self) -> FiniteSet:
         """The pair set itself, as a FiniteSet."""
         return self.select(np.ones(self.size, dtype=bool))
+
+    def pair_mask(self, mask: np.ndarray) -> np.ndarray:
+        """The |A| x |A| boolean matrix whose [i, j] is the boolean `mask`,
+        aligned with `counts_array`, at the entry of a_i - a_j; read from
+        `pair_pos`, so no pair value is computed or looked up."""
+        if self.pair_pos is None:
+            raise DomainError("only a same-set difference table with pair positions has a pair mask")
+        n = self.left_size
+        zero = self.size // 2  # the table is symmetric about 0
+        lower = np.tril_indices(n, -1)
+        hit = np.empty((n, n), dtype=bool)
+        hit[lower] = mask[self.pair_pos]
+        hit[lower[::-1]] = mask[2 * zero - self.pair_pos]
+        np.fill_diagonal(hit, mask[zero])
+        return hit
 
 
 def _abs_bound(ints: list[int]) -> int:
@@ -275,7 +301,8 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
 
     counts(x) = #{(a, b) in A x B : a op b = x}; sum of counts is |A||B|.
     Values that fit int64 go through `_repfn_from_flat`; ratios and values
-    past int64 through the residue-keyed `_grouped_table`.
+    past int64 through the residue-keyed `_grouped_rep`, whose same-set
+    difference tables carry each pair's entry (`RepFn.pair_pos`).
     """
     _require_op(op)
     outer = _outer_int64(A, B, op)
@@ -283,8 +310,7 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
         return _repfn_from_flat(op, len(A), len(B), *outer)
     if op == "ratio" and 0 in B:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
-    values, counts, scale = _grouped_table(A, B, op)
-    return RepFn(op, len(A), len(B), values=values, scale=scale, counts=counts)
+    return _grouped_rep(A, B, op)
 
 
 def pair_set(A: FiniteSet, B: FiniteSet, op: str) -> FiniteSet:
@@ -412,39 +438,71 @@ def _distinct_count_fingerprint(A: FiniteSet, B: FiniteSet, op: str) -> int:
     return 2 * distinct + 1 if g.same and g.op == "diff" else distinct
 
 
-def _grouped_table(A: FiniteSet, B: FiniteSet, op: str) -> tuple[list[int], np.ndarray, int]:
-    """(sorted scaled values, int64 counts, scale) of the representation
-    function of A op B, for values that need not fit int64.
+def _grouped_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
+    """The representation function of A op B, for values that need not fit
+    int64: scaled values in a sorted list.
 
     One count per key group of `_PairGroups` (np.add.reduceat over the group
     starts) and one evaluated value per group; a group that holds distinct
     values is split exactly by a weighted tally.  For the same set, the
-    positive difference table is mirrored, with count |A| at 0.
+    positive difference table is mirrored, with count |A| at 0, and each
+    positive-difference pair's table entry is recorded in `pair_pos` as the
+    entries are assigned: a whole group's pairs get its entry, a split
+    group's pairs the entry of their own value.  Every pair is thus placed
+    by its exact value.
     """
     if len(A) == 0 or len(B) == 0:
-        return [], np.zeros(0, dtype=np.int64), 1
+        return RepFn(op, len(A), len(B), values=[], counts=np.zeros(0, dtype=np.int64))
     g = _PairGroups(A, B, op)
     weight = np.ones(g.order.size, dtype=np.int64)
     if g.same and g.op != "diff":  # pair (i, j), j < i, stands also for (j, i)
         weight += g.ii[g.order] != g.jj[g.order]
     starts = np.flatnonzero(g.head)
     counts = np.add.reduceat(weight, starts)
-    whole = np.ones(starts.size, dtype=bool)
-    table = []
-    for start, end in g.mixed_groups():
-        whole[np.searchsorted(starts, start)] = False
+    mixed = g.mixed_groups()
+    is_whole = np.ones(starts.size, dtype=bool)
+    is_whole[np.searchsorted(starts, [start for start, _ in mixed])] = False
+    whole = np.flatnonzero(is_whole)
+    # the entries before sorting: the whole groups, then each split group's values
+    vals = list(g.values(starts[whole]))
+    cnt = counts[whole].tolist()
+    split = []
+    for start, end in mixed:
+        members = list(g.values(np.arange(start, end)))
         tally: dict = {}
-        for v, w in zip(g.values(np.arange(start, end)), weight[start:end].tolist()):
+        for v, w in zip(members, weight[start:end].tolist()):
             tally[v] = tally.get(v, 0) + w
-        table.extend(tally.items())
-    table.extend(zip(g.values(starts[whole]), counts[whole].tolist()))
-    table.sort(key=operator.itemgetter(0))
-    values = [v for v, _ in table]
-    cnt = [c for _, c in table]
+        vals.extend(tally)
+        cnt.extend(tally.values())
+        split.append((start, members))
+    order = np.array(sorted(range(len(vals)), key=vals.__getitem__), dtype=np.int64)
+    values = [vals[k] for k in order.tolist()]
+    cnt = np.array(cnt, dtype=np.int64)[order]
+    pair_pos = None
     if g.same and g.op == "diff":
+        # the mirrored table puts the positive entries after 0
+        first = len(values) + 1
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(first, first + order.size, dtype=np.int32)
+        # the entry of each whole key group, then of each pair in key order
+        entry = np.empty(starts.size, dtype=np.int32)
+        entry[whole] = rank[:whole.size]
+        by_key = entry[np.cumsum(g.head) - 1]
+        for start, members in split:
+            by_key[start:start + len(members)] = [first + bisect.bisect_left(values, v)
+                                                   for v in members]
+        pair_pos = np.empty_like(by_key)
+        pair_pos[g.order] = by_key
         values = [-v for v in reversed(values)] + [0] + values
-        cnt = cnt[::-1] + [len(A)] + cnt
-    return values, np.array(cnt, dtype=np.int64), g.scale
+        cnt = np.concatenate((cnt[::-1], [len(A)], cnt))
+    return RepFn(op, len(A), len(B), values=values, scale=g.scale, counts=cnt,
+                 pair_pos=pair_pos)
+
+
+def _grouped_table(A: FiniteSet, B: FiniteSet, op: str) -> tuple[list[int], np.ndarray, int]:
+    """(sorted scaled values, int64 counts, scale) of `_grouped_rep`."""
+    f = _grouped_rep(A, B, op)
+    return f.scaled_values, f.counts_array, f.scale
 
 
 def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
@@ -715,7 +773,9 @@ def _certified_counts(raw: np.ndarray, even: np.ndarray, p_ints) -> np.ndarray:
     `p_ints` (an int64 array or a list of integers), or raise.
 
     `raw[d]` approximates the number of ordered pairs at difference d >= 0
-    (zero past the set's span) and is overwritten.  `even` is a transform
+    (zero past the set's span).  It is rounded in place, `_FFT_BLOCK`
+    entries at a time, and the int64 table returned is a view of its
+    buffer, so the table costs no memory beyond `raw`.  `even` is a transform
     output whose entries at lags d and -d (index len(even) - d) are two
     computations of one count.  Every raw entry must lie within 1/4 of an
     integer, and the rounded table must give zero-lag count |P|, mass |P|**2
@@ -726,11 +786,15 @@ def _certified_counts(raw: np.ndarray, even: np.ndarray, p_ints) -> np.ndarray:
     is smaller than 2**40.  All failed checks are reported in one
     ExactnessError.
     """
-    counts = np.rint(raw)
-    raw -= counts
-    err = float(np.max(np.abs(raw, out=raw)))
-    del raw
-    counts = counts.astype(np.int64)
+    counts = raw.view(np.int64)
+    errs = []
+    for lo in range(0, raw.size, _FFT_BLOCK):
+        part = raw[lo:lo + _FFT_BLOCK]
+        rounded = np.rint(part)
+        part -= rounded
+        errs.append(np.max(np.abs(part, out=part)))
+        counts[lo:lo + _FFT_BLOCK] = rounded
+    err = float(np.max(errs))
     size = len(p_ints)
     half = even.size // 2
     pos = _offsets(p_ints)
@@ -839,10 +903,12 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
     2 * `_FFT_BLOCK`); larger spans take more blocks, so that one transform
     stays in cache instead of growing with the span (pocketfft's cost per
     point doubles past about 2**20 points).  Each spectrum and each R_t
-    but R_0 is freed once consumed, so peak numpy memory is about
-    24 + 16/K bytes per span point: the K spectra (16), then the float
-    table, its rounded copies and R_0 in `_certified_counts` (26 bytes at
-    K = 9, 30 at K = 3, 34 at K = 2 under tracemalloc).
+    but R_0 is freed once consumed, and `_certified_counts` rounds the
+    float table in place, so peak numpy memory is about 24 + 16/K bytes per
+    span point, reached while the spectra are inverted: K - 2 spectra, R_0,
+    one R_t and the float table (under tracemalloc 26.0 bytes at K = 9,
+    29.5 at K = 3 and 27-29.5 at K = 2, where rounding into fresh arrays
+    peaked at 34).
 
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound

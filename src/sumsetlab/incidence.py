@@ -202,24 +202,35 @@ def integer_line_family(slope_count: int, intercept_count: int) -> list[Line]:
 # ---------------------------------------------------------------------------
 
 def read_lines_csv(path) -> list[Line]:
-    out = []
+    """Lines from a CSV file of 'slope,intercept' rows, with an optional
+    header of those two names and '#' comment rows.  A row with other than
+    two fields, a field that is not a rational, or text the CSV reader
+    refuses (a field past its size limit) raises DomainError naming the file and line."""
     with read_utf8_text(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].strip().startswith("#")):
-                continue
-            if [c.strip().lower() for c in row[:2]] == ["slope", "intercept"]:
-                continue  # optional header
-            if len(row) < 2:
-                raise DomainError(f"{path}:{lineno}: expected 'slope,intercept'")
-            try:
-                slope = as_rational(row[0])
-                icpt = as_rational(row[1])
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad rational in {row!r}") from exc
-            if slope == 0:
-                raise DivisionDomainError(f"{path}:{lineno}: zero slope rejected")
-            out.append(Line(slope, icpt))
-    return out
+        rows = csv.reader(fh)
+        try:
+            return [line for row in rows
+                    if (line := _csv_line(path, rows.line_num, row)) is not None]
+        except csv.Error as exc:
+            raise DomainError(f"{path}:{rows.line_num}: {exc}") from exc
+
+
+def _csv_line(path, lineno: int, row: list[str]) -> Line | None:
+    """The line of one CSV row, or None for a blank, comment or header row."""
+    if not row or row[0].strip().startswith("#"):
+        return None
+    if [c.strip().lower() for c in row] == ["slope", "intercept"]:
+        return None  # optional header
+    if len(row) != 2:
+        raise DomainError(f"{path}:{lineno}: expected 'slope,intercept', got {len(row)} fields")
+    try:
+        slope = as_rational(row[0])
+        icpt = as_rational(row[1])
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise DomainError(f"{path}:{lineno}: bad rational in {row!r}") from exc
+    if slope == 0:
+        raise DivisionDomainError(f"{path}:{lineno}: zero slope rejected")
+    return Line(slope, icpt)
 
 
 def write_lines_csv(lines, path) -> None:

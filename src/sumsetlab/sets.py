@@ -61,6 +61,10 @@ INT64_SAFE = 1 << 62
 _DECIMAL_CHUNK = 600
 _DECIMAL_BASE = 10 ** _DECIMAL_CHUNK
 _LONG_RATIONAL = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+# Decimal text with an exponent beyond this is refused: Fraction would build
+# 10**exponent, which for '1e999999999' does not finish.
+_MAX_EXPONENT = 100_000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
 
 def _int_text(v: int) -> str:
@@ -97,7 +101,8 @@ def as_rational(x) -> Rational:
     Floats are refused: silently accepting them would smuggle binary rounding
     into exact set membership.  Text is read as `Fraction` reads it; text
     of the form 'p' or 'p/q' longer than `_DECIMAL_CHUNK` is read in chunks,
-    so that integers past Python's int/str digit limit parse.
+    so that integers past Python's int/str digit limit parse.  An exponent
+    larger than `_MAX_EXPONENT` in absolute value raises ValueError.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a rational element")
@@ -109,6 +114,9 @@ def as_rational(x) -> Rational:
         text = x.strip()
         m = _LONG_RATIONAL.fullmatch(text) if len(text) > _DECIMAL_CHUNK else None
         if m is None:
+            e = _EXPONENT.search(text)
+            if e is not None and abs(int(e.group(1))) > _MAX_EXPONENT:
+                raise ValueError(f"exponent of {text[:40]!r} exceeds {_MAX_EXPONENT}")
             return as_rational(Fraction(text))
         sign, num, den = m.groups()
         v = _int_from_digits(num)

@@ -197,6 +197,9 @@ class SetCore:
         return self._memo(("E", op, str(k)), lambda: energy(self.rep(op), k))
 
     def pair_size(self, op: str) -> int:
+        # a table already built knows its support size
+        if ("rep", op) in self._c:
+            return self._c[("rep", op)].size
         return self._memo(("psize", op), lambda: pair_set_size(self.A, self.B, op))
 
     # the rest concerns A alone
@@ -211,7 +214,8 @@ class SetCore:
         return self._popular()[1]
 
     def rich_diff(self) -> FiniteSet:
-        return self._memo("R", lambda: rich_difference_elements(self.A, self.popular_diff()))
+        return self._memo("R", lambda: rich_difference_elements(
+            self.A, self.popular_diff(), table=self.rep("diff")))
 
     def proj_popular_diff(self, budget: int | None) -> int:
         P = self.popular_diff()

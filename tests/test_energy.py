@@ -528,6 +528,28 @@ def test_fft_kernel_peak_memory_per_span_point():
     assert peak < 34.4 * span
 
 
+def test_fft_kernel_rounds_its_table_in_place():
+    # two blocks: rounding into fresh float and int64 tables peaked at
+    # 34 bytes per span point, rounding in place at 27-27.4
+    import tracemalloc
+
+    en = importlib.import_module("sumsetlab.energy")
+    rng = np.random.default_rng(21)
+    span = 300_000
+    P = np.unique(np.concatenate(([0, span], rng.integers(0, span, 20_000))))
+    assert en._block_layout(span)[0] == 2
+    tracemalloc.start()
+    try:
+        counts = en._difference_counts_fft(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.dtype == np.int64 and counts.size == span + 1
+    for lag in [0, 1, span] + rng.integers(2, span, 40).tolist():
+        assert int(counts[lag]) == np.intersect1d(P, P + lag).size
+    assert peak < 28 * span
+
+
 # -- pair set sizes ------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
