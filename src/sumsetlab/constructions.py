@@ -33,7 +33,6 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -125,13 +124,24 @@ def _is_rich(c: np.ndarray, n: int) -> np.ndarray:
 
 def _is_selection(d: RepFn, mask: np.ndarray, P: FiniteSet) -> bool:
     """Whether P is the set of values of the table `d` where `mask` is true,
-    compared exactly at the table's scale."""
-    iv = P.int_view
-    m, rest = divmod(d.scale, iv.scale)
-    if rest or len(P) != int(np.count_nonzero(mask)):
+    compared exactly at the table's scale s without building P's int view.
+    At s = 1 the picked values are P's elements themselves (no Fraction in
+    lowest terms equals an int); otherwise a picked v is x = p/q in P when q
+    divides s and v = p * (s / q), with one quotient s / q per denominator."""
+    if len(P) != int(np.count_nonzero(mask)):
         return False
     picked = itertools.compress(d.scaled_values, mask.tolist())
-    return all(map(operator.eq, picked, iv.ints if m == 1 else (v * m for v in iv.ints)))
+    s, quotients = d.scale, {}
+    if s == 1:
+        return tuple(picked) == P.elements
+    for v, x in zip(picked, P.elements):
+        q = x.denominator
+        if q not in quotients:
+            quotients[q] = s // q if s % q == 0 else None
+        m = quotients[q]
+        if m is None or v != x.numerator * m:
+            return False
+    return True
 
 
 def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:

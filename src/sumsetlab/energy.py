@@ -3,11 +3,22 @@
 All counting here is exact.  The workhorse layout: a set's scaled-integer
 view (see `sets._IntView`) lets the common all-integer case run through
 int64 numpy kernels.  Ratios and values past int64 (geometric families
-reach 2**n) go through one residue-keyed grouping kernel, `_PairGroups`,
-which sorts int64 residue keys and checks every key group exactly; it
-gives representation tables, pair sets and pair-set sizes alike.  Counting
-is O(|A||B|) vector accumulation, because every downstream inequality
-check treats these counts as exact combinatorial quantities.
+reach 2**n) go through one of two kernels, which give representation
+tables and pair-set sizes alike.  Counting is O(|A||B|) vector
+accumulation, because every downstream inequality check treats these
+counts as exact combinatorial quantities.
+
+Products and ratios first try a coprime base (`_coprime_keys`): each
+nonzero scaled integer is a sign and an int64 exponent vector over
+pairwise-coprime integers b_1 .. b_k (`sets.coprime_exponents`), so a
+product is a vector sum and a ratio a difference, packed into one int64
+key per pair and counted by one sort, as int64 values are.  The keys are
+exact: if prod b_i**e_i = prod b_i**f_i, a prime dividing b_i divides no
+other b_j, so e_i = f_i; equal keys are equal values and no key group is
+checked.  Where the base would pass a cap of members or a key would not fit
+int64, and for sums and differences, the residue-keyed kernel
+`_PairGroups` runs: it sorts int64 residue keys and checks every key group
+exactly.
 
 Sort, never hash or histogram: an int64 representation table or pair-set
 size is one in-place sort of the |A||B| pair values (int32 when they fit),
@@ -60,6 +71,7 @@ from .sets import (
     FiniteSet,
     Rational,
     as_rational,
+    coprime_exponents,
     format_rational,
     sorted_contains,
 )
@@ -300,9 +312,12 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     """Representation function of A op B.
 
     counts(x) = #{(a, b) in A x B : a op b = x}; sum of counts is |A||B|.
-    Values that fit int64 go through `_repfn_from_flat`; ratios and values
-    past int64 through the residue-keyed `_grouped_rep`, whose same-set
-    difference tables carry each pair's entry (`RepFn.pair_pos`).
+    Values that fit int64 go through `_repfn_from_flat`.  Products and
+    ratios past int64 are counted over a coprime base (`_coprime_rep`),
+    whose keys are equal exactly for equal values; sums, differences and
+    products or ratios that the coprime keys do not cover go through the
+    residue-keyed `_grouped_rep`, whose same-set difference tables carry
+    each pair's entry (`RepFn.pair_pos`).  Both give the same table.
     """
     _require_op(op)
     outer = _outer_int64(A, B, op)
@@ -310,6 +325,10 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
         return _repfn_from_flat(op, len(A), len(B), *outer)
     if op == "ratio" and 0 in B:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
+    if op in ("prod", "ratio") and len(A) and len(B):
+        f = _coprime_rep(A, B, op)
+        if f is not None:
+            return f
     return _grouped_rep(A, B, op)
 
 
@@ -320,7 +339,8 @@ def pair_set(A: FiniteSet, B: FiniteSet, op: str) -> FiniteSet:
 
 # Two safe primes below 2**31 (p and (p - 1)/2 both prime).  Modulo each,
 # every residue other than +-1 has multiplicative order at least (p - 1)/2,
-# so powers of one base (geometric families) spread over many residues; a
+# so powers of one base spread over many residues: geometric sums and
+# differences, and products past the coprime-base cap, rarely collide.  A
 # Mersenne prime would not do, as 2**k mod 2**31 - 1 takes only 31 values.
 _KEY_PRIMES = (2147483579, 2147483123)
 # pair values held at once while `_PairGroups.mixed_groups` checks groups
@@ -499,19 +519,14 @@ def _grouped_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
                  pair_pos=pair_pos)
 
 
-def _grouped_table(A: FiniteSet, B: FiniteSet, op: str) -> tuple[list[int], np.ndarray, int]:
-    """(sorted scaled values, int64 counts, scale) of `_grouped_rep`."""
-    f = _grouped_rep(A, B, op)
-    return f.scaled_values, f.counts_array, f.scale
-
-
 def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
     """|A op B| without materializing the pair set.
 
-    When the values fit int64 it sorts them in place and counts the breaks;
-    otherwise (ratios, and big values such as geometric families reaching
-    2**n) it uses the exact residue-keyed counter
-    `_distinct_count_fingerprint`.
+    When the values fit int64 it sorts them in place and counts the breaks.
+    Otherwise (ratios, and big values such as geometric families reaching
+    2**n) products and ratios count the distinct coprime-base keys
+    (`_coprime_keys`, exact without any check), and the rest uses the exact
+    residue-keyed counter `_distinct_count_fingerprint`.
     """
     _require_op(op)
     if len(A) == 0 or len(B) == 0:
@@ -520,10 +535,136 @@ def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
     outer = _outer_int64(A, B, op)
     if outer is None:
-        return _distinct_count_fingerprint(A, B, op)
+        keys = _coprime_keys(A, B, op, False) if op in ("prod", "ratio") else None
+        if keys is None:
+            return _distinct_count_fingerprint(A, B, op)
+        flat, _, zeros = keys
+        flat.sort()
+        nonzero = int(flat.size > 0) + int(np.count_nonzero(flat[1:] != flat[:-1]))
+        return nonzero + int(zeros > 0)
     flat = outer[0]
     flat.sort()
     return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+
+
+# ---------------------------------------------------------------------------
+# Products and ratios over a coprime base
+# ---------------------------------------------------------------------------
+
+def _coprime_pair(A: FiniteSet, B: FiniteSet):
+    """Exponent matrices of A's and B's scaled integers over one
+    pairwise-coprime base (`sets.coprime_exponents`), or None.
+
+    Each set's base and matrix are cached on its int view.  Two different
+    sets take the base of their union, which is the coprime base of their
+    two bases: each member of either base is a product of powers of the
+    union's members, so a matrix maps over by one integer matrix product.
+    """
+    ca = A.int_view.coprime()
+    if ca is None:
+        return None
+    if A is B or A == B:
+        return ca[1], ca[1]
+    cb = B.int_view.coprime()
+    if cb is None:
+        return None
+    union = coprime_exponents(ca[0] + cb[0])
+    if union is None:
+        return None
+    to_union = union[1]
+    k = len(ca[0])
+    return ca[1] @ to_union[:k], cb[1] @ to_union[k:]
+
+
+def _coprime_keys(A: FiniteSet, B: FiniteSet, op: str, indexed: bool):
+    """(keys, shift, zeros): one int key per pair (a, b) of nonzero elements
+    of A x B, op "prod" or "ratio", with equal keys exactly for equal values;
+    or None when the sets need more than the cap of coprime bases or a key
+    would not fit int64.
+
+    With each nonzero scaled integer written as a sign and an exponent
+    vector over a pairwise-coprime base (`_coprime_pair`), a product is the
+    vector sum and a ratio the difference, up to the constant factor of the
+    scales.  Two rationals prod b_j**e_j and prod b_j**f_j are equal only if
+    e = f (a prime dividing b_j divides no other member), so a key packs
+    the vector in mixed radix over each entry's range, above a sign bit, and
+    no key group needs an exact check.  The keys are int32 when they fit.
+    Row i (of the nonzero elements of A in order) holds the pairs
+    (a_i, b_0), (a_i, b_1), ...; with `indexed`, the low `shift` bits of a
+    key are that flat pair index.  `zeros` counts the pairs whose value is 0.
+    """
+    pair = _coprime_pair(A, B)
+    if pair is None:
+        return None
+    parts = []
+    for iv, e in zip((A.int_view, B.int_view), pair):
+        neg = bisect.bisect_left(iv.ints, 0)
+        has_zero = neg < len(iv.ints) and iv.ints[neg] == 0
+        parts.append((np.delete(e, neg, axis=0) if has_zero else e, neg, has_zero))
+    (ea, nega, za), (eb, negb, zb) = parts
+    na, nb = len(ea), len(eb)
+    zeros = za * len(B) + zb * len(A) - za * zb if op == "prod" else za * len(B)
+    if op == "ratio":
+        eb = -eb
+    if not (na and nb):
+        return np.zeros(0, dtype=np.int64), 0, zeros
+    lo_a, lo_b = ea.min(axis=0), eb.min(axis=0)
+    radix, size = [], 2
+    for w in (ea.max(axis=0) - lo_a + eb.max(axis=0) - lo_b + 1).tolist():
+        radix.append(size)
+        size *= w
+    shift = (na * nb - 1).bit_length() if indexed else 0
+    if size << shift > 1 << 63:
+        return None
+    radix = np.array(radix, dtype=np.int64)
+    ka = (ea - lo_a) @ radix << shift
+    kb = ((eb - lo_b) @ radix + (np.arange(nb) < negb)) << shift
+    if indexed:
+        ka += np.arange(0, na * nb, nb)
+        kb += np.arange(nb)
+    dtype = np.int32 if size << shift <= 1 << 31 else np.int64
+    keys = np.add.outer(ka.astype(dtype), kb.astype(dtype))
+    keys[:nega] ^= 1 << shift  # a negative a flips the sign bit
+    return keys.ravel(), shift, zeros
+
+
+def _coprime_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn | None:
+    """`_grouped_rep(A, B, op)` for op "prod" or "ratio", the very same
+    table, counted from `_coprime_keys`; None where those are None.
+
+    One sort of the indexed keys gives each distinct value's count and one
+    pair that takes it, whose exact value is the product of the operands
+    `_PairGroups` uses: the scaled integers of A, and of B for a product or
+    of {1/b : b in B} for a ratio.
+    """
+    keys = _coprime_keys(A, B, op, True)
+    if keys is None:
+        return None
+    flat, shift, zeros = keys
+    flat.sort()
+    head = np.empty(flat.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(flat[1:] >> shift, flat[:-1] >> shift, out=head[1:])
+    starts = np.flatnonzero(head)
+    pos = flat[starts] & ((1 << shift) - 1)
+    a = [x for x in A.int_view.ints if x]
+    b = [x for x in B.int_view.ints if x]
+    scale = A.int_view.scale * B.int_view.scale
+    if op == "ratio":
+        # the int view of {1/b}: 1/b = s_B / b, at the lcm of its denominators
+        inv = [Fraction(B.int_view.scale, x) for x in b]
+        s = math.lcm(*(q.denominator for q in inv))
+        b = [q.numerator * (s // q.denominator) for q in inv]
+        scale = A.int_view.scale * s
+    rows, cols = np.divmod(pos, len(b))
+    vals = [a[i] * b[j] for i, j in zip(rows.tolist(), cols.tolist())]
+    cnt = np.diff(starts, append=flat.size)
+    if zeros:
+        vals.append(0)
+        cnt = np.append(cnt, zeros)
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return RepFn(op, len(A), len(B), values=[vals[k] for k in order], scale=scale,
+                 counts=cnt[order])
 
 
 # pair values held at once by `pair_membership`

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleSpecError, InvalidScaleError
+from .errors import DomainError, ExactnessError, InfeasibleSpecError, InvalidScaleError
 
 __all__ = [
     "Rational",
@@ -144,6 +144,106 @@ def parse_rational(text: str) -> Rational:
     return as_rational(text)
 
 
+# `coprime_exponents` gives up on numbers that need more bases than this.
+# It reaches the cap within a few dozen elements of a set without
+# multiplicative structure, so giving up stays cheap.
+_COPRIME_CAP = 16
+
+
+def _strip(x: int, ladder: list[int]) -> tuple[int, int]:
+    """(e, x // b**e) for the largest e with b**e dividing x > 0, where
+    ladder[i] = b**(2**i), b >= 2.
+
+    The ladder is extended in place past x, so it serves every later call
+    with the same b; then x is divided by its powers from the top down, so
+    e takes about log2(e) divisions."""
+    if x % ladder[0]:
+        return 0, x
+    while ladder[-1] <= x:
+        ladder.append(ladder[-1] * ladder[-1])
+    e = 0
+    for i in range(len(ladder) - 2, -1, -1):
+        if ladder[i] <= x:
+            q, r = divmod(x, ladder[i])
+            if not r:
+                x = q
+                e += 1 << i
+    return e, x
+
+
+def _refine(base: dict[int, list[int]], x: int) -> bool:
+    """Refine the pairwise-coprime members > 1 of `base` (each keyed to its
+    `_strip` ladder) in place so that x, and every number they covered, is a
+    product of powers of them; False once there would be more than
+    `_COPRIME_CAP`.
+
+    A member b that shares a factor g > 1 with the rest of x is replaced by
+    g and b / g, and x by x / g, until every part is coprime to every
+    member.  D. J. Bernstein, "Factoring into coprimes in essentially linear
+    time", J. Algorithms 54 (2005), does this in essentially linear time;
+    a capped base needs no more than this quadratic splitting.  Each split
+    divides the product of all parts by g, so it ends.
+    """
+    pending = [x]
+    while pending:
+        x = pending.pop()
+        for ladder in base.values():
+            x = _strip(x, ladder)[1]
+        if x == 1:
+            continue
+        for b in base:
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[b]
+                pending += (g, b // g, x // g)
+                break
+        else:
+            if len(base) == _COPRIME_CAP:
+                return False
+            base[x] = [x]
+    return True
+
+
+def coprime_exponents(numbers: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """(base, exps): pairwise-coprime integers base[j] > 1 and an int64
+    matrix with |numbers[i]| = prod_j base[j] ** exps[i, j] for every
+    nonzero numbers[i] (the rows of 0 are zero), or None when the base would
+    pass `_COPRIME_CAP` members.
+
+    Such exponent vectors are unique: a prime q dividing base[j] divides no
+    other member, so the power of q in the product fixes exps[i, j].  Each
+    number is stripped of the members found so far and, when more is left,
+    the base is refined to cover the rest; rows made before the last
+    refinement are then made again.
+    """
+    base: dict[int, list[int]] = {}
+    rows = []
+    stale = 0  # rows below this were made against an older base
+    for i, x in enumerate(numbers):
+        x = abs(x)
+        row = []
+        if x:
+            for ladder in base.values():
+                e, x = _strip(x, ladder)
+                row.append(e)
+            if x != 1:
+                if not _refine(base, x):
+                    return None
+                stale = i + 1
+        rows.append(row or [0] * len(base))
+    for i in range(stale):
+        x, rows[i] = abs(numbers[i]), [0] * len(base)
+        for j, ladder in enumerate(base.values() if x else ()):
+            rows[i][j], x = _strip(x, ladder)
+        if x > 1:
+            raise ExactnessError(f"coprime base {list(base)} does not cover {numbers[i]}")
+    exps = np.array(rows, dtype=np.int64).reshape(len(numbers), len(base))
+    return tuple(base), exps
+
+
+_UNSET = object()
+
+
 class _IntView:
     """Scaled-integer image of a set: ints[i] = scale * elements[i].
 
@@ -153,7 +253,7 @@ class _IntView:
     fits, else None (big-integer fallbacks take over).
     """
 
-    __slots__ = ("ints", "scale", "arr", "_mods")
+    __slots__ = ("ints", "scale", "arr", "_mods", "_coprime")
 
     def __init__(self, ints: Sequence[int], scale: int, arr: np.ndarray | None = None):
         self.ints = ints
@@ -163,6 +263,13 @@ class _IntView:
         else:
             self.arr = np.array([], dtype=np.int64) if not ints else None
         self._mods: dict[int, np.ndarray] = {}
+        self._coprime = _UNSET
+
+    def coprime(self) -> tuple[tuple[int, ...], np.ndarray] | None:
+        """`coprime_exponents` of ints, computed once."""
+        if self._coprime is _UNSET:
+            self._coprime = coprime_exponents(self.ints)
+        return self._coprime
 
     def residues(self, modulus: int) -> np.ndarray:
         """ints mod `modulus` (at most 2**63) as int64, computed once per modulus."""

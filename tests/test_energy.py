@@ -675,7 +675,8 @@ def test_grouped_table_resolves_forced_collisions(monkeypatch):
                 continue
             want = oracle_rep_counts(A.elements, B.elements, op)
             assert rep_fn(A, B, op).counts == want
-            values, counts, scale = en._grouped_table(A, B, op)
+            f = en._grouped_rep(A, B, op)
+            values, counts, scale = f.scaled_values, f.counts_array, f.scale
             got = dict(zip((as_rational(Fraction(v, scale)) for v in values), counts.tolist()))
             assert got == want and list(got) == sorted(want)
 

@@ -112,6 +112,18 @@ def test_a_set_other_than_the_popular_selection_raises():
         rich_difference_elements(Q, halves, table=dq)
 
 
+def test_a_fresh_rational_selection_keeps_its_int_view_unbuilt():
+    # P is compared with the table by cross-multiplication, not through
+    # its scaled-integer view, whose scale is the lcm of P's denominators
+    Q = PAST_INT64["GP(3,5/2)"]()
+    d = rep_fn(Q, Q, "diff")
+    P, _ = popular_difference_mass(Q, table=d)
+    fresh = make_set(P.elements)
+    assert fresh._iv is None and any(isinstance(p, Fraction) for p in fresh)
+    assert rich_difference_elements(Q, fresh, table=d) == rich_difference_elements(Q, P)
+    assert fresh._iv is None
+
+
 @pytest.mark.parametrize("n", [8, 20, 40])
 def test_difference_triples_take_the_table_on_int64_sets(n):
     A = gen_family(FamilySpec.gp(1, 2, n))
