@@ -153,15 +153,11 @@ _STAT_ENERGY_KS = (Fraction(3, 2), Fraction(12, 7), 2, Fraction(12, 5), 3)
 
 def _compute_stats(A: FiniteSet) -> dict:
     core = SetCore(A)
-    # the energies below need these tables; built first, they give
-    # pair_size the sizes of A - A and A / A
-    core.rep("diff")
-    if 0 not in A:
-        core.rep("ratio")
+    # the energies below need the tables of A - A and A / A: they give the sizes
     stats: dict = {
         "n": len(A),
         "sumset": core.pair_size("sum"),
-        "diffset": core.pair_size("diff"),
+        "diffset": core.rep("diff").size,
         "is_convex": is_convex(A),
     }
     if 0 in A:
@@ -170,7 +166,7 @@ def _compute_stats(A: FiniteSet) -> dict:
         stats["E2_mult"] = "n/a(0 in A)"
     else:
         stats["prodset"] = core.pair_size("prod")
-        stats["ratioset"] = core.pair_size("ratio")
+        stats["ratioset"] = core.rep("ratio").size
         stats["E2_mult"] = core.E(2, "ratio").exact
     for k in _STAT_ENERGY_KS:
         ev = core.E(k)

@@ -21,11 +21,11 @@ implement:
 except through absorbed constants, and `ambient_log` is the single place
 that pins the convention.
 
-The difference-side functions take A's difference table (`table=`) when
-the caller holds it.  Past int64 that table knows the entry of every pair
-(`RepFn.pair_pos`), and rich elements and the triple count read which
-pairs have popular differences from it instead of looking each pair value
-up in P.
+Every function reads the tables of its sets through `rep_fn`, which builds
+the table of A op A once per set object.  Past int64 A's difference table
+knows the entry of every pair (`RepFn.pair_pos`), and rich elements and the
+triple count read which pairs have popular differences from it instead of
+looking each pair value up in P.
 """
 
 from __future__ import annotations
@@ -69,17 +69,16 @@ def ambient_log(m: int | float) -> float:
 # Popular values and rich elements
 # ---------------------------------------------------------------------------
 
-def popular_difference_mass(A: FiniteSet, *, table: RepFn | None = None) -> tuple[FiniteSet, int]:
+def popular_difference_mass(A: FiniteSet) -> tuple[FiniteSet, int]:
     """Popular differences together with their exact total count mass.
 
     Popular means count at least |A|^2 / (11 |A-A|); the comparison is the
     exact integer test 11 * count * |A-A| >= |A|^2, so no rounding can
     misclassify a value.  The returned mass is always >= (10/11)|A|^2.
-    `table` is rep_fn(A, A, "diff") when the caller already holds it.
     """
     if len(A) == 0:
         raise DomainError("popular_differences needs a nonempty set")
-    d = rep_fn(A, A, "diff") if table is None else table
+    d = rep_fn(A, A, "diff")
     mask = _popular_mask(d)
     return d.select(mask), int(d.counts_array[mask].sum())
 
@@ -95,27 +94,23 @@ def popular_differences(A: FiniteSet) -> FiniteSet:
     return popular_difference_mass(A)[0]
 
 
-def rich_difference_elements(A: FiniteSet, P: FiniteSet, *,
-                             table: RepFn | None = None) -> FiniteSet:
+def rich_difference_elements(A: FiniteSet, P: FiniteSet) -> FiniteSet:
     """Elements x of A with |(x - A) & P| >= 2|A|/sqrt(11).
 
     The irrational threshold is tested by squaring: 11 c^2 >= 4 |A|^2
-    (both sides nonnegative, boundary counted as rich).  `table` is
-    rep_fn(A, A, "diff") when the caller already holds it.  When it carries
-    pair positions (values past int64, see `RepFn.pair_pos`), P must be its
-    popular selection, and each count is read from the popular mask at the
-    table entries of the pairs: no pair value is computed or looked up.
-    Otherwise every pair value is looked up in P by `pair_membership`.
+    (both sides nonnegative, boundary counted as rich).  When A's difference
+    table carries pair positions (values past int64, see `RepFn.pair_pos`)
+    and P is its popular selection, as it is for P = popular_differences(A),
+    each count is read from the popular mask at the table entries of the
+    pairs: no pair value is computed or looked up.  Otherwise every pair
+    value is looked up in P by `pair_membership`.
     """
-    n = len(A)
-    if table is None or table.pair_pos is None:
-        c = pair_membership(A, A, "diff", P, per_row=True)
+    d = rep_fn(A, A, "diff")
+    if d.pair_pos is not None and _is_selection(d, mask := _popular_mask(d), P):
+        c = np.count_nonzero(d.pair_mask(mask), axis=1)
     else:
-        mask = _popular_mask(table)
-        if not _is_selection(table, mask, P):
-            raise DomainError("P is not the popular selection of the difference table")
-        c = np.count_nonzero(table.pair_mask(mask), axis=1)
-    return _elements_where(A, _is_rich(c, n))
+        c = pair_membership(A, A, "diff", P, per_row=True)
+    return _elements_where(A, _is_rich(c, len(A)))
 
 
 def _is_rich(c: np.ndarray, n: int) -> np.ndarray:
@@ -145,8 +140,10 @@ def _is_selection(d: RepFn, mask: np.ndarray, P: FiniteSet) -> bool:
 
 
 def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:
-    """The elements of A where the boolean `keep` is true, with their int64
-    view when A has one."""
+    """The elements of A where the boolean `keep` is true: A itself when it
+    keeps them all, else a new set, with its int64 view when A has one."""
+    if keep.all():
+        return A
     iv = A.int_view
     if iv.arr is not None:
         return FiniteSet.from_scaled(iv.arr[keep], iv.scale)
@@ -210,19 +207,17 @@ def rich_sum_elements(X: FiniteSet, P: FiniteSet) -> FiniteSet:
 @dataclass(frozen=True)
 class RefinementTrace:
     """Audit trail of the refinement: nested iterates plus why it stopped,
-    with the last step's popular sums, rich subset and the difference tables
-    of its input set and of that subset, for reuse.  The input set is the
-    returned one, except after "set-too-small", which returns the subset."""
+    with the last step's popular sums and rich subset, for reuse; each set
+    keeps the tables built for it (see `rep_fn`).  The last step ran on the
+    returned set, except after "set-too-small", which returns its subset."""
 
     iterates: tuple[FiniteSet, ...]
     stop_reason: str  # "energy-criterion-met" | "iteration-guard" | "set-too-small"
     popular: FiniteSet = field(compare=False, repr=False)
     rich: FiniteSet = field(compare=False, repr=False)
-    table: RepFn = field(compare=False, repr=False)
-    rich_table: RepFn = field(compare=False, repr=False)
 
 
-def refine_rich_core(A: FiniteSet, *, table: RepFn | None = None) -> tuple[FiniteSet, RefinementTrace]:
+def refine_rich_core(A: FiniteSet) -> tuple[FiniteSet, RefinementTrace]:
     """Iterate X -> rich_sum_elements(X) until the 12/7 moment stabilizes.
 
     Returns the first iterate B whose rich refinement satisfies
@@ -230,8 +225,7 @@ def refine_rich_core(A: FiniteSet, *, table: RepFn | None = None) -> tuple[Finit
     only for large ambient sets, so two guards keep small inputs
     well-defined: at most floor(log|A|) refinements (stop reason
     "iteration-guard", returning the last iterate), and an early stop if an
-    iterate falls to at most half of |A| ("set-too-small").  `table` is
-    rep_fn(A, A, "diff") when the caller already holds it.
+    iterate falls to at most half of |A| ("set-too-small").
     """
     n = len(A)
     if n < 3:
@@ -240,24 +234,20 @@ def refine_rich_core(A: FiniteSet, *, table: RepFn | None = None) -> tuple[Finit
     guard = math.floor(log_n)
     iterates = [A]
     X = A
-    d_x = rep_fn(A, A, "diff") if table is None else table
-    e_x = energy(d_x, TWELVE_SEVENTHS).approx
+    e_x = energy(rep_fn(A, A, "diff"), TWELVE_SEVENTHS).approx
     for step in range(guard + 1):
         P = popular_sums(X, n)
         R = rich_sum_elements(X, P)
-        # R is a subset of X, so equal sizes mean R is X
-        d_r = d_x if len(R) == len(X) else rep_fn(R, R, "diff")
-        e_rich = energy(d_r, TWELVE_SEVENTHS).approx
-        last = (P, R, d_x, d_r)
+        e_rich = energy(rep_fn(R, R, "diff"), TWELVE_SEVENTHS).approx
         if e_rich >= e_x / log_n:
-            return X, RefinementTrace(tuple(iterates), "energy-criterion-met", *last)
+            return X, RefinementTrace(tuple(iterates), "energy-criterion-met", P, R)
         if step == guard:
-            return X, RefinementTrace(tuple(iterates), "iteration-guard", *last)
-        # the next step refines R, whose table and E_{12/7} are known
-        X, d_x, e_x = R, d_r, e_rich
+            return X, RefinementTrace(tuple(iterates), "iteration-guard", P, R)
+        # the next step refines R, whose E_{12/7} is known
+        X, e_x = R, e_rich
         iterates.append(X)
         if 2 * len(X) <= n:
-            return X, RefinementTrace(tuple(iterates), "set-too-small", *last)
+            return X, RefinementTrace(tuple(iterates), "set-too-small", P, R)
     raise AssertionError("unreachable")
 
 
@@ -324,15 +314,13 @@ def _masked_product_sum(left: np.ndarray, right: np.ndarray, mask: np.ndarray) -
     return int(round(float(np.sum(inner * mask))))
 
 
-def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000,
-                                     table: RepFn | None = None) -> int:
+def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) -> int:
     """#{(r, a1, a2) in R x A x A : r-a1, r-a2, a1-a2 all popular differences}.
 
     R is the rich-difference subset.  Cubic cost, so guarded by size;
-    override size_guard to push past the default 1000.  `table` is
-    rep_fn(A, A, "diff") when the caller already holds it.  One matrix of
-    popular pairs decides everything: it is read from the table's pair
-    positions when it carries them (see `rich_difference_elements`), else
+    override size_guard to push past the default 1000.  One matrix of
+    popular pairs decides everything: it is read from A's difference table
+    when that carries pair positions (see `rich_difference_elements`), else
     looked up by one `pair_membership` call; its rows count the rich
     elements, and the rich rows are R's shifts.
     """
@@ -343,7 +331,7 @@ def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000,
         )
     if n == 0:
         raise DomainError("triple count needs a nonempty set")
-    d = rep_fn(A, A, "diff") if table is None else table
+    d = rep_fn(A, A, "diff")
     mask = _popular_mask(d)
     # [a1, a2]: a1 - a2 popular
     if d.pair_pos is None:

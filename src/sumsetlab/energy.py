@@ -143,11 +143,12 @@ class RepFn:
     past int64) also carries `pair_pos`: for each pair i > j of
     the set's sorted elements, in the order of np.tril_indices(|A|, -1),
     the int32 index of a_i - a_j in `counts_array`.  `pair_mask` reads it.
-    It is None for every other table, int64 ones included.
+    It is None for every other table, int64 ones included.  A table is
+    shared by everyone who asks for it (see `rep_fn`): its arrays are read-only.
     """
 
     __slots__ = ("op", "left_size", "right_size", "scale", "scaled_values",
-                 "counts_array", "pair_pos", "_dict")
+                 "counts_array", "pair_pos", "_dict", "__weakref__")
 
     def __init__(self, op, left_size, right_size, *, values=None, scale=1,
                  counts=None, pair_pos=None):
@@ -163,6 +164,9 @@ class RepFn:
         self.counts_array = counts
         self.pair_pos = pair_pos
         self._dict = None
+        for arr in (values, counts, pair_pos):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     # -- basic shape ---------------------------------------------------------
 
@@ -296,23 +300,23 @@ def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
     return None
 
 
-def _repfn_from_flat(op, nl, nr, flat: np.ndarray, scale: int) -> RepFn:
-    """Aggregate a fresh raw array of outcome values into a RepFn: sort it in
-    place, run-length encode it and gather the support values."""
-    flat.sort()
-    keep = np.empty(flat.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-    starts = np.flatnonzero(keep)
-    return RepFn(op, nl, nr, values=flat[starts], scale=scale,
-                 counts=np.diff(starts, append=flat.size))
+def _run_heads(x: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first position of each run of equal values in x."""
+    head = np.empty(x.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(x[1:], x[:-1], out=head[1:])
+    return head
 
 
 def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     """Representation function of A op B.
 
     counts(x) = #{(a, b) in A x B : a op b = x}; sum of counts is |A||B|.
-    Values that fit int64 go through `_repfn_from_flat`.  Products and
+    The table of A op A is built once per set object and kept on A's int
+    view for as long as A lives; any other pair, B an equal copy of A
+    included, is built on each call and not kept.
+
+    Values that fit int64 are sorted and run-length encoded; products and
     ratios past int64 are counted over a coprime base (`_coprime_rep`),
     whose keys are equal exactly for equal values; sums, differences and
     products or ratios that the coprime keys do not cover go through the
@@ -320,9 +324,20 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     each pair's entry (`RepFn.pair_pos`).  Both give the same table.
     """
     _require_op(op)
+    if B is A:
+        return A.int_view.table(op, lambda: _build_rep(A, A, op))
+    return _build_rep(A, B, op)
+
+
+def _build_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
+    """The table of A op B, built afresh (see `rep_fn`)."""
     outer = _outer_int64(A, B, op)
     if outer is not None:
-        return _repfn_from_flat(op, len(A), len(B), *outer)
+        flat, scale = outer
+        flat.sort()
+        starts = np.flatnonzero(_run_heads(flat))
+        return RepFn(op, len(A), len(B), values=flat[starts], scale=scale,
+                     counts=np.diff(starts, append=flat.size))
     if op == "ratio" and 0 in B:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
     if op in ("prod", "ratio") and len(A) and len(B):
@@ -406,10 +421,7 @@ class _PairGroups:
         key <<= 31
         key += residues(1)
         self.order = np.argsort(key)
-        key = key[self.order]
-        self.head = np.empty(key.size, dtype=bool)
-        self.head[:1] = True
-        np.not_equal(key[1:], key[:-1], out=self.head[1:])
+        self.head = _run_heads(key[self.order])
 
     def values(self, sorted_pos: np.ndarray) -> Iterator[int]:
         """Exact integer values of the pairs at these sorted positions."""
@@ -534,17 +546,15 @@ def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
     if op == "ratio" and 0 in B:
         raise DivisionDomainError("ratio set requires 0 not in divisor set")
     outer = _outer_int64(A, B, op)
-    if outer is None:
+    if outer is not None:
+        flat, zeros = outer[0], 0
+    else:
         keys = _coprime_keys(A, B, op, False) if op in ("prod", "ratio") else None
         if keys is None:
             return _distinct_count_fingerprint(A, B, op)
         flat, _, zeros = keys
-        flat.sort()
-        nonzero = int(flat.size > 0) + int(np.count_nonzero(flat[1:] != flat[:-1]))
-        return nonzero + int(zeros > 0)
-    flat = outer[0]
     flat.sort()
-    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+    return int(np.count_nonzero(flat[1:] != flat[:-1])) + (flat.size > 0) + (zeros > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +652,7 @@ def _coprime_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn | None:
         return None
     flat, shift, zeros = keys
     flat.sort()
-    head = np.empty(flat.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(flat[1:] >> shift, flat[:-1] >> shift, out=head[1:])
-    starts = np.flatnonzero(head)
+    starts = np.flatnonzero(_run_heads(flat >> shift))
     pos = flat[starts] & ((1 << shift) - 1)
     a = [x for x in A.int_view.ints if x]
     b = [x for x in B.int_view.ints if x]

@@ -253,7 +253,7 @@ class _IntView:
     fits, else None (big-integer fallbacks take over).
     """
 
-    __slots__ = ("ints", "scale", "arr", "_mods", "_coprime")
+    __slots__ = ("ints", "scale", "arr", "_mods", "_coprime", "_tables")
 
     def __init__(self, ints: Sequence[int], scale: int, arr: np.ndarray | None = None):
         self.ints = ints
@@ -264,6 +264,15 @@ class _IntView:
             self.arr = np.array([], dtype=np.int64) if not ints else None
         self._mods: dict[int, np.ndarray] = {}
         self._coprime = _UNSET
+        self._tables: dict | None = None
+
+    def table(self, op: str, build):
+        """The set's table of `op`: `build()` once, kept as long as the view."""
+        if self._tables is None:
+            self._tables = {}
+        if op not in self._tables:
+            self._tables[op] = build()
+        return self._tables[op]
 
     def coprime(self) -> tuple[tuple[int, ...], np.ndarray] | None:
         """`coprime_exponents` of ints, computed once."""

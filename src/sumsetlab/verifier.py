@@ -172,7 +172,7 @@ def _safe_ratio(lhs: float, rhs: float) -> float:
 
 class SetCore:
     """Lazily cached quantities of A, or of the pair (A, B), shared by every
-    check on them: each table is built once and handed to what needs it.
+    check on them; A's own tables live on A itself (see `rep_fn`).
 
     `budget` caps the pair operations of projection counts for evaluations
     that name no budget of their own.
@@ -205,7 +205,7 @@ class SetCore:
     # the rest concerns A alone
 
     def _popular(self) -> tuple[FiniteSet, int]:
-        return self._memo("P", lambda: popular_difference_mass(self.A, table=self.rep("diff")))
+        return self._memo("P", lambda: popular_difference_mass(self.A))
 
     def popular_diff(self) -> FiniteSet:
         return self._popular()[0]
@@ -214,15 +214,14 @@ class SetCore:
         return self._popular()[1]
 
     def rich_diff(self) -> FiniteSet:
-        return self._memo("R", lambda: rich_difference_elements(
-            self.A, self.popular_diff(), table=self.rep("diff")))
+        return self._memo("R", lambda: rich_difference_elements(self.A, self.popular_diff()))
 
     def proj_popular_diff(self, budget: int | None) -> int:
         P = self.popular_diff()
         return self._memo(("projPP", budget), lambda: projection_count(P, P, budget=budget))
 
     def refinement(self):
-        return self._memo("refine", lambda: refine_rich_core(self.A, table=self.rep("diff")))
+        return self._memo("refine", lambda: refine_rich_core(self.A))
 
 
 class EvalContext:
@@ -313,9 +312,9 @@ def _chk_sum_proj(ctx: EvalContext) -> Measurement:
     if trace.stop_reason != "energy-criterion-met":
         raise _Skip(f"guard:{trace.stop_reason}")
     # the refinement's last step ran on core_set with ambient size |A|
-    dclass = dominant_dyadic_class(trace.rich_table, TWELVE_SEVENTHS)
+    dclass = dominant_dyadic_class(rep_fn(trace.rich, trace.rich, "diff"), TWELVE_SEVENTHS)
     proj = projection_count(trace.popular, dclass.members, budget=ctx.budget)
-    e3 = energy(trace.table, 3).exact
+    e3 = energy(rep_fn(core_set, core_set, "diff"), 3).exact
     prod = dclass.level * len(dclass.members) * len(core_set)
     return Measurement(Fraction(prod, 2) ** 2, e3 * proj,
                        f"|B|={len(core_set)},level={dclass.level},class={len(dclass.members)}")

@@ -3,10 +3,11 @@
 The residue-keyed kernel places every positive-difference pair of a set at
 its exact table entry (`RepFn.pair_pos`).  Rich elements and the
 difference-side triple count read the popular mask at those entries instead
-of looking each pair value up in P; `SetCore.pair_size` reads the size of a
-table it already holds.  These tests hold the table path to the
-`pair_membership` path and to brute-force oracles, also when every key group
-is a forced collision, and count the calls the table path saves.
+of looking each pair value up in P; any other P is looked up by
+`pair_membership`.  `SetCore.pair_size` reads the size of a table it already
+holds.  These tests hold the table path to the `pair_membership` path and to
+brute-force oracles, also when every key group is a forced collision, and
+count the calls the table path saves.
 """
 
 import importlib
@@ -52,14 +53,19 @@ def collide(request, monkeypatch):
     return request.param
 
 
+def _oracle_rich(A, P):
+    """The elements of A rich in P, by the definition."""
+    n = len(A)
+    return [x for x in A.elements
+            if 11 * sum((x - a) in P for a in A.elements) ** 2 >= 4 * n * n]
+
+
 def _oracle_popular_and_rich(A):
     """P and R by their definitions, from brute-force difference counts."""
     counts = oracle_rep_counts(A.elements, A.elements, "diff")
     n = len(A)
     P = {d for d, c in counts.items() if 11 * c * len(counts) >= n * n}
-    R = [x for x in A.elements
-         if 11 * sum((x - a) in P for a in A.elements) ** 2 >= 4 * n * n]
-    return P, R
+    return P, _oracle_rich(A, P)
 
 
 @pytest.mark.parametrize("name", sorted(PAST_INT64))
@@ -68,12 +74,14 @@ def test_table_path_matches_membership_and_oracle(name, collide):
     d = rep_fn(A, A, "diff")
     assert not d.is_numpy and d.pair_pos.dtype == np.int32
     assert d.pair_pos.size == len(A) * (len(A) - 1) // 2
-    P, _ = popular_difference_mass(A, table=d)
+    P, _ = popular_difference_mass(A)
     want_P, want_R = _oracle_popular_and_rich(A)
     assert set(P.elements) == want_P
 
-    rich = rich_difference_elements(A, P, table=d)
-    assert rich == rich_difference_elements(A, P)
+    rich = rich_difference_elements(A, P)
+    n = len(A)
+    c = pair_membership(A, A, "diff", P, per_row=True)
+    assert rich.elements == tuple(x for x, k in zip(A.elements, c.tolist()) if 11 * k * k >= 4 * n * n)
     assert list(rich.elements) == want_R
 
     popular = 11 * d.counts_array * d.size >= len(A) ** 2
@@ -94,33 +102,39 @@ def test_int64_tables_carry_no_positions():
         d.pair_mask(np.ones(d.size, dtype=bool))
 
 
-def test_a_set_other_than_the_popular_selection_raises():
+def test_a_set_other_than_the_popular_selection_takes_membership(monkeypatch):
+    constructions = sys.modules["sumsetlab.constructions"]
+    looked_up = []
+
+    def counted(X, Y, op, P, **kwargs):
+        looked_up.append(P)
+        return pair_membership(X, Y, op, P, **kwargs)
+
+    monkeypatch.setattr(constructions, "pair_membership", counted)
     A = PAST_INT64["GP(1,2)"]()
-    d = rep_fn(A, A, "diff")
-    P, _ = popular_difference_mass(A, table=d)
+    P, _ = popular_difference_mass(A)
     fewer = make_set(P.elements[1:])
     shifted = make_set([p + 1 for p in P.elements])
-    for other in (fewer, shifted, make_set([])):
-        with pytest.raises(DomainError, match="popular selection"):
-            rich_difference_elements(A, other, table=d)
     # a rational set: the comparison is made at the table's scale
     Q = PAST_INT64["GP(3,5/2)"]()
-    dq = rep_fn(Q, Q, "diff")
-    PQ, _ = popular_difference_mass(Q, table=dq)
+    PQ, _ = popular_difference_mass(Q)
     halves = make_set([p * Fraction(1, 2) for p in PQ.elements])
-    with pytest.raises(DomainError, match="popular selection"):
-        rich_difference_elements(Q, halves, table=dq)
+    for X, other in ((A, fewer), (A, shifted), (A, make_set([])), (Q, halves)):
+        assert list(rich_difference_elements(X, other).elements) == _oracle_rich(X, set(other))
+    assert looked_up == [fewer, shifted, make_set([]), halves]
+    # the popular selection itself is read from the table
+    assert rich_difference_elements(Q, PQ) == make_set(_oracle_rich(Q, set(PQ)))
+    assert len(looked_up) == 4
 
 
 def test_a_fresh_rational_selection_keeps_its_int_view_unbuilt():
     # P is compared with the table by cross-multiplication, not through
     # its scaled-integer view, whose scale is the lcm of P's denominators
     Q = PAST_INT64["GP(3,5/2)"]()
-    d = rep_fn(Q, Q, "diff")
-    P, _ = popular_difference_mass(Q, table=d)
+    P, _ = popular_difference_mass(Q)
     fresh = make_set(P.elements)
     assert fresh._iv is None and any(isinstance(p, Fraction) for p in fresh)
-    assert rich_difference_elements(Q, fresh, table=d) == rich_difference_elements(Q, P)
+    assert rich_difference_elements(Q, fresh) == rich_difference_elements(Q, P)
     assert fresh._iv is None
 
 
@@ -130,21 +144,21 @@ def test_difference_triples_take_the_table_on_int64_sets(n):
     P, _ = popular_difference_mass(A)
     want = oracle_triples_diff(A, P)
     assert count_popular_difference_triples(A) == want
-    assert count_popular_difference_triples(A, table=rep_fn(A, A, "diff")) == want
+    # again, from the difference table A now keeps
+    assert count_popular_difference_triples(A) == want
 
 
 def test_difference_triples_past_int64_read_the_positions(monkeypatch, collide):
     A = PAST_INT64["rational"]()
     P, _ = popular_difference_mass(A)
     want = oracle_triples_diff(A, P)
-    d = rep_fn(A, A, "diff")
 
     def no_lookup(*args, **kwargs):
         raise AssertionError("pair values were looked up in P")
 
     monkeypatch.setattr(sys.modules["sumsetlab.constructions"], "pair_membership", no_lookup)
-    assert count_popular_difference_triples(A, table=d) == want
     assert count_popular_difference_triples(A) == want
+    assert count_popular_difference_triples(make_set(A.elements)) == want
 
 
 def test_default_suite_past_int64_looks_up_no_pair_and_keys_only_A(monkeypatch):
@@ -165,11 +179,12 @@ def test_default_suite_past_int64_looks_up_no_pair_and_keys_only_A(monkeypatch):
     assert keyed and all(iv is A.int_view for iv in keyed)
 
 
-@pytest.mark.parametrize("A", [
-    gen_family(FamilySpec.random_subset(4 * 40 * 40, 40, seed=7)),
-    gen_family(FamilySpec.gp(1, 2, 70)),
+@pytest.mark.parametrize("spec", [
+    FamilySpec.random_subset(4 * 40 * 40, 40, seed=7),
+    FamilySpec.gp(1, 2, 70),
 ], ids=["int64", "past-int64"])
-def test_pair_size_reads_a_built_table(A, monkeypatch):
+def test_pair_size_reads_a_built_table(spec, monkeypatch):
+    A = gen_family(spec)  # fresh: a set keeps the tables built for it
     verifier = sys.modules["sumsetlab.verifier"]
     calls = []
 

@@ -1,21 +1,28 @@
-"""Each table of a set is built once and handed on.
+"""A set keeps its own tables: `rep_fn` builds the table of A op A once per
+set object and keeps it on the set for as long as the set lives.
 
-The checks of one set share a `SetCore`; the constructions take the
-difference table their caller holds; `refine_rich_core` hands back the
-tables of its last step, which `sum_proj` reads.  These tests count the
-`rep_fn` calls of whole runs, and check that a passed-in table gives the
-same results as one the construction builds itself.
+The constructions and the checks all read their tables through `rep_fn`, so
+nothing hands a table on.  These tests count the table builds of whole runs
+at the private builder (`energy._build_rep`), on sets made fresh in each
+test; check that a table already built gives the same results as one built
+afresh; and check the lifetime, sharing and pickling of the kept tables.
 """
 
+import gc
 import json
+import pickle
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumsetlab import (
     FamilySpec,
+    count_popular_difference_triples,
+    count_popular_sum_triples,
     dominant_dyadic_class,
     energy,
     gen_family,
@@ -33,26 +40,21 @@ from sumsetlab.constructions import TWELVE_SEVENTHS
 from sumsetlab.energy import to_float
 from sumsetlab.verifier import DEFAULT_PAIR_BUDGET, DEFAULT_VERIFY_CHECKS, run_check_suite
 
+en = sys.modules["sumsetlab.energy"]
+
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """A Counter of (A, B, op) over every rep_fn call made through a package
-    module that binds the name (the verifier and the constructions).
-
-    Modules come from sys.modules: the attribute `sumsetlab.energy` is the
-    function `energy`, not its module."""
+    """A Counter of (A, B, op) over every table built, counted at the
+    private builder, so a table `rep_fn` returns from a set is not counted."""
     builds = Counter()
-    energy_module = sys.modules["sumsetlab.energy"]
-    original = energy_module.rep_fn
+    original = en._build_rep
 
     def counted(A, B, op):
         builds[(A.elements, B.elements, op)] += 1
         return original(A, B, op)
 
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("sumsetlab.") and module is not energy_module
-                and getattr(module, "rep_fn", None) is original):
-            monkeypatch.setattr(module, "rep_fn", counted)
+    monkeypatch.setattr(en, "_build_rep", counted)
     return builds
 
 
@@ -95,7 +97,24 @@ def test_cli_stats_builds_each_table_once(table_builds, capsys):
     assert max(table_builds.values()) == 1
 
 
-# -- a passed-in table changes nothing -------------------------------------------
+@pytest.mark.parametrize("spec", [
+    FamilySpec.ap(1, 1, 64),
+    FamilySpec.convex_power(2, 48),
+    FamilySpec.random_subset(4 * 50 * 50, 50, seed=2),
+    FamilySpec.ap(Fraction(1, 3), Fraction(2, 7), 40),
+    FamilySpec.perturbed(FamilySpec.ap(1, 1, 32), 32, seed=4),
+], ids=lambda sp: sp.label())
+def test_a_sum_chain_round_builds_each_table_once(spec, table_builds):
+    # the calls of one item of the sum-chain benchmark workload
+    A = gen_family(spec)
+    assert run_check("sum_proj", A).verdict == "pass"
+    count_popular_sum_triples(A, len(A))
+    count_popular_difference_triples(A)
+    assert max(table_builds.values()) == 1
+    assert table_builds[_key(A, "diff")] == table_builds[_key(A, "sum")] == 1
+
+
+# -- a table already built gives what a fresh build gives ------------------------
 
 CASES = {
     "ap": lambda: gen_family(FamilySpec.ap(1, 1, 64)),
@@ -122,23 +141,30 @@ def case(request, monkeypatch):
 
 
 def test_popular_difference_mass_with_and_without_table(case):
+    # A with its difference table built, against an equal set without one
     _, A = case
-    assert popular_difference_mass(A, table=rep_fn(A, A, "diff")) == popular_difference_mass(A)
+    rep_fn(A, A, "diff")
+    assert popular_difference_mass(A) == popular_difference_mass(make_set(A.elements))
 
 
-def test_refine_rich_core_with_and_without_table(case):
+def test_refine_rich_core_with_and_without_table(case, table_builds):
     name, A = case
+    rep_fn(A, A, "diff")
     B, trace = refine_rich_core(A)
-    B2, trace2 = refine_rich_core(A, table=rep_fn(A, A, "diff"))
+    B2, trace2 = refine_rich_core(make_set(A.elements))
     assert (B2, trace2) == (B, trace)
     assert len(trace.iterates) == (2 if name == "two-steps" else 1)
     assert trace.stop_reason == "energy-criterion-met"
-    for t in (trace, trace2):
-        # the last step ran on B, with the ambient size |A|
-        assert t.popular == popular_sums(B, len(A))
-        assert t.rich == rich_sum_elements(B, t.popular)
-        assert t.table.counts == rep_fn(B, B, "diff").counts
-        assert t.rich_table.counts == rep_fn(t.rich, t.rich, "diff").counts
+    for X, t in ((B, trace), (B2, trace2)):
+        # the last step ran on X, with the ambient size |A|, and built the
+        # difference tables of X and of its rich subset
+        assert t.popular == popular_sums(X, len(A))
+        assert t.rich == rich_sum_elements(X, t.popular)
+        built = sum(table_builds.values())
+        kept = [rep_fn(Y, Y, "diff") for Y in (X, t.rich)]
+        assert sum(table_builds.values()) == built
+        for Y, f in zip((X, t.rich), kept):
+            assert f.counts == rep_fn(Y, make_set(Y.elements), "diff").counts
 
 
 def test_sum_proj_matches_explicit_recomputation(case):
@@ -157,3 +183,58 @@ def test_sum_proj_matches_explicit_recomputation(case):
                              f"class={len(dclass.members)}")
     assert (r.lhs, r.rhs) == (to_float(lhs), to_float(rhs))
     assert r.verdict == ("pass" if lhs <= rhs else "fail") == "pass"
+
+
+# -- a kept table: read-only, as long-lived as its set, never pickled --------------
+
+SETS = {
+    "int64": lambda: gen_family(FamilySpec.random_subset(10_000, 40, seed=3)),
+    "past-int64": lambda: gen_family(FamilySpec.gp(1, 2, 70)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_a_kept_table_is_read_only(name):
+    A = SETS[name]()
+    for op in ("sum", "diff"):
+        f = rep_fn(A, A, op)
+        arrays = [a for a in (f.counts_array, f.scaled_values, f.pair_pos)
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == (2 if name == "int64" or op == "diff" else 1)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1
+            with pytest.raises(ValueError):
+                a += 1
+
+
+def test_a_kept_table_lives_as_long_as_its_set():
+    A = SETS["int64"]()
+    f = rep_fn(A, A, "diff")
+    assert rep_fn(A, A, "diff") is f
+    table = weakref.ref(f)
+    del A, f
+    gc.collect()
+    assert table() is None
+
+
+def test_a_pickled_set_carries_no_tables(table_builds):
+    A = SETS["past-int64"]()
+    rep_fn(A, A, "diff")
+    assert pickle.dumps(A) == pickle.dumps(make_set(A.elements))
+    B = pickle.loads(pickle.dumps(A))
+    assert B == A and B is not A
+    assert rep_fn(B, B, "diff").counts == rep_fn(A, A, "diff").counts
+    assert table_builds == Counter({_key(A, "diff"): 2})
+
+
+def test_an_equal_but_distinct_set_builds_and_keeps_nothing(table_builds):
+    A = SETS["int64"]()
+    twin = make_set(A.elements)
+    f = rep_fn(A, twin, "sum")
+    assert rep_fn(A, twin, "sum") is not f
+    assert table_builds == Counter({_key(A, "sum"): 2})
+    kept = rep_fn(A, A, "sum")
+    assert kept is not f and kept.counts == f.counts
+    assert rep_fn(A, A, "sum") is kept
+    assert table_builds == Counter({_key(A, "sum"): 3})
