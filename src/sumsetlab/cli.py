@@ -153,7 +153,7 @@ _STAT_ENERGY_KS = (Fraction(3, 2), Fraction(12, 7), 2, Fraction(12, 5), 3)
 
 def _compute_stats(A: FiniteSet) -> dict:
     core = SetCore(A)
-    # the energies below need the tables of A - A and A / A: they give the sizes
+    # sizes read off the tables of A - A and A / A, which the energies need
     stats: dict = {
         "n": len(A),
         "sumset": core.pair_size("sum"),
