@@ -1,4 +1,4 @@
-"""Golden artifacts: the byte-identical outputs of five fixed CLI commands.
+"""Golden artifacts: the byte-identical outputs of seven fixed CLI commands.
 
 Each case is a `sumsetlab` command line.  Its artifacts are its stdout,
 its stderr, its exit code and every file it writes; they live in
@@ -11,11 +11,14 @@ Regenerate the corpus (and `VERSIONS`) with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and list every changed line, with its cause, in CHANGES.md.
+and list every changed line, with its cause, in CHANGES.md.  With `--check`
+the script writes nothing: it runs every case, names each case and artifact
+that differs from the corpus, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -26,7 +29,7 @@ import tempfile
 
 import numpy as np
 
-from sumsetlab.cli import main
+from sumsetlab import cli
 from sumsetlab.verifier import DEFAULT_VERIFY_CHECKS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -42,6 +45,13 @@ CASES = {
     "verify_gp": ["verify", "--family", "GP(1,2)", "--n", "80"],
     "stats_gp": ["stats", "--family", "GP(1,2)", "--n", "64", "--format", "json"],
     "usage_error": ["scan", "--families", "AP(1,1)", "--sizes", "16"],
+    # the determinism scan of acceptance criterion 7, at one job
+    "scan_criterion7": ["scan", "--families", "AP(1,1),GP(1,2),RandomSubset(8000)",
+                        "--sizes", "16,32", "--checks", "cs_energy,diff_proj,thm_sp",
+                        "--seed", "11", "--jobs", "1", "--out", "{scan.csv}"],
+    # four blocked FFT tables (K = 5), two of them with Q != P
+    "scan_fft": ["scan", "--families", "RandomSubset(600000)", "--sizes", "300,400",
+                 "--checks", "diff_proj,sum_proj", "--out", "{scan.csv}"],
 }
 
 
@@ -56,7 +66,7 @@ def run_case(argv: list[str]) -> dict[str, bytes]:
         args = [os.path.join(tmp, a[1:-1]) if a[1:-1] in written else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(args)
+            code = cli.main(args)
         artifacts = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode(),
                      "exit": f"{code}\n".encode()}
         for name in written:
@@ -75,6 +85,23 @@ def stored(case: str) -> dict[str, bytes]:
     return artifacts
 
 
+def differences() -> list[str]:
+    """One line per case whose artifacts differ from the corpus, naming
+    each artifact that differs, is missing or is new."""
+    lines = []
+    for case, argv in CASES.items():
+        got = run_case(argv)
+        want = stored(case) if os.path.isdir(os.path.join(HERE, case)) else {}
+        bad = [name for name in sorted(set(got) | set(want))
+               if got.get(name) != want.get(name)]
+        if bad:
+            lines.append(f"{case}: " + ", ".join(
+                name + ("" if name in got and name in want
+                        else " (missing)" if name in want else " (new)")
+                for name in bad))
+    return lines
+
+
 def regenerate() -> None:
     for case, argv in CASES.items():
         folder = os.path.join(HERE, case)
@@ -87,6 +114,28 @@ def regenerate() -> None:
         fh.write(versions())
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; name every case and artifact that differs")
+    args = parser.parse_args(argv)
+    if not args.check:
+        regenerate()
+        sys.stdout.write(f"wrote {len(CASES)} cases to {HERE}\n")
+        return 0
+    lines = differences()
+    for line in lines:
+        sys.stdout.write(line + "\n")
+    if lines:
+        with open(os.path.join(HERE, "VERSIONS"), encoding="utf-8") as fh:
+            made_with = fh.read()
+        if made_with != versions():
+            sys.stdout.write(f"the corpus was made with {made_with!r}, "
+                             f"this run has {versions()!r}\n")
+        return 1
+    sys.stdout.write(f"all {len(CASES)} cases are byte-identical\n")
+    return 0
+
+
 if __name__ == "__main__":
-    regenerate()
-    sys.stdout.write(f"wrote {len(CASES)} cases to {HERE}\n")
+    sys.exit(main())
