@@ -41,15 +41,19 @@ FFTs and rounded to the nearest integers.  The vector is cut into K >= 2
 blocks of at most about `_FFT_BLOCK` points, so that one transform stays in
 cache; each block is transformed on the least even length of the form
 2**a 3**b 5**c at or above twice its length, and the K spectra are combined
-pointwise before K inverse transforms.  Its exactness rests on two things
-(see `_difference_counts_fft`): Percival's rounding-error bound for FFT
+pointwise before K inverse transforms, each written over the spectrum it
+inverts.  The table is streamed: each block of it is formed, rounded and
+certified in one of those buffers, and `projection_count` adds up the
+block's counts at its query lags there, so no table of the whole span is
+ever allocated.  Its exactness rests on two things (see
+`_difference_counts_fft`): Percival's rounding-error bound for FFT
 convolution, proved for a complex radix-2 transform and carried over to
 numpy's mixed-radix real transforms without a proof (each radix-r pass
 counted as r - 1 radix-2 stages, the K-term sums as ceil(log2 K) more),
 under which the kernel refuses operands whose error could reach 1/4; and a
-certification of every rounded table, which raises on any failed check.
-Sets whose span is too large use the sorted-membership loop under a work
-budget.
+certification of every rounded table, carried across its blocks, which
+raises on any failed check before a count is returned.  Sets whose span is
+too large use the sorted-membership loop under a work budget.
 """
 
 from __future__ import annotations
@@ -726,23 +730,31 @@ def _int64_lookup(x: np.ndarray, y: np.ndarray, op: str, p: np.ndarray):
     return block
 
 
+def _sorted_keys(iv, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residue keys of m * iv.ints (as in `_PairGroups`), sorted, and
+    their argsort."""
+    t1, t2 = _key_parts(iv, m)
+    keys = (t1 << 31) + t2
+    by_key = np.argsort(keys)
+    return keys[by_key], by_key
+
+
 def _residue_lookup(op: str, scaled):
     """block(r0, r1): whether x[i] op y[j] lies in the sorted p, for rows
     r0 <= i < r1, with values that need not fit int64; `scaled` holds the
     int views of X, Y and P with the multipliers that make x, y and p.
 
     Each pair's residue key (as in `_PairGroups`) is looked up in p's sorted
-    keys; a key hit names one element of p with that key, which is compared
-    exactly, and p itself is searched only when they differ (p may repeat a
-    key).
+    keys, which P's int view keeps per multiplier and key primes; a key hit
+    names one element of p with that key, which is compared exactly, and p
+    itself is searched only when they differ (p may repeat a key).
     """
     p1, p2 = _KEY_PRIMES
     ufunc, f = _PAIR_FUNCS[op]
     x, y, p = (_times(iv.ints, m) for iv, m in scaled)
-    (x1, x2), (y1, y2), (t1, t2) = (_key_parts(iv, m) for iv, m in scaled)
-    table = (t1 << 31) + t2
-    by_key = np.argsort(table)
-    table = table[by_key]
+    (x1, x2), (y1, y2) = (_key_parts(iv, m) for iv, m in scaled[:2])
+    piv, pm = scaled[2]
+    table, by_key = piv.sorted_keys((pm, p1 * p2), lambda: _sorted_keys(piv, pm))
 
     def block(r0, r1):
         v = ufunc.outer(x1[r0:r1], y1) % p1
@@ -916,57 +928,83 @@ def _offsets(p_ints) -> np.ndarray:
     return np.array([v - lo for v in p_ints], dtype=np.int64)
 
 
-def _certified_counts(raw: np.ndarray, even: np.ndarray, p_ints) -> np.ndarray:
-    """Round `_difference_counts_fft`'s float tables for the sorted set
-    `p_ints` (an int64 array or a list of integers), or raise.
+class _TableCertifier:
+    """The checks of `_difference_counts_fft`'s table for the sorted set
+    `p_ints` (an int64 array or a list of integers), carried across the
+    table's blocks of at most b entries.
 
-    `raw[d]` approximates the number of ordered pairs at difference d >= 0
-    (zero past the set's span).  It is rounded in place, `_FFT_BLOCK`
-    entries at a time, and the int64 table returned is a view of its
-    buffer, so the table costs no memory beyond `raw`.  `even` is a transform
-    output whose entries at lags d and -d (index len(even) - d) are two
-    computations of one count.  Every raw entry must lie within 1/4 of an
-    integer, and the rounded table must give zero-lag count |P|, mass |P|**2
-    over both signs of d, first moment sum(d * count) equal to the sum of
-    p1 - p2 over pairs p1 > p2 (both taken mod 2**64), and equal rounded
-    counts at d and -d in `even`.  The zero-lag, mass and moment checks
-    together catch any error confined to one or two lags below 2**24 that
-    is smaller than 2**40.  All failed checks are reported in one
-    ExactnessError.
+    `check_symmetry(r0)` takes R_0, whose entries at lags d and -d (index
+    len(r0) - d) are two computations of one count.  `round(part)` takes
+    the table's float blocks in order (entry j of a block approximates the
+    number of ordered pairs at difference offset + j, zero past the set's
+    span), rounds each in place and returns the int64 view of its buffer.
+    `close()` raises ExactnessError, naming every failed check, unless:
+    every entry lies within 1/4 of an integer; the zero-lag count is |P|;
+    the mass over both signs of d is |P|**2; the first moment
+    sum(d * count) equals the sum of p1 - p2 over pairs p1 > p2 (both taken
+    mod 2**64); and R_0's rounded counts at d and -d agree.  The zero-lag,
+    mass and moment checks together catch any error confined to one or two
+    lags below 2**24 that is smaller than 2**40.  All of it runs on at most
+    `_FFT_BLOCK` / 4 entries at a time, so no temporary outgrows that.
     """
-    counts = raw.view(np.int64)
-    errs = []
-    for lo in range(0, raw.size, _FFT_BLOCK):
-        part = raw[lo:lo + _FFT_BLOCK]
-        rounded = np.rint(part)
-        part -= rounded
-        errs.append(np.max(np.abs(part, out=part)))
-        counts[lo:lo + _FFT_BLOCK] = rounded
-    err = float(np.max(errs))
-    size = len(p_ints)
-    half = even.size // 2
-    pos = _offsets(p_ints)
-    weights = 2 * np.arange(size, dtype=np.int64) - (size - 1)
-    moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
-    got_moment = int(np.dot(np.arange(counts.size, dtype=np.uint64),
-                            counts.view(np.uint64)))
-    mass = 2 * int(counts.sum()) - int(counts[0])
-    problems = []
-    if not err < _FFT_ERROR_LIMIT:
-        problems.append(f"an entry lies {err:.3g} from the nearest integer")
-    if int(counts[0]) != size:
-        problems.append(f"zero-lag count {int(counts[0])} != |P| = {size}")
-    if mass != size * size:
-        problems.append(f"mass {mass} != |P|^2 = {size * size}")
-    if got_moment != moment:
-        problems.append("first moment differs from sum(p1 - p2) mod 2**64")
-    if not np.array_equal(np.rint(even[1:half]), np.rint(even[:half:-1])):
-        problems.append("table is not symmetric")
-    if problems:
-        raise ExactnessError(
-            "difference-count table failed certification: " + "; ".join(problems)
-        )
-    return counts
+
+    def __init__(self, p_ints, b: int):
+        self.p_ints = p_ints
+        self.chunk = min(b, max(1, _FFT_BLOCK // 4))
+        self.ramp = np.arange(self.chunk, dtype=np.uint64)
+        self.offset = 0  # lag of the next block's first entry
+        self.errs = []
+        self.zero_lag = self.mass = self.moment = 0
+        self.symmetric = True
+
+    def check_symmetry(self, r0: np.ndarray) -> None:
+        m, half = r0.size, r0.size // 2
+        for lo in range(1, half, self.chunk):
+            hi = min(lo + self.chunk, half)
+            if not np.array_equal(np.rint(r0[lo:hi]), np.rint(r0[m - lo:m - hi:-1])):
+                self.symmetric = False
+                return
+
+    def round(self, part: np.ndarray) -> np.ndarray:
+        counts = part.view(np.int64)
+        for lo in range(0, part.size, self.chunk):
+            x = part[lo:lo + self.chunk]
+            rounded = np.rint(x)
+            x -= rounded
+            self.errs.append(np.abs(x, out=x).max())
+            c = counts[lo:lo + self.chunk]
+            c[:] = rounded
+            total = int(c.sum())
+            self.mass += total
+            self.moment += (self.offset + lo) * total + int(
+                self.ramp[:c.size].dot(c.view(np.uint64)))
+        if self.offset == 0:
+            self.zero_lag = int(counts[0])
+        self.offset += part.size
+        return counts
+
+    def close(self) -> None:
+        err = float(np.max(self.errs))
+        size = len(self.p_ints)
+        pos = _offsets(self.p_ints)
+        weights = 2 * np.arange(size, dtype=np.int64) - (size - 1)
+        moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
+        mass = 2 * self.mass - self.zero_lag
+        problems = []
+        if not err < _FFT_ERROR_LIMIT:
+            problems.append(f"an entry lies {err:.3g} from the nearest integer")
+        if self.zero_lag != size:
+            problems.append(f"zero-lag count {self.zero_lag} != |P| = {size}")
+        if mass != size * size:
+            problems.append(f"mass {mass} != |P|^2 = {size * size}")
+        if self.moment % 2 ** 64 != moment:
+            problems.append("first moment differs from sum(p1 - p2) mod 2**64")
+        if not self.symmetric:
+            problems.append("table is not symmetric")
+        if problems:
+            raise ExactnessError(
+                "difference-count table failed certification: " + "; ".join(problems)
+            )
 
 
 def _block_layout(span: int) -> tuple[int, int, int]:
@@ -982,13 +1020,6 @@ def _block_layout(span: int) -> tuple[int, int, int]:
     k = max(2, -(-length // _FFT_BLOCK))
     m, stages = _fft_length(2 * -(-length // k) - 1)
     return k, m, stages + (k - 1).bit_length()
-
-
-def _block_spectrum(pos: np.ndarray, b: int) -> np.ndarray:
-    """rfft on 2*b points of the 0/1 vector with ones at `pos` (< b)."""
-    x = np.zeros(b)
-    x[pos] = 1.0
-    return np.fft.rfft(x, 2 * b)
 
 
 def _correlate_spectra(rows: list) -> None:
@@ -1022,13 +1053,20 @@ def _correlate_spectra(rows: list) -> None:
         x[0][:] = power
 
 
-def _difference_counts_fft(p_ints) -> np.ndarray:
-    """Exact difference counts of a sorted integer set, for lags d >= 0.
+def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
+    """Exact difference counts of a sorted integer set, for lags d >= 0,
+    streamed block by block.
 
     The set `p_ints` is a sorted int64 array or a sorted list of integers.
 
-    Returns counts with counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for
-    d = 0..max(P) - min(P), the span; the count at -d is the one at d.
+    Yields int64 blocks of consecutive lags whose concatenation is counts,
+    with counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for
+    d = 0..max(P) - min(P), the span; the count at -d is the one at d.  A
+    block is a read-only view of the kernel's buffer, whose later steps
+    leave it as it is; a caller that keeps one keeps that buffer alive.
+    The checks that span the whole table raise ExactnessError after the
+    last block: a count read from the blocks is certified only once the
+    generator is exhausted without an error.
 
     Layout (`_block_layout`): the indicator vector x of P - min(P), of
     L = span + 1 points, is cut into K = max(2, ceil(L / `_FFT_BLOCK`))
@@ -1050,13 +1088,19 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
     in two halves.  K = 2 is that two-halves layout (spans below
     2 * `_FFT_BLOCK`); larger spans take more blocks, so that one transform
     stays in cache instead of growing with the span (pocketfft's cost per
-    point doubles past about 2**20 points).  Each spectrum and each R_t
-    but R_0 is freed once consumed, and `_certified_counts` rounds the
-    float table in place, so peak numpy memory is about 24 + 16/K bytes per
-    span point, reached while the spectra are inverted: K - 2 spectra, R_0,
-    one R_t and the float table (under tracemalloc 26.0 bytes at K = 9,
-    29.5 at K = 3 and 27-29.5 at K = 2, where rounding into fresh arrays
-    peaked at 34).
+    point doubles past about 2**20 points).  No table of the whole span is
+    ever allocated.  The K spectra are the rows of one K x (b + 1) complex
+    array, 16 bytes per block point each.  S_0, S_1, ... are inverted in
+    turn, each R_t written over the S_t it comes from (`irfft` with `out=`,
+    which copies its input first), and block t - 1 of the table,
+    R_{t-1}[:b] + R_t[b:], is formed in R_{t-1}'s row, rounded and
+    certified there (`_TableCertifier`) and yielded.  Peak numpy memory is
+    the K rows plus that copy, about 16 + 16/K bytes per span point (under
+    tracemalloc 18.3 bytes at K = 9, 22.4 at K = 3 and 26.6 at K = 2,
+    where the whole float table kept next to the spectra peaked at 26.0,
+    29.5 and 27-29.5).  One array for all the spectra also spares the
+    allocator: with a fresh buffer for each R_t, a round of the benchmark's
+    `sum-chain` workload took 86 000 minor page faults instead of 33 000.
 
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound
@@ -1079,9 +1123,10 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
     falls on span 4 049 999 (K = 16, M = 2 * 3**4 * 5**5, m = 29 + 4,
     |P| <= 4 050 000).  The kernel raises ExactnessError before any
     transform when it reaches 1/4 (possible only when a caller forces this
-    path past the span limit).  Exactness rests also on `_certified_counts`,
-    which checks every table after rounding (R_0 gives the symmetry check)
-    and raises ExactnessError on any failure.
+    path past the span limit).  Exactness rests also on `_TableCertifier`,
+    which checks every block as it is rounded and the whole table after the
+    last one (R_0 gives the symmetry check), and raises ExactnessError on
+    any failure.
     """
     span = int(p_ints[-1]) - int(p_ints[0])
     size = len(p_ints)
@@ -1096,25 +1141,33 @@ def _difference_counts_fft(p_ints) -> np.ndarray:
     b = m // 2
     pos = _offsets(p_ints)
     cuts = np.searchsorted(pos, b * np.arange(1, k))
-    rows = [_block_spectrum(part - i * b, b)
-            for i, part in enumerate(np.split(pos, cuts))]
-    del pos
-    _correlate_spectra(rows)
-    # block t of the table is R_t's lags 0..b-1 plus R_{t+1}'s lags -b..-1,
-    # which sit at indices b..M-1
-    even = prev = np.fft.irfft(rows[0], m)
-    rows[0] = None
-    for t in range(1, k):
-        cur = np.fft.irfft(rows[t], m)
-        rows[t] = None
-        if t == 1:
-            # allocated only now, when two spectra are already freed
-            raw = np.empty(k * b)
-        np.add(prev[:b], cur[b:], out=raw[(t - 1) * b:t * b])
-        prev = cur
-    raw[(k - 1) * b:] = prev[:b]
-    del prev, cur
-    return _certified_counts(raw, even, p_ints)[: span + 1]
+    # row t holds X_t, then S_t, then R_t: each R_t is written over the
+    # spectrum it comes from, as the M floats at the head of the row
+    spectra = np.empty((k, b + 1), dtype=complex)
+    x = np.zeros(b)
+    for i, part in enumerate(np.split(pos, cuts)):
+        part -= i * b
+        x[part] = 1.0
+        np.fft.rfft(x, m, out=spectra[i])
+        x[part] = 0.0
+    del pos, x
+    _correlate_spectra(list(spectra))
+    table = spectra.view(np.float64)
+    cert = _TableCertifier(p_ints, b)
+    np.fft.irfft(spectra[0], m, out=table[0, :m])
+    cert.check_symmetry(table[0, :m])
+    # block t - 1 of the table is R_{t-1}'s lags 0..b-1 plus R_t's lags
+    # -b..-1, which sit at indices b..M-1
+    for t in range(1, k + 1):
+        block = table[t - 1, :b]
+        if t < k:
+            np.fft.irfft(spectra[t], m, out=table[t, :m])
+            block += table[t, b:m]
+        block = cert.round(block)[:max(0, span + 1 - (t - 1) * b)]
+        block.flags.writeable = False
+        if block.size:
+            yield block
+    cert.close()
 
 
 def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
@@ -1153,13 +1206,20 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
                     strategy = "poly"
 
     if strategy == "poly":
-        counts = _difference_counts_fft(p_ints)
-        span = counts.size - 1
-        if com is not None:
-            q = np.abs(q_ints)
-            return int(counts[q[q <= span]].sum())
-        hits = [abs(q) for q in q_ints if -span <= q <= span]
-        return int(counts[np.array(hits, dtype=np.int64)].sum())
+        # the sorted lags in [-span, span] give |q| as two ascending runs,
+        # so each block's lags are a slice of each run (q and -q both count)
+        span = int(p_ints[-1]) - int(p_ints[0])
+        lags = np.asarray(q_ints[bisect.bisect_left(q_ints, -span):
+                                 bisect.bisect_right(q_ints, span)], dtype=np.int64)
+        mid = int(np.searchsorted(lags, 0))
+        runs = (-lags[:mid][::-1], lags[mid:])
+        total = lo = 0
+        for block in _difference_counts_fft(p_ints):
+            for run in runs:
+                i, j = run.searchsorted(lo), run.searchsorted(lo + block.size)
+                total += int(block[run[i:j] - lo].sum())
+            lo += block.size
+        return total
 
     if strategy != "hash":
         raise DomainError(f"unknown projection_count strategy {strategy!r}")

@@ -191,6 +191,9 @@ class SetCore:
         return self._c[key]
 
     def rep(self, op: str):
+        # A's own tables are kept on A; only a distinct B needs the memo
+        if self.B is self.A:
+            return rep_fn(self.A, self.A, op)
         return self._memo(("rep", op), lambda: rep_fn(self.A, self.B, op))
 
     def E(self, k, op: str = "diff"):
@@ -198,8 +201,9 @@ class SetCore:
 
     def pair_size(self, op: str) -> int:
         # a table already built knows its support size
-        if ("rep", op) in self._c:
-            return self._c[("rep", op)].size
+        built = self.A.int_view.kept(op) if self.B is self.A else self._c.get(("rep", op))
+        if built is not None:
+            return built.size
         return self._memo(("psize", op), lambda: pair_set_size(self.A, self.B, op))
 
     # the rest concerns A alone

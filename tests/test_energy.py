@@ -270,12 +270,17 @@ def test_projection_count_auto_loops_over_sparse_wide_sets(monkeypatch):
     assert calls == [460]
 
 
+def _fft_table(en, P):
+    """The kernel's whole difference table, joined from its blocks."""
+    return np.concatenate(list(en._difference_counts_fft(P)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(int_sets)
 def test_fft_difference_table_matches_oracle(P):
-    from sumsetlab.energy import _difference_counts_fft
+    en = importlib.import_module("sumsetlab.energy")
 
-    counts = _difference_counts_fft(list(P.elements))
+    counts = _fft_table(en, list(P.elements))
     assert counts.size == P.elements[-1] - P.elements[0] + 1
     assert counts.dtype == np.int64
     want = oracle_rep_counts(P.elements, P.elements, "diff")
@@ -283,8 +288,17 @@ def test_fft_difference_table_matches_oracle(P):
     assert got == want
 
 
+def _certify(en, raw, even, P, b):
+    """Run the streamed certifier over `raw` in blocks of b, with R_0 `even`."""
+    cert = en._TableCertifier(P, b)
+    cert.check_symmetry(even)
+    blocks = [cert.round(raw[lo:lo + b]) for lo in range(0, raw.size, b)]
+    cert.close()
+    return np.concatenate(blocks)
+
+
 def test_fft_certification_raises_on_each_perturbed_check():
-    from sumsetlab.energy import _certified_counts
+    en = importlib.import_module("sumsetlab.energy")
 
     # the kernel's layout for this set: 16 transform points, halves of 8
     P = [0, 1, 3, 7, 12]
@@ -294,7 +308,7 @@ def test_fft_certification_raises_on_each_perturbed_check():
     even_counts = [oracle_rep_counts(x, x, "diff") for x in halves]
     even = np.array([sum(c.get(d if d < 8 else d - 16, 0) for c in even_counts)
                      for d in range(16)], dtype=float)
-    assert _certified_counts(raw.copy(), even, P).tolist() == raw.tolist()
+    assert _certify(en, raw.copy(), even, P, 8).tolist() == raw.tolist()
     cases = [
         ({3: 0.3}, {}, ["from the nearest integer"]),
         ({0: 1.0}, {}, ["zero-lag count", "mass"]),
@@ -309,7 +323,7 @@ def test_fft_certification_raises_on_each_perturbed_check():
         for index, delta in even_deltas.items():
             bad_even[index] += delta
         with pytest.raises(ExactnessError) as info:
-            _certified_counts(bad_raw, bad_even, P)
+            _certify(en, bad_raw, bad_even, P, 8)
         failed = str(info.value).split(": ", 1)[1].split("; ")
         assert len(failed) == len(checks)
         for check in checks:
@@ -379,14 +393,14 @@ def test_fft_kernel_on_pinned_lengths(monkeypatch, n):
     lengths = []
     for name in ("rfft", "irfft"):
         transform_fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda a, m, f=transform_fn:
-                            lengths.append(m) or f(a, m))
+        monkeypatch.setattr(np.fft, name, lambda a, m, f=transform_fn, **kw:
+                            lengths.append(m) or f(a, m, **kw))
     rng = random.Random(n)
     for span in (n - 1, n):
         P = sorted({0, span, n // 2 - 1, n // 2, *rng.sample(range(span), min(150, span // 2))})
         P = [p - 7 for p in P]
         lengths.clear()
-        counts = en._difference_counts_fft(P)
+        counts = _fft_table(en, P)
         want = oracle_rep_counts(P, P, "diff")
         got = {s * d: int(c) for d, c in enumerate(counts.tolist()) if c for s in (1, -1)}
         assert got == want
@@ -399,7 +413,7 @@ def test_fft_kernel_on_pinned_lengths(monkeypatch, n):
 def test_fft_kernel_on_dense_verify_shaped_set(monkeypatch):
     lengths = []
     rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda a, m: lengths.append(m) or rfft(a, m))
+    monkeypatch.setattr(np.fft, "rfft", lambda a, m, **kw: lengths.append(m) or rfft(a, m, **kw))
     # the set itself, and its popular differences, which diff_proj counts
     from sumsetlab import popular_differences
 
@@ -413,7 +427,7 @@ def test_fft_kernel_on_dense_verify_shaped_set(monkeypatch):
 
 
 def _check_difference_table(en, P):
-    counts = en._difference_counts_fft(P)
+    counts = _fft_table(en, P)
     assert counts.dtype == np.int64 and counts.size == P[-1] - P[0] + 1
     want = oracle_rep_counts(P, P, "diff")
     got = {s * d: int(c) for d, c in enumerate(counts.tolist()) if c for s in (1, -1)}
@@ -469,14 +483,50 @@ def test_fft_block_layout_matches_oracle(block, values, shift):
                 S, R, strategy="hash")
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3, 7, 12]), st.data())
+def test_streamed_projection_count_at_edge_lags(blocks, data):
+    # the poly path reads each block's lags from two sorted runs of |q|;
+    # poly, hash and the oracle agree on Q holding q and -q, the lags 0 and
+    # +-span, lags past the span and a Q that the span filter empties, over
+    # int64 sets and over rationals past int64 (the Python-int list path)
+    en = importlib.import_module("sumsetlab.energy")
+    block = 8
+    span = data.draw(st.integers(max(1, block * (blocks - 1)), block * blocks - 1))
+    inner = data.draw(st.lists(st.integers(1, span - 1), max_size=24)) if span > 1 else []
+    offsets = sorted({0, span, *inner})
+    lags = data.draw(st.lists(st.integers(-span, span), max_size=10))
+    past = data.draw(st.lists(st.integers(span + 1, 3 * span), min_size=1, max_size=4))
+    den = data.draw(st.sampled_from([1, 3]))
+    shift = data.draw(st.sampled_from([0, -700, 2 ** 70, -(2 ** 90)]))
+    P = make_set(Fraction(p + shift, den) for p in offsets)
+    cases = {
+        "both signs": [s * q for q in lags for s in (1, -1)],
+        "ends": [0, span, -span, *lags],
+        "past": [span + 1, -span - 1, *past, *(-q for q in past), *lags],
+        "emptied": [*past, *(-q for q in past)],
+    }
+    with mock.patch.object(en, "_FFT_BLOCK", block):
+        assert en._block_layout(span)[0] == blocks
+        for name, qs in cases.items():
+            if not qs:
+                continue
+            Q = make_set(Fraction(q, den) for q in qs)
+            want = oracle_projection(P.elements, Q.elements)
+            if name == "emptied":
+                assert want == 0
+            assert projection_count(P, Q, strategy="poly") == want, name
+            assert projection_count(P, Q, strategy="hash") == want, name
+
+
 def _corrupt_irfft(monkeypatch, row, deltas):
     # add deltas[j] at negative lag j - b of the inverse transform of S_row,
     # whose lags -b..-1 land in block row - 1 of the table
     calls = []
     irfft = np.fft.irfft
 
-    def patched(a, m):
-        out = irfft(a, m)
+    def patched(a, m, **kw):
+        out = irfft(a, m, **kw)
         if len(calls) == row:
             for lag, delta in deltas.items():
                 out[m // 2 + lag] += delta
@@ -504,50 +554,96 @@ def test_fft_certification_covers_every_block(monkeypatch, row, deltas):
     _check_difference_table(en, P)
     calls = _corrupt_irfft(monkeypatch, row, deltas)
     with pytest.raises(ExactnessError, match="failed certification"):
-        en._difference_counts_fft(P)
+        _fft_table(en, P)
+    assert calls == [m] * k
+
+
+def _streamed_peak(en, P, lags):
+    """Peak numpy memory (tracemalloc) while P's difference table streams
+    past, the number of lags it covers, and its counts at `lags`, read from
+    each block as it passes."""
+    import tracemalloc
+
+    got = {}
+    tracemalloc.start()
+    try:
+        lo = 0
+        for block in en._difference_counts_fft(P):
+            for lag in lags:
+                if lo <= lag < lo + block.size:
+                    got[lag] = int(block[lag - lo])
+            lo += block.size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, lo, got
+
+
+@pytest.mark.parametrize("lag", [1, 9, 17, 30])
+def test_fft_symmetry_check_reads_every_chunk_of_r0(monkeypatch, lag):
+    # R_0's negative lags enter no block of the table; only the symmetry
+    # check reads them, over R_0 in chunks of _FFT_BLOCK / 4 = 8 points,
+    # and lag j of the inverse transform's upper half pairs with d = b - j
+    en = importlib.import_module("sumsetlab.energy")
+    monkeypatch.setattr(en, "_FFT_BLOCK", 32)
+    rng = random.Random(lag)
+    P = sorted({0, 250, *rng.sample(range(250), 90)})
+    k, m, _ = en._block_layout(P[-1])
+    assert m // 2 == 32 and k > 2
+    calls = _corrupt_irfft(monkeypatch, 0, {lag: 1.0})
+    with pytest.raises(ExactnessError) as info:
+        _fft_table(en, P)
+    assert str(info.value).split(": ", 1)[1] == "table is not symmetric"
     assert calls == [m] * k
 
 
 def test_fft_kernel_peak_memory_per_span_point():
     # the two-halves kernel peaked at 34.4 bytes of numpy memory per span
     # point; blocks of a large span free each spectrum once inverted
-    import tracemalloc
-
     en = importlib.import_module("sumsetlab.energy")
     rng = np.random.default_rng(21)
     span = (1 << 21) + 12_345
     P = np.unique(np.concatenate(([0, span], rng.integers(0, span, 20_000))))
     assert en._block_layout(span)[0] > 2
-    tracemalloc.start()
-    try:
-        counts = en._difference_counts_fft(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert int(counts[0]) == P.size and int(counts[span]) == 1
+    peak, size, counts = _streamed_peak(en, P, [0, span])
+    assert size == span + 1 and counts == {0: P.size, span: 1}
     assert peak < 34.4 * span
 
 
 def test_fft_kernel_rounds_its_table_in_place():
     # two blocks: rounding into fresh float and int64 tables peaked at
     # 34 bytes per span point, rounding in place at 27-27.4
-    import tracemalloc
-
     en = importlib.import_module("sumsetlab.energy")
     rng = np.random.default_rng(21)
     span = 300_000
     P = np.unique(np.concatenate(([0, span], rng.integers(0, span, 20_000))))
     assert en._block_layout(span)[0] == 2
-    tracemalloc.start()
-    try:
-        counts = en._difference_counts_fft(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counts.dtype == np.int64 and counts.size == span + 1
-    for lag in [0, 1, span] + rng.integers(2, span, 40).tolist():
-        assert int(counts[lag]) == np.intersect1d(P, P + lag).size
+    lags = [0, 1, span] + rng.integers(2, span, 40).tolist()
+    peak, size, counts = _streamed_peak(en, P, lags)
+    assert size == span + 1
+    for lag in lags:
+        assert counts[lag] == np.intersect1d(P, P + lag).size
     assert peak < 28 * span
+
+
+@pytest.mark.parametrize("span, blocks, limit", [
+    ((1 << 21) + 12_345, 9, 20),
+    (700_000, 3, 25),
+])
+def test_fft_kernel_streams_its_table(span, blocks, limit):
+    # at its peak the kernel holds K - 1 spectra, R_0 and R_1, never the
+    # whole table: about 16 + 16/K bytes per span point (keeping the float
+    # table next to the spectra peaked at 26.0 at K = 9 and 29.5 at K = 3)
+    en = importlib.import_module("sumsetlab.energy")
+    rng = np.random.default_rng(span)
+    P = np.unique(np.concatenate(([0, span], rng.integers(0, span, 20_000))))
+    assert en._block_layout(span)[0] == blocks
+    lags = [0, 1, span] + rng.integers(2, span, 20).tolist()
+    peak, size, counts = _streamed_peak(en, P, lags)
+    assert size == span + 1
+    for lag in lags:
+        assert counts[lag] == np.intersect1d(P, P + lag).size
+    assert peak < limit * span
 
 
 # -- pair set sizes ------------------------------------------------------------
@@ -883,6 +979,36 @@ def test_pair_membership_resolves_forced_collisions(monkeypatch):
                 assert got.tolist() == want
                 hits += int(got.sum())
     assert hits > 1000
+
+
+def test_residue_lookup_keeps_the_sorted_keys_of_p(monkeypatch):
+    # past int64 a lookup sorts P's residue keys; P's int view keeps them, so
+    # a second lookup against the same P computes no keys and no argsort
+    en = importlib.import_module("sumsetlab.energy")
+    G = gen_family(FamilySpec.gp(1, 2, 70))
+    P = _membership_target(G, G, "sum", "half")
+    p_keys, sorts = [], []
+    key_parts, argsort = en._key_parts, np.argsort
+
+    def counted_keys(iv, m):
+        if iv is P.int_view:
+            p_keys.append(m)
+        return key_parts(iv, m)
+
+    monkeypatch.setattr(en, "_key_parts", counted_keys)
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    members = set(P.elements)
+    for op in ("sum", "diff", "sum"):
+        want = [[_PY_OPS[op](x, y) in members for y in G] for x in G]
+        assert en.pair_membership(G, G, op, P).tolist() == want
+    assert p_keys == [1] and len(sorts) == 1
+    table, by_key = P.int_view.sorted_keys((1, en._KEY_PRIMES[0] * en._KEY_PRIMES[1]), None)
+    assert not table.flags.writeable and not by_key.flags.writeable
+    # a new multiplier (P over a common denominator with a rational X) is a new entry
+    X = make_set([Fraction(1, 3), 1 << 70])
+    want = [[_PY_OPS["sum"](x, y) in members for y in G] for x in X]
+    assert en.pair_membership(X, G, "sum", P).tolist() == want
+    assert p_keys == [1, 3] and len(sorts) == 2
 
 
 def _int32_edge_sets():

@@ -4,8 +4,8 @@ The residue-keyed kernel places every positive-difference pair of a set at
 its exact table entry (`RepFn.pair_pos`).  Rich elements and the
 difference-side triple count read the popular mask at those entries instead
 of looking each pair value up in P; any other P is looked up by
-`pair_membership`.  `SetCore.pair_size` reads the size of a table it already
-holds.  These tests hold the table path to the `pair_membership` path and to
+`pair_membership`.  `SetCore.pair_size` reads the size of a table already
+built: for A with itself the one kept on A, for a distinct B its own memo.  These tests hold the table path to the `pair_membership` path and to
 brute-force oracles, also when every key group is a forced collision, and
 count the calls the table path saves.
 """
@@ -199,3 +199,33 @@ def test_pair_size_reads_a_built_table(spec, monkeypatch):
     core.rep("sum")
     assert core.pair_size("sum") == pair_set_size(A, A, "sum") and calls == []
     assert core.pair_size("prod") == pair_set_size(A, A, "prod") and calls == ["prod"]
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec.random_subset(4 * 40 * 40, 40, seed=7),
+    FamilySpec.gp(1, 2, 70),
+], ids=["int64", "past-int64"])
+def test_a_self_pair_reads_the_tables_kept_on_the_set(spec, monkeypatch):
+    A = gen_family(spec)
+    verifier = sys.modules["sumsetlab.verifier"]
+    calls = []
+
+    def counted(X, Y, op):
+        calls.append(op)
+        return pair_set_size(X, Y, op)
+
+    monkeypatch.setattr(verifier, "pair_set_size", counted)
+    core = SetCore(A)
+    table = core.rep("diff")
+    assert table is rep_fn(A, A, "diff") is A.int_view.kept("diff")
+    # a built op is read from the set's table, with no pair_set_size
+    assert core.pair_size("diff") == table.size and calls == []
+    # an op not built is counted and builds no table
+    assert core.pair_size("sum") == pair_set_size(A, A, "sum") and calls == ["sum"]
+    assert A.int_view.kept("sum") is None
+    assert not any(isinstance(key, tuple) and key[0] == "rep" for key in core._c)
+    # only a distinct B keeps its table in the memo
+    B = gen_family(spec)
+    pair = SetCore(A, B)
+    assert pair.rep("sum") is pair.rep("sum") and ("rep", "sum") in pair._c
+    assert pair.pair_size("sum") == pair.rep("sum").size and calls == ["sum"]
