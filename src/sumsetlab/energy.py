@@ -41,9 +41,9 @@ FFTs and rounded to the nearest integers.  The vector is cut into K >= 2
 blocks of at most about `_FFT_BLOCK` points, so that one transform stays in
 cache; each block is transformed on the least even length of the form
 2**a 3**b 5**c at or above twice its length, and the K spectra are combined
-pointwise before K inverse transforms, each written over the spectrum it
-inverts.  The table is streamed: each block of it is formed, rounded and
-certified in one of those buffers, and `projection_count` adds up the
+pointwise before K inverse transforms, each written into the buffer of a
+spectrum already inverted.  The table is streamed: each block of it is
+formed, rounded and certified in one of those buffers, and `projection_count` adds up the
 block's counts at its query lags there, so no table of the whole span is
 ever allocated.  Its exactness rests on two things (see
 `_difference_counts_fft`): Percival's rounding-error bound for FFT
@@ -944,13 +944,19 @@ class _TableCertifier:
     sum(d * count) equals the sum of p1 - p2 over pairs p1 > p2 (both taken
     mod 2**64); and R_0's rounded counts at d and -d agree.  The zero-lag,
     mass and moment checks together catch any error confined to one or two
-    lags below 2**24 that is smaller than 2**40.  All of it runs on at most
-    `_FFT_BLOCK` / 4 entries at a time, so no temporary outgrows that.
+    lags below 2**24 that is smaller than 2**40.  The expected moment is
+    computed up front, before the kernel allocates its spectra, and the
+    rest runs on at most `_FFT_BLOCK` / 16 entries at a time, so that no
+    temporary of the certificate adds to the kernel's peak.
     """
 
     def __init__(self, p_ints, b: int):
-        self.p_ints = p_ints
-        self.chunk = min(b, max(1, _FFT_BLOCK // 4))
+        self.size = len(p_ints)
+        pos = _offsets(p_ints)
+        weights = 2 * np.arange(self.size, dtype=np.int64) - (self.size - 1)
+        # sum of p1 - p2 over pairs p1 > p2, mod 2**64
+        self.want_moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
+        self.chunk = min(b, max(1, _FFT_BLOCK // 16))
         self.ramp = np.arange(self.chunk, dtype=np.uint64)
         self.offset = 0  # lag of the next block's first entry
         self.errs = []
@@ -985,10 +991,7 @@ class _TableCertifier:
 
     def close(self) -> None:
         err = float(np.max(self.errs))
-        size = len(self.p_ints)
-        pos = _offsets(self.p_ints)
-        weights = 2 * np.arange(size, dtype=np.int64) - (size - 1)
-        moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
+        size = self.size
         mass = 2 * self.mass - self.zero_lag
         problems = []
         if not err < _FFT_ERROR_LIMIT:
@@ -997,7 +1000,7 @@ class _TableCertifier:
             problems.append(f"zero-lag count {self.zero_lag} != |P| = {size}")
         if mass != size * size:
             problems.append(f"mass {mass} != |P|^2 = {size * size}")
-        if self.moment % 2 ** 64 != moment:
+        if self.moment % 2 ** 64 != self.want_moment:
             problems.append("first moment differs from sum(p1 - p2) mod 2**64")
         if not self.symmetric:
             problems.append("table is not symmetric")
@@ -1091,16 +1094,19 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
     point doubles past about 2**20 points).  No table of the whole span is
     ever allocated.  The K spectra are the rows of one K x (b + 1) complex
     array, 16 bytes per block point each.  S_0, S_1, ... are inverted in
-    turn, each R_t written over the S_t it comes from (`irfft` with `out=`,
-    which copies its input first), and block t - 1 of the table,
-    R_{t-1}[:b] + R_t[b:], is formed in R_{t-1}'s row, rounded and
-    certified there (`_TableCertifier`) and yielded.  Peak numpy memory is
-    the K rows plus that copy, about 16 + 16/K bytes per span point (under
-    tracemalloc 18.3 bytes at K = 9, 22.4 at K = 3 and 26.6 at K = 2,
-    where the whole float table kept next to the spectra peaked at 26.0,
-    29.5 and 27-29.5).  One array for all the spectra also spares the
-    allocator: with a fresh buffer for each R_t, a round of the benchmark's
-    `sum-chain` workload took 86 000 minor page faults instead of 33 000.
+    turn with `irfft(..., out=)`: R_0 into one spare buffer of M floats,
+    and each later R_t into the head of row t - 1, whose spectrum is
+    inverted by then.  (Written over its own input, a transform would
+    first copy that input to a temporary of the same size.)
+    Block t - 1 of the table, R_{t-1}[:b] + R_t[b:], is formed in
+    R_{t-1}'s buffer, rounded and certified there (`_TableCertifier`) and
+    yielded.  Peak numpy memory is the K rows and the spare buffer, about
+    16 + 16/K bytes per span point (under tracemalloc 18.2 bytes at K = 9,
+    22.0 at K = 3 and 25.7 at K = 2, where the whole float table kept next
+    to the spectra peaked at 26.0, 29.5 and 27-29.5).  One array for all
+    the spectra also spares the allocator: with a fresh buffer for each
+    R_t, a round of the benchmark's `sum-chain` workload took 86 000 minor
+    page faults instead of 33 000.
 
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound
@@ -1139,10 +1145,10 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
             f"{_FFT_ERROR_LIMIT}"
         )
     b = m // 2
+    cert = _TableCertifier(p_ints, b)
     pos = _offsets(p_ints)
     cuts = np.searchsorted(pos, b * np.arange(1, k))
-    # row t holds X_t, then S_t, then R_t: each R_t is written over the
-    # spectrum it comes from, as the M floats at the head of the row
+    # row t holds X_t, then S_t
     spectra = np.empty((k, b + 1), dtype=complex)
     x = np.zeros(b)
     for i, part in enumerate(np.split(pos, cuts)):
@@ -1150,19 +1156,20 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
         x[part] = 1.0
         np.fft.rfft(x, m, out=spectra[i])
         x[part] = 0.0
-    del pos, x
+    del pos, x, part
     _correlate_spectra(list(spectra))
-    table = spectra.view(np.float64)
-    cert = _TableCertifier(p_ints, b)
-    np.fft.irfft(spectra[0], m, out=table[0, :m])
-    cert.check_symmetry(table[0, :m])
+    # R_0 goes to a spare buffer and R_t to the head of row t - 1, whose
+    # S_{t-1} is inverted by then, so no transform writes over its input
+    r = [np.empty(m)] + [row.view(np.float64)[:m] for row in spectra[:-1]]
+    np.fft.irfft(spectra[0], m, out=r[0])
+    cert.check_symmetry(r[0])
     # block t - 1 of the table is R_{t-1}'s lags 0..b-1 plus R_t's lags
     # -b..-1, which sit at indices b..M-1
     for t in range(1, k + 1):
-        block = table[t - 1, :b]
+        block = r[t - 1][:b]
         if t < k:
-            np.fft.irfft(spectra[t], m, out=table[t, :m])
-            block += table[t, b:m]
+            np.fft.irfft(spectra[t], m, out=r[t])
+            block += r[t][b:]
         block = cert.round(block)[:max(0, span + 1 - (t - 1) * b)]
         block.flags.writeable = False
         if block.size:

@@ -631,9 +631,10 @@ def test_fft_kernel_rounds_its_table_in_place():
     (700_000, 3, 25),
 ])
 def test_fft_kernel_streams_its_table(span, blocks, limit):
-    # at its peak the kernel holds K - 1 spectra, R_0 and R_1, never the
-    # whole table: about 16 + 16/K bytes per span point (keeping the float
-    # table next to the spectra peaked at 26.0 at K = 9 and 29.5 at K = 3)
+    # at its peak the kernel holds its K spectrum rows and one spare
+    # buffer, never the whole table: about 16 + 16/K bytes per span point
+    # (18.2 at K = 9 and 22.0 at K = 3; keeping the float table next to the
+    # spectra peaked at 26.0 and 29.5)
     en = importlib.import_module("sumsetlab.energy")
     rng = np.random.default_rng(span)
     P = np.unique(np.concatenate(([0, span], rng.integers(0, span, 20_000))))
