@@ -929,8 +929,8 @@ def _offsets(p_ints) -> np.ndarray:
 
 
 class _TableCertifier:
-    """The checks of `_difference_counts_fft`'s table for the sorted set
-    `p_ints` (an int64 array or a list of integers), carried across the
+    """The checks of `_difference_counts_fft`'s table for a sorted set P,
+    given as its offsets `pos` = P - min(P) (int64), carried across the
     table's blocks of at most b entries.
 
     `check_symmetry(r0)` takes R_0, whose entries at lags d and -d (index
@@ -950,9 +950,8 @@ class _TableCertifier:
     temporary of the certificate adds to the kernel's peak.
     """
 
-    def __init__(self, p_ints, b: int):
-        self.size = len(p_ints)
-        pos = _offsets(p_ints)
+    def __init__(self, pos: np.ndarray, b: int):
+        self.size = pos.size
         weights = 2 * np.arange(self.size, dtype=np.int64) - (self.size - 1)
         # sum of p1 - p2 over pairs p1 > p2, mod 2**64
         self.want_moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
@@ -1145,8 +1144,8 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
             f"{_FFT_ERROR_LIMIT}"
         )
     b = m // 2
-    cert = _TableCertifier(p_ints, b)
     pos = _offsets(p_ints)
+    cert = _TableCertifier(pos, b)
     cuts = np.searchsorted(pos, b * np.arange(1, k))
     # row t holds X_t, then S_t
     spectra = np.empty((k, b + 1), dtype=complex)
