@@ -41,12 +41,12 @@ FFTs and rounded to the nearest integers.  The vector is cut into K >= 2
 blocks of at most about `_FFT_BLOCK` points, so that one transform stays in
 cache; each block is transformed on the least even length of the form
 2**a 3**b 5**c at or above twice its length, and the K spectra are combined
-pointwise before K inverse transforms, each written into the buffer of a
-spectrum already inverted.  The table is streamed: each block of it is
-formed, rounded and certified in one of those buffers, and `projection_count` adds up the
-block's counts at its query lags there, so no table of the whole span is
-ever allocated.  Its exactness rests on two things (see
-`_difference_counts_fft`): Percival's rounding-error bound for FFT
+pointwise before K inverse transforms, each written into a spare buffer
+or the buffer of a spectrum already inverted.  The table is streamed: each
+block of it is formed, rounded and certified in one of those buffers, and
+`projection_count` adds up the block's counts at its query lags there, so
+no table of the whole span is ever allocated.  Its exactness rests on two
+things (see `_difference_counts_fft`): Percival's rounding-error bound for FFT
 convolution, proved for a complex radix-2 transform and carried over to
 numpy's mixed-radix real transforms without a proof (each radix-r pass
 counted as r - 1 radix-2 stages, the K-term sums as ceil(log2 K) more),
