@@ -492,8 +492,8 @@ def test_streamed_projection_count_at_edge_lags(blocks, data):
     # int64 sets and over rationals past int64 (the Python-int list path)
     en = importlib.import_module("sumsetlab.energy")
     block = 8
-    span = data.draw(st.integers(max(1, block * (blocks - 1)), block * blocks - 1))
-    inner = data.draw(st.lists(st.integers(1, span - 1), max_size=24)) if span > 1 else []
+    span = data.draw(st.integers(block * (blocks - 1), block * blocks - 1))
+    inner = data.draw(st.lists(st.integers(1, span - 1), max_size=24))
     offsets = sorted({0, span, *inner})
     lags = data.draw(st.lists(st.integers(-span, span), max_size=10))
     past = data.draw(st.lists(st.integers(span + 1, 3 * span), min_size=1, max_size=4))

@@ -26,3 +26,14 @@ def test_artifacts_are_byte_identical(case):
         assert got[name] == want[name], (
             f"{case}/{name} differs; the corpus was made with {made_with!r}, "
             f"this run has {regen.versions()!r}")
+
+
+def test_check_writes_nothing_and_names_each_differing_artifact(monkeypatch, capsys):
+    monkeypatch.setattr(regen, "CASES", {"usage_error": regen.CASES["usage_error"]})
+    monkeypatch.setattr(regen, "regenerate", lambda: pytest.fail("--check wrote the corpus"))
+    assert regen.main(["--check"]) == 0
+    stored = regen.stored
+    monkeypatch.setattr(regen, "stored",
+                        lambda case: {**stored(case), "stderr": b"changed\n", "extra": b""})
+    assert regen.main(["--check"]) == 1
+    assert "usage_error: extra (missing), stderr\n" in capsys.readouterr().out
