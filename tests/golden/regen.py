@@ -85,20 +85,23 @@ def stored(case: str) -> dict[str, bytes]:
     return artifacts
 
 
+def case_differences(case: str) -> list[str]:
+    """The artifacts of one case that differ from the corpus, each marked
+    when it is missing from the run or new to it; [] when all are equal."""
+    got = run_case(CASES[case])
+    want = stored(case) if os.path.isdir(os.path.join(HERE, case)) else {}
+    return [name + ("" if name in got and name in want
+                    else " (missing)" if name in want else " (new)")
+            for name in sorted(set(got) | set(want)) if got.get(name) != want.get(name)]
+
+
 def differences() -> list[str]:
-    """One line per case whose artifacts differ from the corpus, naming
-    each artifact that differs, is missing or is new."""
+    """One line per case whose artifacts differ from the corpus."""
     lines = []
-    for case, argv in CASES.items():
-        got = run_case(argv)
-        want = stored(case) if os.path.isdir(os.path.join(HERE, case)) else {}
-        bad = [name for name in sorted(set(got) | set(want))
-               if got.get(name) != want.get(name)]
+    for case in CASES:
+        bad = case_differences(case)
         if bad:
-            lines.append(f"{case}: " + ", ".join(
-                name + ("" if name in got and name in want
-                        else " (missing)" if name in want else " (new)")
-                for name in bad))
+            lines.append(f"{case}: " + ", ".join(bad))
     return lines
 
 

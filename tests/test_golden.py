@@ -17,15 +17,11 @@ _spec.loader.exec_module(regen)
 
 @pytest.mark.parametrize("case", sorted(regen.CASES))
 def test_artifacts_are_byte_identical(case):
-    got = regen.run_case(regen.CASES[case])
-    want = regen.stored(case)
-    assert sorted(got) == sorted(want)
     with open(os.path.join(regen.HERE, "VERSIONS"), encoding="utf-8") as fh:
         made_with = fh.read()
-    for name in sorted(want):
-        assert got[name] == want[name], (
-            f"{case}/{name} differs; the corpus was made with {made_with!r}, "
-            f"this run has {regen.versions()!r}")
+    assert regen.case_differences(case) == [], (
+        f"{case} differs; the corpus was made with {made_with!r}, "
+        f"this run has {regen.versions()!r}")
 
 
 def test_check_writes_nothing_and_names_each_differing_artifact(monkeypatch, capsys):
