@@ -730,31 +730,23 @@ def _int64_lookup(x: np.ndarray, y: np.ndarray, op: str, p: np.ndarray):
     return block
 
 
-def _sorted_keys(iv, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The residue keys of m * iv.ints (as in `_PairGroups`), sorted, and
-    their argsort."""
-    t1, t2 = _key_parts(iv, m)
-    keys = (t1 << 31) + t2
-    by_key = np.argsort(keys)
-    return keys[by_key], by_key
-
-
 def _residue_lookup(op: str, scaled):
     """block(r0, r1): whether x[i] op y[j] lies in the sorted p, for rows
     r0 <= i < r1, with values that need not fit int64; `scaled` holds the
     int views of X, Y and P with the multipliers that make x, y and p.
 
     Each pair's residue key (as in `_PairGroups`) is looked up in p's sorted
-    keys, which P's int view keeps per multiplier and key primes; a key hit
-    names one element of p with that key, which is compared exactly, and p
-    itself is searched only when they differ (p may repeat a key).
+    keys; a key hit names one element of p with that key, which is compared
+    exactly, and p itself is searched only when they differ (p may repeat a
+    key).
     """
     p1, p2 = _KEY_PRIMES
     ufunc, f = _PAIR_FUNCS[op]
     x, y, p = (_times(iv.ints, m) for iv, m in scaled)
-    (x1, x2), (y1, y2) = (_key_parts(iv, m) for iv, m in scaled[:2])
-    piv, pm = scaled[2]
-    table, by_key = piv.sorted_keys((pm, p1 * p2), lambda: _sorted_keys(piv, pm))
+    (x1, x2), (y1, y2), (t1, t2) = (_key_parts(iv, m) for iv, m in scaled)
+    table = (t1 << 31) + t2
+    by_key = np.argsort(table)
+    table = table[by_key]
 
     def block(r0, r1):
         v = ufunc.outer(x1[r0:r1], y1) % p1

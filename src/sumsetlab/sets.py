@@ -253,7 +253,7 @@ class _IntView:
     fits, else None (big-integer fallbacks take over).
     """
 
-    __slots__ = ("ints", "scale", "arr", "_mods", "_keys", "_coprime", "_tables")
+    __slots__ = ("ints", "scale", "arr", "_mods", "_coprime", "_tables")
 
     def __init__(self, ints: Sequence[int], scale: int, arr: np.ndarray | None = None):
         self.ints = ints
@@ -263,7 +263,6 @@ class _IntView:
         else:
             self.arr = np.array([], dtype=np.int64) if not ints else None
         self._mods: dict[int, np.ndarray] = {}
-        self._keys: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._coprime = _UNSET
         self._tables: dict | None = None
 
@@ -291,17 +290,6 @@ class _IntView:
             self._mods[modulus] = np.fromiter((x % modulus for x in self.ints),
                                               dtype=np.int64, count=len(self.ints))
         return self._mods[modulus]
-
-    def sorted_keys(self, key: tuple[int, int], build) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted residue keys of m * ints modulo the primes whose product
-        is `modulus`, key = (m, modulus), and the argsort that sorts them:
-        `build()` once per key, kept read-only."""
-        if key not in self._keys:
-            keys = build()
-            for a in keys:
-                a.flags.writeable = False
-            self._keys[key] = keys
-        return self._keys[key]
 
 
 class FiniteSet:

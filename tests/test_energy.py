@@ -982,36 +982,6 @@ def test_pair_membership_resolves_forced_collisions(monkeypatch):
     assert hits > 1000
 
 
-def test_residue_lookup_keeps_the_sorted_keys_of_p(monkeypatch):
-    # past int64 a lookup sorts P's residue keys; P's int view keeps them, so
-    # a second lookup against the same P computes no keys and no argsort
-    en = importlib.import_module("sumsetlab.energy")
-    G = gen_family(FamilySpec.gp(1, 2, 70))
-    P = _membership_target(G, G, "sum", "half")
-    p_keys, sorts = [], []
-    key_parts, argsort = en._key_parts, np.argsort
-
-    def counted_keys(iv, m):
-        if iv is P.int_view:
-            p_keys.append(m)
-        return key_parts(iv, m)
-
-    monkeypatch.setattr(en, "_key_parts", counted_keys)
-    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
-    members = set(P.elements)
-    for op in ("sum", "diff", "sum"):
-        want = [[_PY_OPS[op](x, y) in members for y in G] for x in G]
-        assert en.pair_membership(G, G, op, P).tolist() == want
-    assert p_keys == [1] and len(sorts) == 1
-    table, by_key = P.int_view.sorted_keys((1, en._KEY_PRIMES[0] * en._KEY_PRIMES[1]), None)
-    assert not table.flags.writeable and not by_key.flags.writeable
-    # a new multiplier (P over a common denominator with a rational X) is a new entry
-    X = make_set([Fraction(1, 3), 1 << 70])
-    want = [[_PY_OPS["sum"](x, y) in members for y in G] for x in X]
-    assert en.pair_membership(X, G, "sum", P).tolist() == want
-    assert p_keys == [1, 3] and len(sorts) == 2
-
-
 def _int32_edge_sets():
     # elements near +-2**30: the largest |a| + |b| falls on either side of
     # 2**31, where the int64 outer array is downcast to int32
