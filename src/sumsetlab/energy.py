@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import itertools
 import math
 import operator
@@ -868,6 +869,7 @@ _FFT_BETA = 2.0 ** -50
 _FFT_ERROR_LIMIT = 0.25
 
 
+@functools.lru_cache(maxsize=256)
 def _fft_length(span: int) -> tuple[int, int]:
     """Transform length and stage count for `_difference_counts_fft`.
 
@@ -923,61 +925,59 @@ def _offsets(p_ints) -> np.ndarray:
 class _TableCertifier:
     """The checks of `_difference_counts_fft`'s table for a sorted set P,
     given as its offsets `pos` = P - min(P) (int64), carried across the
-    table's blocks of at most b entries.
+    table's blocks.
 
-    `check_symmetry(r0)` takes R_0, whose entries at lags d and -d (index
-    len(r0) - d) are two computations of one count.  `round(part)` takes
-    the table's float blocks in order (entry j of a block approximates the
-    number of ordered pairs at difference offset + j, zero past the set's
-    span), rounds each in place and returns the int64 view of its buffer.
-    `close()` raises ExactnessError, naming every failed check, unless:
-    every entry lies within 1/4 of an integer; the zero-lag count is |P|;
-    the mass over both signs of d is |P|**2; the first moment
+    `check_symmetry(r0, spare)` takes R_0, whose entries at lags d and -d
+    (index len(r0) - d) are two computations of one count.  `round(part,
+    spare)` takes the table's float blocks in order (entry j of a block
+    approximates the number of ordered pairs at difference offset + j, zero
+    past the set's span), rounds each in place and returns the int64 view
+    of its buffer.  `close()` raises ExactnessError, naming every failed
+    check, unless: every entry lies within 1/4 of an integer; the zero-lag
+    count is |P|; the mass over both signs of d is |P|**2; the first moment
     sum(d * count) equals the sum of p1 - p2 over pairs p1 > p2 (both taken
     mod 2**64); and R_0's rounded counts at d and -d agree.  The zero-lag,
     mass and moment checks together catch any error confined to one or two
     lags below 2**24 that is smaller than 2**40.  The expected moment is
-    computed up front, before the kernel allocates its spectra, and the
-    rest runs on at most `_FFT_BLOCK` / 16 entries at a time, so that no
-    temporary of the certificate adds to the kernel's peak.
+    computed up front, before the kernel allocates its spectra, and each
+    step's temporaries go to `spare`, a float64 buffer the kernel lends
+    (as long as the block, or r0), so the certificate adds nothing to the
+    kernel's peak.
     """
 
-    def __init__(self, pos: np.ndarray, b: int):
+    def __init__(self, pos: np.ndarray):
         self.size = pos.size
         weights = 2 * np.arange(self.size, dtype=np.int64) - (self.size - 1)
         # sum of p1 - p2 over pairs p1 > p2, mod 2**64
         self.want_moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
-        self.chunk = min(b, max(1, _FFT_BLOCK // 16))
-        self.ramp = np.arange(self.chunk, dtype=np.uint64)
         self.offset = 0  # lag of the next block's first entry
         self.errs = []
         self.zero_lag = self.mass = self.moment = 0
         self.symmetric = True
 
-    def check_symmetry(self, r0: np.ndarray) -> None:
+    def check_symmetry(self, r0: np.ndarray, spare: np.ndarray) -> None:
         m, half = r0.size, r0.size // 2
-        for lo in range(1, half, self.chunk):
-            hi = min(lo + self.chunk, half)
-            if not np.array_equal(np.rint(r0[lo:hi]), np.rint(r0[m - lo:m - hi:-1])):
-                self.symmetric = False
-                return
+        pos, neg = spare[:half - 1], spare[half - 1:2 * half - 2]
+        np.rint(r0[1:half], out=pos)
+        np.rint(r0[m - 1:m - half:-1], out=neg)
+        pos -= neg
+        self.symmetric = not pos.any()
 
-    def round(self, part: np.ndarray) -> np.ndarray:
+    def round(self, part: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        n = part.size
+        rounded = np.rint(part, out=spare[:n])
+        part -= rounded
+        self.errs.append(np.abs(part, out=part).max(initial=0.0))
         counts = part.view(np.int64)
-        for lo in range(0, part.size, self.chunk):
-            x = part[lo:lo + self.chunk]
-            rounded = np.rint(x)
-            x -= rounded
-            self.errs.append(np.abs(x, out=x).max())
-            c = counts[lo:lo + self.chunk]
-            c[:] = rounded
-            total = int(c.sum())
-            self.mass += total
-            self.moment += (self.offset + lo) * total + int(
-                self.ramp[:c.size].dot(c.view(np.uint64)))
-        if self.offset == 0:
+        counts[:] = rounded
+        # sum(j * counts[j]) = n * total - sum of the prefix sums
+        prefix = np.cumsum(counts, out=rounded.view(np.int64))
+        total = int(prefix[-1]) if n else 0
+        self.mass += total
+        self.moment += (self.offset + n) * total - int(prefix.sum())
+        if self.offset == 0 and n:
             self.zero_lag = int(counts[0])
-        self.offset += part.size
+        self.offset += n
         return counts
 
     def close(self) -> None:
@@ -1053,8 +1053,10 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
 
     The set `p_ints` is a sorted int64 array or a sorted list of integers.
 
-    Yields int64 blocks of consecutive lags whose concatenation is counts,
-    with counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for
+    Yields K int64 blocks (`_block_layout`), block t holding lags t*b to
+    t*b + b - 1 and the last one cut at the span (it is empty when the span
+    ends before it), whose concatenation is counts, with
+    counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for
     d = 0..max(P) - min(P), the span; the count at -d is the one at d.  A
     block is a read-only view of the kernel's buffer, whose later steps
     leave it as it is; a caller that keeps one keeps that buffer alive.
@@ -1090,14 +1092,15 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
     inverted by then.  (Written over its own input, a transform would
     first copy that input to a temporary of the same size.)
     Block t - 1 of the table, R_{t-1}[:b] + R_t[b:], is formed in
-    R_{t-1}'s buffer, rounded and certified there (`_TableCertifier`) and
-    yielded.  Peak numpy memory is the K rows and the spare buffer, about
-    16 + 16/K bytes per span point (under tracemalloc 18.2 bytes at K = 9,
-    22.0 at K = 3 and 25.7 at K = 2, where the whole float table kept next
-    to the spectra peaked at 26.0, 29.5 and 27-29.5).  One array for all
-    the spectra also spares the allocator: with a fresh buffer for each
-    R_t, a round of the benchmark's `sum-chain` workload took 86 000 minor
-    page faults instead of 33 000.
+    R_{t-1}'s buffer, rounded and certified there (`_TableCertifier`, whose
+    temporaries go to the row inverted last, free until R_{t+1} is written
+    there) and yielded.  Peak numpy memory is the K rows and the spare
+    buffer, about 16 + 16/K bytes per span point (under tracemalloc 18.0
+    bytes at K = 9, 21.4 at K = 3 and 24.3 at K = 2, where the whole float
+    table kept next to the spectra peaked at 26.0, 29.5 and 27-29.5).  One
+    array for all the spectra also spares the allocator: with a fresh
+    buffer for each R_t, a round of the benchmark's `sum-chain` workload
+    took 86 000 minor page faults instead of 33 000.
 
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound
@@ -1137,12 +1140,13 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
         )
     b = m // 2
     pos = _offsets(p_ints)
-    cert = _TableCertifier(pos, b)
-    cuts = np.searchsorted(pos, b * np.arange(1, k))
+    cert = _TableCertifier(pos)
+    cuts = [0, *np.searchsorted(pos, b * np.arange(1, k)).tolist(), pos.size]
     # row t holds X_t, then S_t
     spectra = np.empty((k, b + 1), dtype=complex)
     x = np.zeros(b)
-    for i, part in enumerate(np.split(pos, cuts)):
+    for i in range(k):
+        part = pos[cuts[i]:cuts[i + 1]]
         part -= i * b
         x[part] = 1.0
         np.fft.rfft(x, m, out=spectra[i])
@@ -1153,7 +1157,10 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
     # S_{t-1} is inverted by then, so no transform writes over its input
     r = [np.empty(m)] + [row.view(np.float64)[:m] for row in spectra[:-1]]
     np.fft.irfft(spectra[0], m, out=r[0])
-    cert.check_symmetry(r[0])
+    # row t's spectrum, once inverted, leaves the row free until R_{t+1}
+    # is written there (row K - 1 for good): the certifier's spare buffer
+    spare = [row.view(np.float64) for row in spectra]
+    cert.check_symmetry(r[0], spare[0])
     # block t - 1 of the table is R_{t-1}'s lags 0..b-1 plus R_t's lags
     # -b..-1, which sit at indices b..M-1
     for t in range(1, k + 1):
@@ -1161,10 +1168,10 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
         if t < k:
             np.fft.irfft(spectra[t], m, out=r[t])
             block += r[t][b:]
-        block = cert.round(block)[:max(0, span + 1 - (t - 1) * b)]
+        block = cert.round(block, spare[min(t, k - 1)])
+        block = block[:max(0, span + 1 - (t - 1) * b)]
         block.flags.writeable = False
-        if block.size:
-            yield block
+        yield block
     cert.close()
 
 
@@ -1205,18 +1212,22 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
 
     if strategy == "poly":
         # the sorted lags in [-span, span] give |q| as two ascending runs,
-        # so each block's lags are a slice of each run (q and -q both count)
+        # so block t's lags t*b .. t*b + b - 1 are a slice of each run, cut
+        # once for all blocks (q and -q both count)
         span = int(p_ints[-1]) - int(p_ints[0])
         lags = np.asarray(q_ints[bisect.bisect_left(q_ints, -span):
                                  bisect.bisect_right(q_ints, span)], dtype=np.int64)
         mid = int(np.searchsorted(lags, 0))
-        runs = (-lags[:mid][::-1], lags[mid:])
-        total = lo = 0
-        for block in _difference_counts_fft(p_ints):
-            for run in runs:
-                i, j = run.searchsorted(lo), run.searchsorted(lo + block.size)
-                total += int(block[run[i:j] - lo].sum())
-            lo += block.size
+        k, m, _ = _block_layout(span)
+        b = m // 2
+        starts = b * np.arange(k + 1)
+        runs = [(run % b, run.searchsorted(starts).tolist())
+                for run in (-lags[:mid][::-1], lags[mid:])]
+        total = 0
+        for t, block in enumerate(_difference_counts_fft(p_ints)):
+            for within, cuts in runs:
+                if cuts[t] < cuts[t + 1]:
+                    total += int(block[within[cuts[t]:cuts[t + 1]]].sum())
         return total
 
     if strategy != "hash":

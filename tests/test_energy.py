@@ -290,9 +290,10 @@ def test_fft_difference_table_matches_oracle(P):
 
 def _certify(en, raw, even, P, b):
     """Run the streamed certifier over `raw` in blocks of b, with R_0 `even`."""
-    cert = en._TableCertifier(en._offsets(P), b)
-    cert.check_symmetry(even)
-    blocks = [cert.round(raw[lo:lo + b]) for lo in range(0, raw.size, b)]
+    cert = en._TableCertifier(en._offsets(P))
+    spare = np.empty(even.size)
+    cert.check_symmetry(even, spare)
+    blocks = [cert.round(raw[lo:lo + b], spare) for lo in range(0, raw.size, b)]
     cert.close()
     return np.concatenate(blocks)
 
@@ -569,6 +570,7 @@ def _streamed_peak(en, P, lags):
     try:
         lo = 0
         for block in en._difference_counts_fft(P):
+            assert block.dtype == np.int64
             for lag in lags:
                 if lo <= lag < lo + block.size:
                     got[lag] = int(block[lag - lo])
@@ -580,10 +582,10 @@ def _streamed_peak(en, P, lags):
 
 
 @pytest.mark.parametrize("lag", [1, 9, 17, 30])
-def test_fft_symmetry_check_reads_every_chunk_of_r0(monkeypatch, lag):
+def test_fft_symmetry_check_reads_all_of_r0(monkeypatch, lag):
     # R_0's negative lags enter no block of the table; only the symmetry
-    # check reads them, over R_0 in chunks of _FFT_BLOCK / 4 = 8 points,
-    # and lag j of the inverse transform's upper half pairs with d = b - j
+    # check reads them, and lag j of the inverse transform's upper half
+    # pairs with d = b - j: a delta anywhere in that half must be seen
     en = importlib.import_module("sumsetlab.energy")
     monkeypatch.setattr(en, "_FFT_BLOCK", 32)
     rng = random.Random(lag)
