@@ -867,6 +867,9 @@ _FFT_BETA = 2.0 ** -50
 # refusal threshold for that allowance: rounding to the nearest integer needs
 # an error below 1/2; this keeps a factor-two margin
 _FFT_ERROR_LIMIT = 0.25
+# the table certifier reads a block's first moment as rows of this many
+# counts, one uint64 dot for all full rows against a ramp of this length
+_MOMENT_ROW = 1 << 13
 
 
 @functools.lru_cache(maxsize=256)
@@ -939,10 +942,11 @@ class _TableCertifier:
     mod 2**64); and R_0's rounded counts at d and -d agree.  The zero-lag,
     mass and moment checks together catch any error confined to one or two
     lags below 2**24 that is smaller than 2**40.  The expected moment is
-    computed up front, before the kernel allocates its spectra, and each
-    step's temporaries go to `spare`, a float64 buffer the kernel lends
-    (as long as the block, or r0), so the certificate adds nothing to the
-    kernel's peak.
+    computed up front, before the kernel allocates its spectra; the
+    rounded values and R_0's two halves go to `spare`, a float64 buffer the
+    kernel lends (as long as the block, or r0), so the certificate's own
+    temporaries are a `_MOMENT_ROW` ramp, one bool per lag of R_0's
+    comparison and one entry per ramp row.
     """
 
     def __init__(self, pos: np.ndarray):
@@ -950,6 +954,7 @@ class _TableCertifier:
         weights = 2 * np.arange(self.size, dtype=np.int64) - (self.size - 1)
         # sum of p1 - p2 over pairs p1 > p2, mod 2**64
         self.want_moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
+        self.ramp = np.arange(_MOMENT_ROW, dtype=np.uint64)
         self.offset = 0  # lag of the next block's first entry
         self.errs = []
         self.zero_lag = self.mass = self.moment = 0
@@ -960,8 +965,7 @@ class _TableCertifier:
         pos, neg = spare[:half - 1], spare[half - 1:2 * half - 2]
         np.rint(r0[1:half], out=pos)
         np.rint(r0[m - 1:m - half:-1], out=neg)
-        pos -= neg
-        self.symmetric = not pos.any()
+        self.symmetric = np.array_equal(pos, neg)
 
     def round(self, part: np.ndarray, spare: np.ndarray) -> np.ndarray:
         n = part.size
@@ -970,11 +974,20 @@ class _TableCertifier:
         self.errs.append(np.abs(part, out=part).max(initial=0.0))
         counts = part.view(np.int64)
         counts[:] = rounded
-        # sum(j * counts[j]) = n * total - sum of the prefix sums
-        prefix = np.cumsum(counts, out=rounded.view(np.int64))
-        total = int(prefix[-1]) if n else 0
+        total = int(counts.sum())
         self.mass += total
-        self.moment += (self.offset + n) * total - int(prefix.sum())
+        # sum((offset + j) * counts[j]): full rows of the ramp's length, then
+        # the tail, which starts at j = full
+        u, w = counts.view(np.uint64), self.ramp.size
+        full = n - n % w
+        tail = u[full:]
+        moment = self.offset * total + int(self.ramp[:tail.size].dot(tail))
+        if full:
+            rows = u[:full].reshape(-1, w)
+            starts = np.arange(0, full, w, dtype=np.uint64)
+            moment += int(rows.dot(self.ramp).sum()) + int(starts.dot(rows.sum(axis=1)))
+            moment += full * int(tail.sum())
+        self.moment += moment
         if self.offset == 0 and n:
             self.zero_lag = int(counts[0])
         self.offset += n

@@ -331,6 +331,30 @@ def test_fft_certification_raises_on_each_perturbed_check():
             assert any(check in f for f in failed)
 
 
+@pytest.mark.parametrize("deltas", [
+    {3: 1.0, 5: -1.0},     # the full rows of block 0
+    {6: 1.0, 7: -1.0},     # the tail of block 0
+    {1: 1.0, 12: -1.0},    # across the blocks
+    {9: 1.0, 15: -1.0},    # the rows and the tail of block 1
+])
+def test_fft_moment_check_reads_rows_and_tail(monkeypatch, deltas):
+    # a block's first moment is read as rows of _MOMENT_ROW counts and a
+    # tail: with rows of 3, blocks of 8 have both; a mass-preserving shift
+    # of one count fails the moment check alone
+    en = importlib.import_module("sumsetlab.energy")
+    monkeypatch.setattr(en, "_MOMENT_ROW", 3)
+    P = [0, 1, 3, 7, 12]
+    diffs = oracle_rep_counts(P, P, "diff")
+    raw = np.array([diffs.get(d, 0) for d in range(16)], dtype=float)
+    even = np.array([diffs.get(d if d < 8 else 16 - d, 0) for d in range(16)], dtype=float)
+    assert _certify(en, raw.copy(), even, P, 8).tolist() == raw.tolist()
+    for index, delta in deltas.items():
+        raw[index] += delta
+    with pytest.raises(ExactnessError) as info:
+        _certify(en, raw, even, P, 8)
+    assert str(info.value).split(": ", 1)[1] == "first moment differs from sum(p1 - p2) mod 2**64"
+
+
 def test_fft_kernel_refuses_outside_its_error_allowance(monkeypatch):
     en = importlib.import_module("sumsetlab.energy")
 
