@@ -1108,8 +1108,8 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
     R_{t-1}'s buffer, rounded and certified there (`_TableCertifier`, whose
     temporaries go to the row inverted last, free until R_{t+1} is written
     there) and yielded.  Peak numpy memory is the K rows and the spare
-    buffer, about 16 + 16/K bytes per span point (under tracemalloc 18.0
-    bytes at K = 9, 21.4 at K = 3 and 24.3 at K = 2, where the whole float
+    buffer, about 16 + 16/K bytes per span point (under tracemalloc 18.1
+    bytes at K = 9, 21.9 at K = 3 and 25.0 at K = 2, where the whole float
     table kept next to the spectra peaked at 26.0, 29.5 and 27-29.5).  One
     array for all the spectra also spares the allocator: with a fresh
     buffer for each R_t, a round of the benchmark's `sum-chain` workload

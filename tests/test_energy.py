@@ -659,7 +659,7 @@ def test_fft_kernel_rounds_its_table_in_place():
 def test_fft_kernel_streams_its_table(span, blocks, limit):
     # at its peak the kernel holds its K spectrum rows and one spare
     # buffer, never the whole table: about 16 + 16/K bytes per span point
-    # (18.2 at K = 9 and 22.0 at K = 3; keeping the float table next to the
+    # (18.1 at K = 9 and 21.9 at K = 3; keeping the float table next to the
     # spectra peaked at 26.0 and 29.5)
     en = importlib.import_module("sumsetlab.energy")
     rng = np.random.default_rng(span)
