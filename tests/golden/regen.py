@@ -1,4 +1,4 @@
-"""Golden artifacts: the byte-identical outputs of seven fixed CLI commands.
+"""Golden artifacts: the byte-identical outputs of nine fixed CLI commands.
 
 Each case is a `sumsetlab` command line.  Its artifacts are its stdout,
 its stderr, its exit code and every file it writes; they live in
@@ -52,6 +52,12 @@ CASES = {
     # four blocked FFT tables (K = 5), two of them with Q != P
     "scan_fft": ["scan", "--families", "RandomSubset(600000)", "--sizes", "300,400",
                  "--checks", "diff_proj,sum_proj", "--out", "{scan.csv}"],
+    # the extremal search on each side of n = 107, the largest n whose products
+    # (up to 16 n**4) fit int32
+    "search_sp24": ["search", "--objective", "thm_sp", "--n", "24", "--budget", "400",
+                    "--seed", "5", "--trajectory", "{trajectory.csv}"],
+    "search_sp108": ["search", "--objective", "thm_sp", "--n", "108", "--budget", "40",
+                     "--seed", "2", "--trajectory", "{trajectory.csv}"],
 }
 
 
