@@ -313,6 +313,13 @@ def _run_heads(x: np.ndarray) -> np.ndarray:
     return head
 
 
+def distinct_count(values: np.ndarray) -> int:
+    """The number of distinct values in an integer array, which it sorts in
+    place: one sort, then a count of the breaks between runs."""
+    values.sort()
+    return int(np.count_nonzero(values[1:] != values[:-1])) + (values.size > 0)
+
+
 def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     """Representation function of A op B.
 
@@ -558,8 +565,7 @@ def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
         if keys is None:
             return _distinct_count_fingerprint(A, B, op)
         flat, _, zeros = keys
-    flat.sort()
-    return int(np.count_nonzero(flat[1:] != flat[:-1])) + (flat.size > 0) + (zeros > 0)
+    return distinct_count(flat) + (zeros > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     DivisionDomainError,
@@ -42,7 +44,7 @@ from .errors import (
 from .sets import (
     FamilySpec, FiniteSet, as_int, as_rational, gen_family, intersect_dilate, is_convex,
 )
-from .energy import energy, pair_set_size, projection_count, rep_fn, to_float
+from .energy import distinct_count, energy, pair_set_size, projection_count, rep_fn, to_float
 from .constructions import (
     TWELVE_SEVENTHS,
     dominant_dyadic_class,
@@ -770,10 +772,41 @@ class SearchResult:
     trajectory: tuple[float, ...]
 
 
-def _objective_ratio(objective: str, values: list[int]) -> float:
-    A = FiniteSet(values)
-    size = max(pair_set_size(A, A, op) for op in _OBJECTIVE_OPS[objective])
-    return size / float(len(A)) ** _OBJECTIVE_EXPONENTS[objective]
+_SEARCH_UFUNCS = {"sum": np.add, "diff": np.subtract, "prod": np.multiply}
+
+
+class _Objective:
+    """The search's ratio for n distinct integers in [1, 4n^2], built once
+    per run.  An evaluation takes `ufunc.outer` of the sorted values and
+    counts the distinct values above its diagonal (`distinct_count`), the
+    diagonal included for sums and products: each unordered pair once.  The
+    differences there are the d distinct negative ones, so |A - A| = 2d + 1.
+    Pair values go in int32 when they fit: sums and differences (at most
+    8n^2), and products (at most 16n^4) for n <= 107.
+    """
+
+    def __init__(self, objective: str, n: int):
+        hi = 4 * n * n
+        self.denom = float(n) ** _OBJECTIVE_EXPONENTS[objective]
+        self.plans = []
+        for op in _OBJECTIVE_OPS[objective]:
+            tri = np.ravel_multi_index(np.triu_indices(n, int(op == "diff")), (n, n))
+            top = hi * hi if op == "prod" else 2 * hi
+            self.plans.append((_SEARCH_UFUNCS[op], tri,
+                               np.int32 if top < 1 << 31 else np.int64))
+
+    def sizes(self, values) -> list[int]:
+        """|A op A| for each op of the objective, in `_OBJECTIVE_OPS` order."""
+        vals = sorted(values)
+        out = []
+        for ufunc, tri, dtype in self.plans:
+            a = np.array(vals, dtype)
+            d = distinct_count(ufunc.outer(a, a).ravel().take(tri))
+            out.append(2 * d + 1 if ufunc is np.subtract else d)
+        return out
+
+    def ratio(self, values) -> float:
+        return max(self.sizes(values)) / self.denom
 
 
 def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> SearchResult:
@@ -782,7 +815,10 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
     States are n distinct integers in [1, 4n^2]; moves replace one element;
     stagnation triggers a seeded restart.  `budget` counts objective
     evaluations, so budget=1 returns the start configuration (an arithmetic
-    progression, which every run therefore weakly improves on).
+    progression, which every run therefore weakly improves on).  Each
+    evaluation counts the pair values of a plain int array (`_Objective`);
+    no `FiniteSet` is built until the best state is returned.  Products
+    reach 16n^4, so n must keep that below 2^63.
     """
     if objective not in _OBJECTIVE_EXPONENTS:
         raise DomainError(f"objective must be one of {sorted(_OBJECTIVE_EXPONENTS)}")
@@ -790,12 +826,15 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
         raise DomainError("search requires n >= 4")
     if budget < 1:
         raise DomainError("budget must be >= 1")
+    if 16 * n ** 4 >= 1 << 63:
+        raise DomainError("search requires 16 n^4 < 2^63, so that pair values fit int64")
+    objective_ratio = _Objective(objective, n).ratio
     hi = 4 * n * n
     rng = random.Random(seed)
 
     cur = list(range(1, n + 1))
     cur_set = set(cur)
-    cur_ratio = _objective_ratio(objective, cur)
+    cur_ratio = objective_ratio(cur)
     evals = 1
     best = sorted(cur)
     best_ratio = cur_ratio
@@ -807,7 +846,7 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
         if stagnation >= stall_limit:
             cur = sorted(rng.sample(range(1, hi + 1), n))
             cur_set = set(cur)
-            cur_ratio = _objective_ratio(objective, cur)
+            cur_ratio = objective_ratio(cur)
             evals += 1
             stagnation = 0
         else:
@@ -819,7 +858,7 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
             cand = cur.copy()
             old = cand[i]
             cand[i] = v
-            cand_ratio = _objective_ratio(objective, cand)
+            cand_ratio = objective_ratio(cand)
             evals += 1
             if cand_ratio < cur_ratio:
                 cur = cand

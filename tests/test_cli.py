@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -288,6 +289,17 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n2\n3\n"
+
+
+def test_python_dash_m_sumsetlab_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumsetlab", "search", "--objective", "thm_csum", "--n", "8",
+         "--budget", "20"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 8
 
 
 @pytest.mark.parametrize("fault", [ExactnessError, ZeroDivisionError])

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import (
     FamilySpec,
+    FiniteSet,
     UnknownCheckError,
     check_ids,
     gen_family,
@@ -15,6 +16,7 @@ from sumsetlab import (
     run_scan,
     search_extremal,
 )
+from sumsetlab import verifier
 from sumsetlab.verifier import (
     DEFAULT_VERIFY_CHECKS,
     REGISTRY,
@@ -342,8 +344,66 @@ def test_search_budget_one_returns_start():
     ap = make_set(range(1, 9))
     want = max(pair_set_size(ap, ap, "sum"), pair_set_size(ap, ap, "prod"))
     assert res.best == ap
-    assert res.ratio == pytest.approx(want / 8 ** (4 / 3 + 10 / 4407))
+    assert res.ratio == want / 8 ** (4 / 3 + 10 / 4407)
     assert len(res.trajectory) == 1
+
+
+# n distinct integers in [1, 4n^2], the search's states
+search_states = st.integers(4, 40).flatmap(
+    lambda n: st.lists(st.integers(1, 4 * n * n), min_size=n, max_size=n, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_states)
+@example([1, 2, 3, 64])
+# the int32/int64 rule for products: 4n^2 in the set, on either side of n = 107
+@example(list(range(1, 107)) + [4 * 107 ** 2])
+@example(list(range(1, 108)) + [4 * 108 ** 2])
+# in int32, 65536 * 65537 = 2^32 + 65536 would wrap onto 1 * 65536
+@example(list(range(1, 127)) + [65536, 65537, 4 * 129 ** 2])
+def test_search_objective_counts_match_pair_set_size_and_brute_force(values):
+    n = len(values)
+    A = make_set(values)
+    got = {}
+    for objective in ("thm_sp", "thm_csum", "thm_cdiff"):
+        got.update(zip(verifier._OBJECTIVE_OPS[objective],
+                       verifier._Objective(objective, n).sizes(values)))
+    for op, size in got.items():
+        assert size == pair_set_size(A, A, op), op
+    if n <= 12:
+        assert got == {"sum": len({a + b for a in values for b in values}),
+                       "diff": len({a - b for a in values for b in values}),
+                       "prod": len({a * b for a in values for b in values})}
+
+
+def test_search_builds_no_set_per_evaluation(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return FiniteSet(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "FiniteSet", spy)
+    counts = []
+    for budget in (30, 300):
+        built.clear()
+        search_extremal("thm_sp", 16, budget, seed=1)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 1
+
+
+def test_search_refuses_an_n_whose_products_pass_int64(monkeypatch):
+    from sumsetlab import DomainError
+
+    def allocate(*args):
+        raise AssertionError("the objective's tables were allocated")
+
+    # 16 n^4 >= 2^63 from n = 27 555 on; raised before any table is allocated
+    monkeypatch.setattr(verifier, "_Objective", allocate)
+    for objective in ("thm_sp", "thm_csum", "thm_cdiff"):
+        for n in (27_555, 10 ** 6):
+            with pytest.raises(DomainError, match=r"2\^63"):
+                search_extremal(objective, n, 10)
 
 
 def test_search_dominates_its_start():
