@@ -789,8 +789,9 @@ class _Objective:
         hi = 4 * n * n
         self.denom = float(n) ** _OBJECTIVE_EXPONENTS[objective]
         self.plans = []
+        r = np.arange(n)
         for op in _OBJECTIVE_OPS[objective]:
-            tri = np.ravel_multi_index(np.triu_indices(n, int(op == "diff")), (n, n))
+            tri = np.flatnonzero(r[:, None] < r if op == "diff" else r[:, None] <= r)
             top = hi * hi if op == "prod" else 2 * hi
             self.plans.append((_SEARCH_UFUNCS[op], tri,
                                np.int32 if top < 1 << 31 else np.int64))
