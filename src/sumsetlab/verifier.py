@@ -772,18 +772,11 @@ class SearchResult:
     trajectory: tuple[float, ...]
 
 
-_SEARCH_UFUNCS = {"sum": np.add, "diff": np.subtract, "prod": np.multiply}
-
-
 class _Objective:
-    """The search's ratio for n distinct integers in [1, 4n^2], built once
-    per run.  An evaluation takes `ufunc.outer` of the sorted values and
-    counts the distinct values above its diagonal (`distinct_count`), the
-    diagonal included for sums and products: each unordered pair once.  The
-    differences there are the d distinct negative ones, so |A - A| = 2d + 1.
-    Pair values go in int32 when they fit: sums and differences (at most
-    8n^2), and products (at most 16n^4) for n <= 107.
-    """
+    """The search's ratio on n distinct integers in [1, 4n^2], set up once
+    per run: `sizes` counts the distinct values of `ufunc.outer` of the
+    sorted values on and above its diagonal, in int32 when they fit (strictly
+    above for differences: d distinct negative ones, |A - A| = 2d + 1)."""
 
     def __init__(self, objective: str, n: int):
         hi = 4 * n * n
@@ -791,10 +784,10 @@ class _Objective:
         self.plans = []
         r = np.arange(n)
         for op in _OBJECTIVE_OPS[objective]:
+            ufunc = {"sum": np.add, "diff": np.subtract, "prod": np.multiply}[op]
             tri = np.flatnonzero(r[:, None] < r if op == "diff" else r[:, None] <= r)
-            top = hi * hi if op == "prod" else 2 * hi
-            self.plans.append((_SEARCH_UFUNCS[op], tri,
-                               np.int32 if top < 1 << 31 else np.int64))
+            fits32 = (hi * hi if op == "prod" else 2 * hi) < 1 << 31
+            self.plans.append((ufunc, tri, np.int32 if fits32 else np.int64))
 
     def sizes(self, values) -> list[int]:
         """|A op A| for each op of the objective, in `_OBJECTIVE_OPS` order."""
@@ -816,10 +809,9 @@ def search_extremal(objective: str, n: int, budget: int, seed: int = 0) -> Searc
     States are n distinct integers in [1, 4n^2]; moves replace one element;
     stagnation triggers a seeded restart.  `budget` counts objective
     evaluations, so budget=1 returns the start configuration (an arithmetic
-    progression, which every run therefore weakly improves on).  Each
-    evaluation counts the pair values of a plain int array (`_Objective`);
-    no `FiniteSet` is built until the best state is returned.  Products
-    reach 16n^4, so n must keep that below 2^63.
+    progression, which every run therefore weakly improves on).  An
+    evaluation counts pair values in a plain int array (`_Objective`), not
+    a `FiniteSet`; products reach 16n^4, which must stay below 2^63.
     """
     if objective not in _OBJECTIVE_EXPONENTS:
         raise DomainError(f"objective must be one of {sorted(_OBJECTIVE_EXPONENTS)}")
