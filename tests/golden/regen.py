@@ -1,4 +1,4 @@
-"""Golden artifacts: the byte-identical outputs of nine fixed CLI commands.
+"""Golden artifacts: the byte-identical outputs of ten fixed CLI commands.
 
 Each case is a `sumsetlab` command line.  Its artifacts are its stdout,
 its stderr, its exit code and every file it writes; they live in
@@ -58,6 +58,12 @@ CASES = {
                     "--seed", "5", "--trajectory", "{trajectory.csv}"],
     "search_sp108": ["search", "--objective", "thm_sp", "--n", "108", "--budget", "40",
                      "--seed", "2", "--trajectory", "{trajectory.csv}"],
+    # a rational set and a set past int64 on the sum side: pair operands at
+    # a common denominator, and residue-keyed membership
+    "scan_operands": ["scan", "--families", "AP(1/3,2/7),AP(9223372036854775808,1),Perturbed(AP(1,1),5)",
+                      "--sizes", "64,300",
+                      "--checks", "cs_energy,cs_proj,diff_proj,sum_proj,e2_lower,rich_size",
+                      "--out", "{scan.csv}"],
 }
 
 

@@ -1,4 +1,4 @@
-"""The golden corpus: nine CLI commands give byte-identical artifacts.
+"""The golden corpus: ten CLI commands give byte-identical artifacts.
 
 `tests/golden/regen.py` holds the commands and regenerates the corpus; see
 its docstring for the layout.
