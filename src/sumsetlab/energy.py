@@ -34,8 +34,10 @@ pair's table entry (`RepFn.pair_pos`), so whether a pair's difference lies
 in a selection of that table, such as its popular differences, is read
 from the table (`RepFn.pair_mask`) and needs no lookup at all.
 
-The one floating-point path is `projection_count`'s fast path for integer
-sets of moderate span: the difference-count function of a set is the
+`projection_count` has two kernels.  `_loop_projection` is the
+sorted-membership loop of `pair_membership`, under a work budget.  The one
+floating-point path is the other, `_fft_projection`, for sets of moderate
+scaled span: the difference-count function of a set is the
 autocorrelation of its 0/1 indicator vector, computed with float64 real
 FFTs and rounded to the nearest integers.  The vector is cut into K >= 2
 blocks of at most about `_FFT_BLOCK` points, so that one transform stays in
@@ -44,7 +46,7 @@ cache; each block is transformed on the least even length of the form
 pointwise before K inverse transforms, each written into a spare buffer
 or the buffer of a spectrum already inverted.  The table is streamed: each
 block of it is formed, rounded and certified in one of those buffers, and
-`projection_count` adds up the block's counts at its query lags there, so
+`_fft_projection` adds up the block's counts at its query lags there, so
 no table of the whole span is ever allocated.  Its exactness rests on two
 things (see `_difference_counts_fft`): Percival's rounding-error bound for FFT
 convolution, proved for a complex radix-2 transform and carried over to
@@ -52,8 +54,7 @@ numpy's mixed-radix real transforms without a proof (each radix-r pass
 counted as r - 1 radix-2 stages, the K-term sums as ceil(log2 K) more),
 under which the kernel refuses operands whose error could reach 1/4; and a
 certification of every rounded table, carried across its blocks, which
-raises on any failed check before a count is returned.  Sets whose span is
-too large use the sorted-membership loop under a work budget.
+raises on any failed check before a count is returned.
 """
 
 from __future__ import annotations
@@ -110,12 +111,13 @@ _POLY_SPAN_LIMIT = 4_194_304
 # two-halves layout.  Swept over 2**14 .. 2**19 on random sets with spans
 # 3e4 .. 4e6 (2-core x86-64, 4 MiB L2, numpy 2.4): see CHANGES.md.
 _FFT_BLOCK = 1 << 18
-# "auto" cost model: the FFT path's work is N*log2(N) for transforms on N
-# points (`_fft_length`), the membership loop's is its pair operations, and
-# one pair operation is charged 2 units of FFT work.  It was calibrated on
-# the two-halves kernel, which transformed every span on N points; past
-# 2 * _FFT_BLOCK the blocked kernel is cheaper than N*log2(N) predicts, so
-# the model there favours the loop slightly more than it should.  Timing
+# `projection_count`'s cost model: the FFT path's work is N*log2(N) for
+# transforms on N points (`_fft_length`), the membership loop's is its pair
+# operations, and one pair operation is charged 2 units of FFT work.  It was
+# calibrated on the two-halves kernel, which transformed every span on N
+# points; past 2 * _FFT_BLOCK the blocked kernel is cheaper than N*log2(N)
+# predicts, so the model there favours the loop slightly more than it
+# should.  Timing
 # both paths forced, best of 3-5, on random sets P = Q with spans 12 288,
 # 49 152, 196 608 and 786 432 (N = 12 500, 50 000, 196 830, 787 320;
 # 2-core x86-64, numpy 2.4) at 0.7 and 1.4 times the break-even |P| the
@@ -239,6 +241,14 @@ class RepFn:
         return hit
 
 
+# each pair operation as a numpy ufunc and on exact Python values
+_PAIR_FUNCS = {
+    "sum": (np.add, operator.add),
+    "diff": (np.subtract, operator.sub),
+    "prod": (np.multiply, operator.mul),
+}
+
+
 def _abs_bound(ints: list[int]) -> int:
     return max(abs(ints[0]), abs(ints[-1])) if ints else 0
 
@@ -259,24 +269,21 @@ def _pair_factors(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
     return s // sa, s // sb, s
 
 
-def _pair_operands(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
-    """(a, b, s): integer lists and a multiple s of `scale` with
-    a[i] op b[j] = s * (A[i] op B[j]), for op sum, diff or prod."""
+def _operands(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
+    """(a, b, s): the scaled operands of A op B and a multiple s of `scale`
+    with a[i] op b[j] = s * (A[i] op B[j]), for op sum, diff or prod.
+
+    a and b are int64 arrays (the sets' int64 views, scaled) when every
+    operand and every pair value lies below `INT64_SAFE` in absolute value,
+    as bounded by the operands' largest magnitudes; sequences of Python
+    ints otherwise.
+    """
     ma, mb, s = _pair_factors(A, B, op, scale)
-    return _times(A.int_view.ints, ma), _times(B.int_view.ints, mb), s
-
-
-def common_scaled(A: FiniteSet, B: FiniteSet):
-    """(a, b, s): int64 views of A and B brought to a common denominator s,
-    or None when a scaled value may not fit int64."""
     iva, ivb = A.int_view, B.int_view
-    if iva.arr is None or ivb.arr is None:
-        return None
-    s = math.lcm(iva.scale, ivb.scale)
-    ma, mb = s // iva.scale, s // ivb.scale
-    if _abs_bound(iva.ints) * ma + _abs_bound(ivb.ints) * mb >= INT64_SAFE:
-        return None
-    return iva.arr * ma if ma != 1 else iva.arr, ivb.arr * mb if mb != 1 else ivb.arr, s
+    ba, bb = _abs_bound(iva.ints) * ma, _abs_bound(ivb.ints) * mb
+    if max(ba, bb, ba * bb if op == "prod" else ba + bb) < INT64_SAFE:
+        return iva.arr * ma if ma != 1 else iva.arr, ivb.arr * mb if mb != 1 else ivb.arr, s
+    return _times(iva.ints, ma), _times(ivb.ints, mb), s
 
 
 def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
@@ -286,23 +293,16 @@ def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
     always for ratios.  Sums and differences whose values fit int32 come as
     int32: half the memory traffic in the sort.
     """
-    if op in ("sum", "diff"):
-        com = common_scaled(A, B)
-        if com is None:
-            return None
-        a, b, s = com
-        if a.size and b.size and _abs_bound([int(a[0]), int(a[-1])]) \
-                + _abs_bound([int(b[0]), int(b[-1])]) < (1 << 31):
-            a = a.astype(np.int32)
-            b = b.astype(np.int32)
-        m = a[:, None] + b[None, :] if op == "sum" else a[:, None] - b[None, :]
-        return m.ravel(), s
-    if op == "prod":
-        iva, ivb = A.int_view, B.int_view
-        if iva.arr is not None and ivb.arr is not None \
-                and _abs_bound(iva.ints) * _abs_bound(ivb.ints) < INT64_SAFE:
-            return (iva.arr[:, None] * ivb.arr[None, :]).ravel(), iva.scale * ivb.scale
-    return None
+    if op == "ratio":
+        return None
+    a, b, s = _operands(A, B, op)
+    if not isinstance(a, np.ndarray):
+        return None
+    if op != "prod" and a.size and b.size and _abs_bound([int(a[0]), int(a[-1])]) \
+            + _abs_bound([int(b[0]), int(b[-1])]) < (1 << 31):
+        a = a.astype(np.int32)
+        b = b.astype(np.int32)
+    return _PAIR_FUNCS[op][0].outer(a, b).ravel(), s
 
 
 def _run_heads(x: np.ndarray) -> np.ndarray:
@@ -372,12 +372,6 @@ def pair_set(A: FiniteSet, B: FiniteSet, op: str) -> FiniteSet:
 _KEY_PRIMES = (2147483579, 2147483123)
 # pair values held at once while `_PairGroups.mixed_groups` checks groups
 _CHECK_CHUNK = 1 << 15
-# each operation on numpy residues and on exact Python values
-_PAIR_FUNCS = {
-    "sum": (np.add, operator.add),
-    "diff": (np.subtract, operator.sub),
-    "prod": (np.multiply, operator.mul),
-}
 
 
 def _key_parts(iv, m: int) -> list[np.ndarray]:
@@ -793,14 +787,14 @@ def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
                     dtype=np.int64 if per_row else bool)
     if not (len(X) and len(Y) and len(P)):
         return hits
-    mx, my, s = _pair_factors(X, Y, op, P.int_view.scale)
-    scaled = ((X.int_view, mx), (Y.int_view, my), (P.int_view, s // P.int_view.scale))
-    bx, by, bp = (_abs_bound(iv.ints) * m for iv, m in scaled)
-    if max(bx, by, bp, bx * by if op == "prod" else bx + by) < INT64_SAFE:
-        x, y, p = (iv.arr * m if m != 1 else iv.arr for iv, m in scaled)
-        block = _int64_lookup(x, y, op, p)
+    x, y, s = _operands(X, Y, op, P.int_view.scale)
+    ivp = P.int_view
+    mp = s // ivp.scale
+    if isinstance(x, np.ndarray) and _abs_bound(ivp.ints) * mp < INT64_SAFE:
+        block = _int64_lookup(x, y, op, ivp.arr * mp if mp != 1 else ivp.arr)
     else:
-        block = _residue_lookup(op, scaled)
+        mx, my, _ = _pair_factors(X, Y, op, s)
+        block = _residue_lookup(op, ((X.int_view, mx), (Y.int_view, my), (ivp, mp)))
     rows = max(1, _MEMBERSHIP_CHUNK // len(Y))
     for r0 in range(0, len(X), rows):
         hit = block(r0, r0 + rows)
@@ -1194,70 +1188,69 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
     cert.close()
 
 
-def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None,
-                     strategy: str = "auto") -> int:
+def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None) -> int:
     """Exact #{(p1, p2, q) in P x P x Q : p1 - p2 = q}.
 
-    Equivalently the total count of P-differences landing in Q.  Strategy
-    "hash" is the O(|P| * min(|P|, |Q|)) sorted-membership loop of
-    `pair_membership`, over p2 + q in P when |Q| <= |P| and over p1 - p2 in
-    Q otherwise; "poly" is the FFT correlation path (integer sets of
-    moderate span), whose rounded table is certified on every call; it raises
-    ExactnessError outside the range its rounding-error allowance covers
-    and on any failed certification.  "auto" picks the cheaper
-    applicable one by the `_FFT_WORK_PER_PAIR` cost model, and the FFT path
-    whenever it applies and the loop would exceed `budget`.  A `budget`
-    caps the loop's pair operations; exceeding it raises
-    BudgetExceededError.
+    Equivalently the total count of P-differences landing in Q.  One of two
+    kernels runs, chosen from the inputs alone: the FFT correlation
+    `_fft_projection` when the sorted-membership loop `_loop_projection`
+    would take more than 200 000 pair operations, P's span at the common
+    denominator of P and Q is at most `_POLY_SPAN_LIMIT`, and the
+    `_FFT_WORK_PER_PAIR` cost model finds the FFT cheaper or the loop would
+    exceed `budget`; the loop otherwise.  A `budget` caps the loop's pair
+    operations; exceeding it raises BudgetExceededError.  The FFT raises
+    ExactnessError on any failed certification.
     """
-    np_, nq = len(P), len(Q)
-    if np_ == 0 or nq == 0:
+    if not (len(P) and len(Q)):
         return 0
-    loop_cost = np_ * min(np_, nq)
-    # p1 - p2 = q exactly when s*p1 - s*p2 = s*q: every path counts
-    # integers, int64 views when they fit
-    com = common_scaled(P, Q)
-    p_ints, q_ints, _ = com if com is not None else _pair_operands(P, Q, "diff")
-
-    if strategy == "auto":
-        strategy = "hash"
-        if loop_cost > 200_000:
-            span = int(p_ints[-1]) - int(p_ints[0])
-            if span <= _POLY_SPAN_LIMIT:
-                n, _ = _fft_length(span)
-                over_budget = budget is not None and loop_cost > budget
-                if over_budget or n * math.log2(n) <= _FFT_WORK_PER_PAIR * loop_cost:
-                    strategy = "poly"
-
-    if strategy == "poly":
-        # the sorted lags in [-span, span] give |q| as two ascending runs,
-        # so block t's lags t*b .. t*b + b - 1 are a slice of each run, cut
-        # once for all blocks (q and -q both count)
+    loop_cost = len(P) * min(len(P), len(Q))
+    over_budget = budget is not None and loop_cost > budget
+    if loop_cost > 200_000:
+        p_ints = _operands(P, Q, "diff")[0]
         span = int(p_ints[-1]) - int(p_ints[0])
-        lags = np.asarray(q_ints[bisect.bisect_left(q_ints, -span):
-                                 bisect.bisect_right(q_ints, span)], dtype=np.int64)
-        mid = int(np.searchsorted(lags, 0))
-        k, m, _ = _block_layout(span)
-        b = m // 2
-        starts = b * np.arange(k + 1)
-        runs = [(run % b, run.searchsorted(starts).tolist())
-                for run in (-lags[:mid][::-1], lags[mid:])]
-        total = 0
-        for t, block in enumerate(_difference_counts_fft(p_ints)):
-            for within, cuts in runs:
-                if cuts[t] < cuts[t + 1]:
-                    total += int(block[within[cuts[t]:cuts[t + 1]]].sum())
-        return total
-
-    if strategy != "hash":
-        raise DomainError(f"unknown projection_count strategy {strategy!r}")
-    if budget is not None and loop_cost > budget:
+        if span <= _POLY_SPAN_LIMIT:
+            n, _ = _fft_length(span)
+            if over_budget or n * math.log2(n) <= _FFT_WORK_PER_PAIR * loop_cost:
+                return _fft_projection(P, Q)
+    if over_budget:
         raise BudgetExceededError(
             f"projection_count needs {loop_cost} pair operations, budget {budget}"
         )
-    if nq <= np_:
+    return _loop_projection(P, Q)
+
+
+def _loop_projection(P: FiniteSet, Q: FiniteSet) -> int:
+    """`projection_count` by `pair_membership`: over p2 + q in P when
+    |Q| <= |P|, over p1 - p2 in Q otherwise."""
+    if len(Q) <= len(P):
         return int(pair_membership(P, Q, "sum", P, per_row=True).sum())
     return int(pair_membership(P, P, "diff", Q, per_row=True).sum())
+
+
+def _fft_projection(P: FiniteSet, Q: FiniteSet) -> int:
+    """`projection_count` of nonempty P and Q, read off the certified table
+    of `_difference_counts_fft` at Q's lags; raises ExactnessError where
+    that kernel does."""
+    # p1 - p2 = q exactly when s*p1 - s*p2 = s*q
+    p_ints, q_ints, _ = _operands(P, Q, "diff")
+    # the sorted lags in [-span, span] give |q| as two ascending runs, so
+    # block t's lags t*b .. t*b + b - 1 are a slice of each run, cut once
+    # for all blocks (q and -q both count)
+    span = int(p_ints[-1]) - int(p_ints[0])
+    lags = np.asarray(q_ints[bisect.bisect_left(q_ints, -span):
+                             bisect.bisect_right(q_ints, span)], dtype=np.int64)
+    mid = int(np.searchsorted(lags, 0))
+    k, m, _ = _block_layout(span)
+    b = m // 2
+    starts = b * np.arange(k + 1)
+    runs = [(run % b, run.searchsorted(starts).tolist())
+            for run in (-lags[:mid][::-1], lags[mid:])]
+    total = 0
+    for t, block in enumerate(_difference_counts_fft(p_ints)):
+        for within, cuts in runs:
+            if cuts[t] < cuts[t + 1]:
+                total += int(block[within[cuts[t]:cuts[t + 1]]].sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis import assume
 
@@ -37,6 +37,8 @@ from conftest import (
     oracle_rep_counts,
     rational_sets,
 )
+from sumsetlab.energy import _fft_projection, _loop_projection
+from sumsetlab.sets import INT64_SAFE
 
 A123 = make_set([1, 2, 3])
 
@@ -202,16 +204,16 @@ def test_projection_count_examples():
 def test_projection_count_matches_oracle(P, Q):
     want = oracle_projection(P.elements, Q.elements)
     assert projection_count(P, Q) == want
-    assert projection_count(P, Q, strategy="hash") == want
-    assert projection_count(P, Q, strategy="poly") == want
+    assert _loop_projection(P, Q) == want
+    assert _fft_projection(P, Q) == want
 
 
 @settings(max_examples=25, deadline=None)
 @given(rational_sets, rational_sets)
 def test_projection_count_rational_strategies_agree(P, Q):
     want = oracle_projection(P.elements, Q.elements)
-    assert projection_count(P, Q, strategy="hash") == want
-    assert projection_count(P, Q, strategy="poly") == want
+    assert _loop_projection(P, Q) == want
+    assert _fft_projection(P, Q) == want
 
 
 def test_projection_count_budget_guard():
@@ -227,7 +229,7 @@ def test_projection_count_poly_handles_negatives_and_scales():
     P = make_set([Fraction(-7, 3), Fraction(1, 3), 4, Fraction(9, 2)])
     Q = make_set([Fraction(-8, 3), 0, Fraction(13, 6)])
     want = oracle_projection(P.elements, Q.elements)
-    assert projection_count(P, Q, strategy="poly") == want
+    assert _fft_projection(P, Q) == want
 
 
 def _count_kernel_calls(monkeypatch):
@@ -240,8 +242,8 @@ def _count_kernel_calls(monkeypatch):
 
 
 def test_projection_count_auto_takes_fft_kernel_on_pinned_case(monkeypatch):
-    # |P| = 500 puts the hash loop at 250 000 pair operations, past the
-    # 200 000 below which "auto" always loops; the span (29 888) puts the
+    # |P| = 500 puts the loop at 250 000 pair operations, past the 200 000
+    # below which projection_count always loops; the span (29 888) puts the
     # FFT on 30 000 points, whose N log2 N work is below the model's charge
     # for the loop.  Timed on this set the loop is faster, so the test pins
     # the cost model's choice, not the cheaper path.
@@ -250,10 +252,10 @@ def test_projection_count_auto_takes_fft_kernel_on_pinned_case(monkeypatch):
     Q = make_set(rng.sample(range(-3_000, 3_000), 700))
     calls = _count_kernel_calls(monkeypatch)
     for R in (P, Q):
-        want = projection_count(P, R, strategy="hash")
+        want = _loop_projection(P, R)
         assert want > 0
         assert projection_count(P, R) == want
-        assert projection_count(P, R, strategy="poly") == want
+        assert _fft_projection(P, R) == want
     assert calls == [500] * 4
 
 
@@ -263,7 +265,7 @@ def test_projection_count_auto_loops_over_sparse_wide_sets(monkeypatch):
     rng = random.Random(463)
     P = make_set(rng.sample(range(4_000_000), 460))
     calls = _count_kernel_calls(monkeypatch)
-    want = projection_count(P, P, strategy="hash")
+    want = _loop_projection(P, P)
     assert projection_count(P, P) == want
     assert calls == []
     assert projection_count(P, P, budget=200_000) == want
@@ -366,9 +368,8 @@ def test_fft_kernel_refuses_outside_its_error_allowance(monkeypatch):
     P = make_set(range(0, 1000, 10))
     assert en._fft_correlation_error_bound(len(P), (990).bit_length()) >= 0.25
     with pytest.raises(ExactnessError, match="error allowance"):
-        projection_count(P, P, strategy="poly")
-    assert projection_count(P, P, strategy="hash") == oracle_projection(
-        P.elements, P.elements)
+        _fft_projection(P, P)
+    assert _loop_projection(P, P) == oracle_projection(P.elements, P.elements)
 
 
 def _radix_stages(n):
@@ -445,8 +446,7 @@ def test_fft_kernel_on_dense_verify_shaped_set(monkeypatch):
     n = 120
     A = gen_family(FamilySpec.random_subset(4 * n * n, n, seed=5))
     for P in (A, popular_differences(A)):
-        assert projection_count(P, P, strategy="poly") == projection_count(
-            P, P, strategy="hash")
+        assert _fft_projection(P, P) == _loop_projection(P, P)
     assert len(lengths) == 4
     assert all(m % 2 == 0 and _radix_stages(m) is not None for m in lengths)
 
@@ -486,8 +486,7 @@ def test_fft_block_layout_at_block_boundaries(block):
                     P = sorted({0, span, *inner})
                     _check_difference_table(en, [p - 5 for p in P])
                     S = make_set(P)
-                    assert projection_count(S, S, strategy="poly") == projection_count(
-                        S, S, strategy="hash")
+                    assert _fft_projection(S, S) == _loop_projection(S, S)
         assert {2, 3, 7, 40} <= seen
 
 
@@ -504,15 +503,14 @@ def test_fft_block_layout_matches_oracle(block, values, shift):
         S = make_set(P)
         Q = make_set([P[0] - P[-1], 0, 1, (P[-1] - P[0]) // 2, P[-1] - P[0] + 1])
         for R in (S, Q):
-            assert projection_count(S, R, strategy="poly") == projection_count(
-                S, R, strategy="hash")
+            assert _fft_projection(S, R) == _loop_projection(S, R)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from([2, 3, 7, 12]), st.data())
 def test_streamed_projection_count_at_edge_lags(blocks, data):
-    # the poly path reads each block's lags from two sorted runs of |q|;
-    # poly, hash and the oracle agree on Q holding q and -q, the lags 0 and
+    # the FFT kernel reads each block's lags from two sorted runs of |q|;
+    # both kernels and the oracle agree on Q holding q and -q, the lags 0 and
     # +-span, lags past the span and a Q that the span filter empties, over
     # int64 sets and over rationals past int64 (the Python-int list path)
     en = importlib.import_module("sumsetlab.energy")
@@ -540,8 +538,8 @@ def test_streamed_projection_count_at_edge_lags(blocks, data):
             want = oracle_projection(P.elements, Q.elements)
             if name == "emptied":
                 assert want == 0
-            assert projection_count(P, Q, strategy="poly") == want, name
-            assert projection_count(P, Q, strategy="hash") == want, name
+            assert _fft_projection(P, Q) == want, name
+            assert _loop_projection(P, Q) == want, name
 
 
 def _corrupt_irfft(monkeypatch, row, deltas):
@@ -935,6 +933,64 @@ def test_int64_table_past_histogram_span_limit():
         _assert_int64_table(R, A, op)
 
 
+_EXACT_OPS = {"sum": lambda x, y: x + y, "diff": lambda x, y: x - y,
+              "prod": lambda x, y: x * y}
+
+
+def _check_operands(A, B, op, scale=1):
+    """Check `_operands(A, B, op, scale)`: every scaled pair value is exact,
+    and int64 arrays come exactly when the largest pair value the operands'
+    magnitudes allow, and each operand, lies below INT64_SAFE.  Returns
+    that largest pair value."""
+    en = importlib.import_module("sumsetlab.energy")
+    a, b, s = en._operands(A, B, op, scale)
+    assert s % scale == 0
+    want = [[s * _EXACT_OPS[op](x, y) for y in B.elements] for x in A.elements]
+    big_a, big_b = (max(abs(int(v)) for v in ops) for ops in (a, b))
+    largest = big_a * big_b if op == "prod" else big_a + big_b
+    fits = max(big_a, big_b, largest) < INT64_SAFE
+    if fits:
+        assert a.dtype == b.dtype == np.int64
+        # int64 arithmetic, so a wrapped value would differ
+        assert en._PAIR_FUNCS[op][0].outer(a, b).tolist() == want
+    else:
+        assert all(type(v) is int for v in (*a, *b))
+        assert [[_EXACT_OPS[op](x, y) for y in b] for x in a] == want
+    return largest
+
+
+@st.composite
+def _operand_sets(draw):
+    # int64 sets, rationals and sets past int64, near the fit boundary
+    bits = draw(st.sampled_from([4, 30, 31, 32, 60, 61, 62, 63, 70]))
+    den = draw(st.sampled_from([1, 1, 3, 7]))
+    nums = draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=1, max_size=6))
+    return make_set(Fraction(v, den) for v in nums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operand_sets(), _operand_sets(), st.sampled_from(["sum", "diff", "prod"]),
+       st.sampled_from([1, 2, 21]))
+# products with 0 all fit, but the operand 2**70 does not
+@example(make_set([0]), make_set([1 << 70]), "prod", 1)
+def test_operands_are_exact_and_int64_exactly_when_they_fit(A, B, op, scale):
+    _check_operands(A, B, op, scale)
+
+
+@pytest.mark.parametrize("op, A, B", [
+    # the largest pair value is L, with the operands scaled by 3, 1 and 10
+    ("sum", lambda L: [Fraction(1, 3), Fraction(L - 5, 3)], lambda L: [Fraction(5, 3)]),
+    ("diff", lambda L: [1, L - 5], lambda L: [-5]),
+    # INT64_SAFE - 1 = (2**31 - 1)(2**31 + 1) and INT64_SAFE = 2**31 * 2**31
+    ("prod", lambda L: [Fraction(3, 2), Fraction(2 ** 31 - L % 2, 2)],
+     lambda L: [Fraction(2 ** 31 + L % 2, 5)]),
+])
+def test_operands_pinned_at_the_int64_bound(op, A, B):
+    assert INT64_SAFE == 1 << 62
+    for largest in (INT64_SAFE - 1, INT64_SAFE):
+        assert _check_operands(make_set(A(largest)), make_set(B(largest)), op) == largest
+
+
 def test_empty_sets():
     E = make_set([])
     assert pair_set(E, A123, "sum") == E
@@ -1125,9 +1181,9 @@ def test_projection_count_poly_on_values_past_int64():
     base = 1 << 70
     P = make_set([base + 3 * k for k in range(1000)] + [base + 2999])
     Q = make_set([-6, -1, 0, 3, 2999, 1 << 65])
-    want = projection_count(P, Q, strategy="hash")
+    want = _loop_projection(P, Q)
     assert want == 2 * (1000 - 2) + 1001 + 2
-    assert projection_count(P, Q, strategy="poly") == want
+    assert _fft_projection(P, Q) == want
     assert projection_count(P, Q) == want
 
 
