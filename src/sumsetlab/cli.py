@@ -93,6 +93,18 @@ def _opt(args, cfg: dict, key: str, default):
     return default
 
 
+def _list_opt(args, cfg: dict, key: str) -> list | None:
+    """A list-valued option: comma-list text from a flag or the config file,
+    split by `split_top_level`, or a JSON list from the config file, item
+    by item; None when it is not given."""
+    val = _opt(args, cfg, key, None)
+    if isinstance(val, str):
+        return split_top_level(val)
+    if val is None or isinstance(val, list):
+        return val
+    raise UsageError(f"{key} must be a comma list or a JSON list, got {val!r}")
+
+
 def _as_int(key: str, val) -> int:
     """`val` read by `sets.as_int`; anything else from a flag or a config
     file (2.5, true, "abc") is a usage error naming its key."""
@@ -203,11 +215,9 @@ def _results_table(results, fmt: str) -> str:
 
 def _cmd_verify(args, cfg) -> int:
     A = _resolve_set(args, cfg)
-    checks = _opt(args, cfg, "checks", None)
-    if checks is None:
+    check_list = _list_opt(args, cfg, "checks")
+    if check_list is None:
         check_list = list(DEFAULT_VERIFY_CHECKS)
-    else:
-        check_list = split_top_level(str(checks))
     params = None
     raw_params = _opt(args, cfg, "check_params", None)
     if raw_params:
@@ -233,23 +243,14 @@ def _exit_code(results) -> int:
 
 
 def _cmd_scan(args, cfg) -> int:
-    families_raw = _opt(args, cfg, "families", None)
-    sizes_raw = _opt(args, cfg, "sizes", None)
-    checks_raw = _opt(args, cfg, "checks", None)
-    if not families_raw or not sizes_raw or not checks_raw:
+    families_raw = _list_opt(args, cfg, "families")
+    sizes_raw = _list_opt(args, cfg, "sizes")
+    checks = _list_opt(args, cfg, "checks")
+    if not families_raw or not sizes_raw or not checks:
         raise UsageError("scan requires --families, --sizes, and --checks")
-    if isinstance(families_raw, str):
-        families_raw = split_top_level(families_raw)
     seed = _int_opt(args, cfg, "seed", 0)
     families = [_reseed(FamilySpec.parse(f, 1), seed) for f in families_raw]
-    if isinstance(sizes_raw, str):
-        sizes = [_as_int("sizes", s) for s in sizes_raw.split(",") if s.strip()]
-    else:
-        sizes = [_as_int("sizes", s) for s in sizes_raw]
-    if isinstance(checks_raw, str):
-        checks = split_top_level(checks_raw)
-    else:
-        checks = list(checks_raw)
+    sizes = [_as_int("sizes", s) for s in sizes_raw]
     jobs = _int_opt(args, cfg, "jobs", 1)
     budget = _int_opt(args, cfg, "budget", None)
     kwargs = {} if budget is None else {"budget": budget}

@@ -271,6 +271,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert capsys.readouterr().out == "1\n2\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_config_lists_read_as_their_items(tmp_path, capsys, command):
+    # the same options as a JSON list and as comma-list text; the list
+    # once reached verify as the text of a Python list
+    where = ({"family": "AP(1,1)", "n": 8} if command == "verify"
+             else {"families": ["AP(1,1)", "GP(1,2)"], "sizes": [8, "16"]})
+    outputs = []
+    for checks in (["cs_energy", "popular_mass"], "cs_energy,popular_mass"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**where, "checks": checks}))
+        assert run_cli("--config", str(cfg), command) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    rows = outputs[0].splitlines()[1:]
+    assert len(rows) == (2 if command == "verify" else 2 * 2 * 2)
+    cfg.write_text(json.dumps({**where, "checks": 5}))
+    assert run_cli("--config", str(cfg), command) == 2
+    assert "checks must be a comma list or a JSON list, got 5" in capsys.readouterr().err
+
+
 def test_bad_config_json(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{nope")
