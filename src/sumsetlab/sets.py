@@ -41,7 +41,6 @@ __all__ = [
     "read_set_file",
     "read_utf8_text",
     "write_set_file",
-    "parse_rational",
     "format_rational",
     "split_top_level",
     "sorted_contains",
@@ -137,11 +136,6 @@ def as_int(x) -> int:
     if isinstance(x, str):
         return int(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as an integer")
-
-
-def parse_rational(text: str) -> Rational:
-    """Parse 'p' or 'p/q' (base 10) into canonical exact form."""
-    return as_rational(text)
 
 
 # `coprime_exponents` gives up on numbers that need more bases than this.
@@ -559,20 +553,20 @@ class FamilySpec:
             return v
 
         if kind in ("AP", "GP"):
-            if len(parts) != 2:
-                raise DomainError(f"{kind} takes two arguments, got {text!r}")
-            return cls(kind, (rat_arg(parts[0]), rat_arg(parts[1])), n)
-        if kind in ("ConvexPower", "ConvexCustom") and len(parts) != 1:
-            raise DomainError(f"{kind} takes one argument, got {text!r}")
-        if kind in ("ConvexPower", "ConvexCustom", "RandomSubset"):
-            return cls(kind, tuple(int_arg(p) for p in parts), n)
-        if kind == "Perturbed":
+            args = tuple(rat_arg(p) for p in parts)
+        elif kind in ("ConvexPower", "ConvexCustom", "RandomSubset"):
+            args = tuple(int_arg(p) for p in parts)
+        elif kind == "Perturbed":
             if not parts:
                 raise DomainError(f"Perturbed needs a base family, got {text!r}")
-            base = cls.parse(parts[0], n)
-            rest = tuple(int_arg(p) for p in parts[1:])
-            return cls(kind, (base,) + rest, n)
-        raise DomainError(f"unknown family kind {kind!r}")
+            args = (cls.parse(parts[0], n),) + tuple(int_arg(p) for p in parts[1:])
+        else:
+            raise DomainError(f"unknown family kind {kind!r}")
+        # __post_init__ checks the arguments, their count included
+        try:
+            return cls(kind, args, n)
+        except DomainError as exc:
+            raise DomainError(f"{exc}, for {text!r}") from None
 
 
 def split_top_level(text: str) -> list[str]:

@@ -194,7 +194,8 @@ def test_family_spec_parse_rejects_garbage():
 
 
 @pytest.mark.parametrize(
-    "text", ["AP(1,x)", "ConvexPower()", "Perturbed()", "RandomSubset(1/0)"]
+    "text", ["AP(1,x)", "ConvexPower()", "Perturbed()", "RandomSubset(1/0)",
+             "AP(1)", "AP(1,0)", "GP(1,2,3)"]
 )
 def test_family_spec_parse_names_malformed_arguments(text):
     with pytest.raises(DomainError, match=r"\(") as info:
