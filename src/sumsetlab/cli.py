@@ -93,15 +93,17 @@ def _opt(args, cfg: dict, key: str, default):
     return default
 
 
-def _list_opt(args, cfg: dict, key: str) -> list | None:
-    """A list-valued option: comma-list text from a flag or the config file,
-    split by `split_top_level`, or a JSON list from the config file, item
-    by item; None when it is not given."""
+def _list_opt(args, cfg: dict, key: str) -> list[str] | None:
+    """A list-valued option as a list of texts: comma-list text from a flag
+    or the config file, split by `split_top_level`, or the items of a JSON
+    list from the config file; None when it is not given."""
     val = _opt(args, cfg, key, None)
     if isinstance(val, str):
         return split_top_level(val)
-    if val is None or isinstance(val, list):
-        return val
+    if isinstance(val, list):
+        return [str(v) for v in val]
+    if val is None:
+        return None
     raise UsageError(f"{key} must be a comma list or a JSON list, got {val!r}")
 
 

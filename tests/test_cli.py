@@ -289,6 +289,10 @@ def test_config_lists_read_as_their_items(tmp_path, capsys, command):
     cfg.write_text(json.dumps({**where, "checks": 5}))
     assert run_cli("--config", str(cfg), command) == 2
     assert "checks must be a comma list or a JSON list, got 5" in capsys.readouterr().err
+    # an item that is not text is read as text, and is an unknown check id
+    cfg.write_text(json.dumps({**where, "checks": ["cs_energy", 5]}))
+    assert run_cli("--config", str(cfg), command) == 2
+    assert "unknown check id '5'" in capsys.readouterr().err
 
 
 def test_bad_config_json(tmp_path):
