@@ -984,7 +984,7 @@ def test_operands_are_exact_and_int64_exactly_when_they_fit(A, B, op, scale):
     # INT64_SAFE - 1 = (2**31 - 1)(2**31 + 1) and INT64_SAFE = 2**31 * 2**31
     ("prod", lambda L: [Fraction(3, 2), Fraction(2 ** 31 - L % 2, 2)],
      lambda L: [Fraction(2 ** 31 + L % 2, 5)]),
-])
+], ids=["sum", "diff", "prod"])
 def test_operands_pinned_at_the_int64_bound(op, A, B):
     assert INT64_SAFE == 1 << 62
     for largest in (INT64_SAFE - 1, INT64_SAFE):
