@@ -22,17 +22,18 @@ exactly.
 
 Sort, never hash or histogram: an int64 representation table or pair-set
 size is one in-place sort of the |A||B| pair values (int32 when they fit),
-then a count of the runs.  Membership of
-whole blocks of pair values in a set goes through `pair_membership`.  When
-the pair values and the set fit int64 and lie in a short range, it reads a
-0/1 occupancy table indexed by value minus the range's start, a
-direct-address table with no hashing; otherwise it looks the values or
-their residue keys up in sorted arrays.  A Python set or dict only splits a
-key group that holds distinct values, which takes a key collision.  A
-same-set difference table from the residue-keyed kernel records each
-pair's table entry (`RepFn.pair_pos`), so whether a pair's difference lies
-in a selection of that table, such as its popular differences, is read
-from the table (`RepFn.pair_mask`) and needs no lookup at all.
+then a count of the runs.  Membership of whole blocks of pair values in a
+set goes through `pair_membership`.  When the pair values and the set fit
+int64, it reads a 0/1 occupancy table indexed by value minus the range's
+start, a direct-address table with no hashing; over a wide range an entry
+covers 2**s values and a hit is confirmed by binary search in the sorted
+set.  Past int64 it looks residue keys up in sorted arrays.  A Python set or
+dict only splits a key group that holds distinct values, which takes a key
+collision.  A same-set difference table from the residue-keyed kernel
+records each pair's table entry (`RepFn.pair_pos`), so whether a pair's
+difference lies in a selection of that table, such as its popular
+differences, is read from the table (`RepFn.pair_mask`) and needs no lookup
+at all.
 
 `projection_count` has two kernels.  `_loop_projection` is the
 sorted-membership loop of `pair_membership`, under a work budget.  The one
@@ -683,11 +684,11 @@ def _coprime_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn | None:
 _MEMBERSHIP_CHUNK = 1 << 15
 # widest 0/1 occupancy table `pair_membership` builds (16 MiB of bool)
 _BINCOUNT_SPAN_LIMIT = 16_777_216
-# `pair_membership` answers from an occupancy table when its width is at most
-# this many times |X||Y| + |P| (and at most `_BINCOUNT_SPAN_LIMIT`).  Timing
-# both paths on random sets (2-core x86-64, numpy 2.4) the table was 3-20
-# times faster up to 64 times, and broke even near 512-1024 times; 8 keeps
-# its one byte per entry within an int64 copy of the pair values and P.
+# `pair_membership`'s occupancy table has at most this many times |X||Y| + |P|
+# entries (and at most `_BINCOUNT_SPAN_LIMIT`); wider ranges share entries.
+# Timing an exact table against binary search on random sets (2-core x86-64,
+# numpy 2.4), it was 3-20 times faster up to 64 times and broke even near
+# 512-1024 times; 8 keeps its byte per entry within an int64 copy of the pairs.
 _OCCUPANCY_WIDTH_FACTOR = 8
 
 
@@ -701,33 +702,50 @@ def _int64_lookup(x: np.ndarray, y: np.ndarray, op: str, p: np.ndarray):
     """block(r0, r1): whether x[i] op y[j] lies in the sorted int64 array p,
     for rows r0 <= i < r1 of x, with every pair value known to fit int64.
 
-    All pair values and p lie in [base, base + width): the bounds are the
-    corner values of x op y and the ends of p.  A short range gets a 0/1
-    occupancy table and one gather per block; a wide one a binary search in p.
+    All pair values and p lie in [base, base + top]: the bounds are the
+    corner values of x op y and the ends of p.  A value v falls in bucket
+    (v - base) >> s of a 0/1 occupancy table, a direct-address table at a
+    resolution of 2**s values, for the least shift s at which it fits
+    (`_occupancy_fits`).  At s = 0 the table is exact and a block is one
+    gather; past it a pair value whose bucket holds an element of p is
+    confirmed by binary search in p.
     """
     ufunc, f = _PAIR_FUNCS[op]
     ends = [f(int(u), int(v)) for u in (x[0], x[-1]) for v in (y[0], y[-1])]
     ends += [int(p[0]), int(p[-1])]
     base = min(ends)
-    width = max(ends) - base + 1
-    if _occupancy_fits(width, x.size * y.size, p.size):
-        occ = np.zeros(width, dtype=bool)
-        occ[p - base] = True
-        if op == "prod":
-            def block(r0, r1):
-                v = ufunc.outer(x[r0:r1], y)
-                v -= base
-                return occ[v]
-            return block
+    top = max(ends) - base
+    s = 0
+    while top >> s and not _occupancy_fits((top >> s) + 1, x.size * y.size, p.size):
+        s += 1
+    q = p - base
+    occ = np.zeros((top >> s) + 1, dtype=bool)
+    occ[q >> s] = True
+    if op == "prod":
+        def offsets(r0, r1):
+            v = ufunc.outer(x[r0:r1], y)
+            v -= base
+            return v
+    else:
         # (x - base) op y = (x op y) - base for a sum or a difference
         shifted = x - base
-        return lambda r0, r1: occ[ufunc.outer(shifted[r0:r1], y)]
+        offsets = lambda r0, r1: ufunc.outer(shifted[r0:r1], y)
+    if s == 0:
+        return lambda r0, r1: occ[offsets(r0, r1)]
+    # an entry above every pair value keeps each search's index inside q
+    q = np.append(q, top + 1)
 
     def block(r0, r1):
-        v = ufunc.outer(x[r0:r1], y)
-        idx = np.searchsorted(p, v)
-        np.minimum(idx, p.size - 1, out=idx)
-        return p[idx] == v
+        # the keys are shifted in place and the values made again, so that a
+        # block holds one int64 array at a time
+        key = offsets(r0, r1)
+        key >>= s
+        hit = occ[key]
+        del key
+        v = offsets(r0, r1)
+        w = v[hit]
+        hit[hit] = q[np.searchsorted(q, w)] == w
+        return hit
     return block
 
 
@@ -772,14 +790,15 @@ def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
     of hits in each row; op is "sum", "diff" or "prod".  X op Y and P are
     brought to one denominator.  When the operands, the pair values and P
     all fit int64, the sets' int64 views are used as they are: pair values
-    that fall in a short range together with P are looked up in a 0/1
-    occupancy table over that range (a direct-address table, `occ[v - base]`,
-    used when its width is at most `_OCCUPANCY_WIDTH_FACTOR` times
-    |X||Y| + |P| and at most `_BINCOUNT_SPAN_LIMIT`), and wider ones in P's
-    sorted values by binary search.  Past int64, a pair's residue key (as in
-    `_PairGroups`) is looked up in P's sorted keys, and a key hit is compared
-    exactly.  Rows go a block of about `_MEMBERSHIP_CHUNK` pair values at a
-    time.
+    are looked up in a 0/1 occupancy table over the range they share with P,
+    a direct-address table `occ[(v - base) >> s]` at a resolution of 2**s
+    values.  s is the least shift at which the table has at most
+    `_OCCUPANCY_WIDTH_FACTOR` times |X||Y| + |P| entries and at most
+    `_BINCOUNT_SPAN_LIMIT`; at s = 0 the table is exact, and past it each hit
+    is confirmed by binary search in P's sorted values.  Past int64, a pair's
+    residue key (as in `_PairGroups`) is looked up in P's sorted keys, and a
+    key hit is compared exactly.  Rows go a block of about `_MEMBERSHIP_CHUNK`
+    pair values at a time.
     """
     if op not in _PAIR_FUNCS:
         raise DomainError(f"op must be one of {tuple(_PAIR_FUNCS)}, got {op!r}")

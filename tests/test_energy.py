@@ -1,6 +1,7 @@
 import importlib
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -1101,7 +1102,8 @@ def _literal_membership(X, Y, op, P):
 
 
 def _forced_occupancy(on):
-    # forced on while the table stays small enough to build in a test
+    # on: an exact table while it stays small enough to build in a test;
+    # off: a one-bucket coarse table, so every pair value is searched in P
     rule = (lambda width, pairs, size: width <= 1 << 20) if on else (lambda *args: False)
     en = importlib.import_module("sumsetlab.energy")
     return mock.patch.object(en, "_occupancy_fits", rule)
@@ -1131,10 +1133,20 @@ def _spy_occupancy_rule(monkeypatch):
     return decisions
 
 
+def _chosen_shifts(decisions):
+    # a lookup asks the rule at shifts 0, 1, ... and takes the first it allows
+    shifts, s = [], 0
+    for _, fits in decisions:
+        if fits:
+            shifts.append(s)
+        s = 0 if fits else s + 1
+    return shifts
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_pair_membership_pinned_at_width_factor_cap(monkeypatch, extra):
     # pair sums in [0, 2] and P = {0, top}: width top + 1 against the cap
-    # 8 * (|X||Y| + |P|) = 8 * (4 + 2) = 48
+    # 8 * (|X||Y| + |P|) = 8 * (4 + 2) = 48; one past it, a 2-value bucket
     en = importlib.import_module("sumsetlab.energy")
     cap = en._OCCUPANCY_WIDTH_FACTOR * (4 + 2)
     X = make_set([0, 1])
@@ -1143,7 +1155,8 @@ def test_pair_membership_pinned_at_width_factor_cap(monkeypatch, extra):
     for per_row in (False, True):
         got = pair_membership(X, X, "sum", P, per_row=per_row).tolist()
         assert got == ([1, 0] if per_row else [[True, False], [False, False]])
-    assert decisions == [((cap + extra, 4, 2), extra == 0)] * 2
+    assert _chosen_shifts(decisions) == [extra] * 2
+    assert decisions[0] == ((cap + extra, 4, 2), extra == 0)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -1160,7 +1173,110 @@ def test_pair_membership_pinned_at_bincount_span_limit(monkeypatch, extra):
     P = make_set([-1023, 0, limit - 1024 + extra])
     assert pair_membership(X, Y, "diff", P, per_row=True).tolist() \
         == [2] + [1] * 1023 + [0] * 1024
-    assert decisions == [((limit + extra, 2048 * 1024, 3), extra == 0)] * 2
+    assert _chosen_shifts(decisions) == [extra] * 2
+    assert decisions[0] == ((limit + extra, 2048 * 1024, 3), extra == 0)
+
+
+# -- the coarse occupancy table: buckets of 2**s values, hits confirmed ----------
+
+# sparse sets spanning about 2**40, with negative values; products of two of
+# them leave int64, so "prod" pairs one with small factors
+_sparse_wide_sets = st.lists(st.integers(-(1 << 39), 1 << 40), min_size=1,
+                             max_size=20).map(make_set)
+_small_factor_sets = st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1,
+                              max_size=12).map(make_set)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_wide_sets, st.data(), st.sampled_from(["sum", "diff", "prod"]),
+       st.sampled_from(["x", "half", "other"]), _sparse_wide_sets)
+def test_pair_membership_coarse_table_matches_literal(X, data, op, kind, other):
+    Y = data.draw(_small_factor_sets if op == "prod" else _sparse_wide_sets)
+    P = other if kind == "other" else _membership_target(X, Y, op, kind)
+    want = _literal_membership(X, Y, op, P)
+    assert pair_membership(X, Y, op, P).tolist() == want
+    assert pair_membership(X, Y, op, P, per_row=True).tolist() == [sum(r) for r in want]
+
+
+def test_pair_membership_coarse_table_with_p_in_one_bucket(monkeypatch):
+    # one far element widens the range; P and nearly every pair sum share
+    # one bucket (the range starts at 0), so nearly every pair is confirmed
+    # by search
+    X = make_set(list(range(0, 90, 3)) + [1 << 40])
+    P = make_set(range(0, 180, 2))
+    decisions = _spy_occupancy_rule(monkeypatch)
+    got = pair_membership(X, X, "sum", P)
+    assert got.tolist() == _literal_membership(X, X, "sum", P)
+    s, = _chosen_shifts(decisions)
+    assert s > 0 and len({p >> s for p in P.elements}) == 1
+    assert int(got.sum()) == 450
+
+
+@pytest.mark.parametrize("op", ["sum", "diff", "prod"])
+@pytest.mark.parametrize("base, top", [
+    (0, (1 << 40) - 5), (-(1 << 39), (1 << 40) - 5), (5 << 38, (1 << 40) - 5),
+    # the widest int64 range: P's ends are -(INT64_SAFE - 1) and INT64_SAFE - 1
+    (1 - INT64_SAFE, 2 * INT64_SAFE - 2),
+])
+def test_pair_membership_coarse_table_at_bucket_edges(monkeypatch, op, base, top):
+    # P's ends fix the range [base, base + top]; the pair values x op y
+    # (x = 0, or 1 for "prod") sit on each side of bucket edges base + k 2**s
+    en = importlib.import_module("sumsetlab.energy")
+    pairs, size = 30, 12
+    s = 0
+    while not en._occupancy_fits((top >> s) + 1, pairs, size):
+        s += 1
+    assert s > 0
+    values = [base + k * (1 << s) + d for k in range(1, 11) for d in (-1, 0, 1)]
+    assert max(values) < base + top
+    x, ys = (1, values) if op == "prod" else (0, values if op == "sum" else [-v for v in values])
+    P = make_set([base, base + top] + values[0::3][:5] + values[1::3][5:])
+    X, Y = make_set([x]), make_set(ys)
+    assert len(P) == size and len(X) * len(Y) == pairs
+    decisions = _spy_occupancy_rule(monkeypatch)
+    want = _literal_membership(X, Y, op, P)
+    assert pair_membership(X, Y, op, P).tolist() == want
+    assert sum(map(sum, want)) == 10
+    assert _chosen_shifts(decisions) == [s]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_wide_sets, _sparse_wide_sets, st.sampled_from(["sum", "diff"]),
+       st.sampled_from(["x", "half"]))
+def test_pair_membership_coarse_table_per_row_in_tiny_blocks(X, Y, op, kind):
+    en = importlib.import_module("sumsetlab.energy")
+    P = _membership_target(X, Y, op, kind)
+    want = [sum(r) for r in _literal_membership(X, Y, op, P)]
+    with mock.patch.object(en, "_MEMBERSHIP_CHUNK", 3):
+        assert pair_membership(X, Y, op, P, per_row=True).tolist() == want
+
+
+def test_projection_count_on_a_wide_set_uses_the_coarse_table(monkeypatch):
+    A = gen_family(FamilySpec.random_subset(1 << 40, 40, seed=3))
+    P = make_set(sorted({a - b for a in A for b in A if a != b})[::7])
+    decisions = _spy_occupancy_rule(monkeypatch)
+    want = sum(map(sum, _literal_membership(P, P, "diff", P)))
+    assert want > 0
+    assert projection_count(P, P) == want
+    s, = _chosen_shifts(decisions)
+    assert s > 0
+
+
+def test_pair_membership_coarse_table_memory():
+    # about 6 M pair sums over a span near 2**41: the table and at most two
+    # blocks of int64 pair values are live at once
+    en = importlib.import_module("sumsetlab.energy")
+    P = gen_family(FamilySpec.random_subset(1 << 40, 2450, seed=0))
+    a = P.int_view.arr
+    tracemalloc.start()
+    try:
+        got = pair_membership(P, P, "sum", P, per_row=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < en._BINCOUNT_SPAN_LIMIT + 2 * 8 * en._MEMBERSHIP_CHUNK
+    want = [int(np.isin(a[i] + a, a).sum()) for i in range(a.size)]
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("X, Y, P, want", [
