@@ -40,22 +40,25 @@ sorted-membership loop of `pair_membership`, under a work budget.  The one
 floating-point path is the other, `_fft_projection`, for sets of moderate
 scaled span: the difference-count function of a set is the
 autocorrelation of its 0/1 indicator vector, computed with float64 real
-FFTs and rounded to the nearest integers.  The vector is cut into K >= 2
-blocks of at most about `_FFT_BLOCK` points, so that one transform stays in
-cache; each block is transformed on the least even length of the form
-2**a 3**b 5**c at or above twice its length, and the K spectra are combined
-pointwise before K inverse transforms, each written into a spare buffer
-or the buffer of a spectrum already inverted.  The table is streamed: each
+FFTs and rounded to the nearest integers, and built only out to the largest
+lag a query asks for.  The vector is cut into K >= 2 blocks of at most
+about `_FFT_BLOCK` points, so that one transform stays in cache; each block
+is transformed on the least even length of the form 2**a 3**b 5**c at or
+above twice its length.  The K spectra are combined pointwise so that one
+inverse transform gives one block of the table, and only the blocks up to
+the largest query lag are inverted, each written into a spare buffer or
+the buffer of a spectrum already inverted.  The table is streamed: each
 block of it is formed, rounded and certified in one of those buffers, and
 `_fft_projection` adds up the block's counts at its query lags there, so
 no table of the whole span is ever allocated.  Its exactness rests on two
 things (see `_difference_counts_fft`): Percival's rounding-error bound for FFT
 convolution, proved for a complex radix-2 transform and carried over to
 numpy's mixed-radix real transforms without a proof (each radix-r pass
-counted as r - 1 radix-2 stages, the K-term sums as ceil(log2 K) more),
-under which the kernel refuses operands whose error could reach 1/4; and a
-certification of every rounded table, carried across its blocks, which
-raises on any failed check before a count is returned.
+counted as r - 1 radix-2 stages, the sums of up to 2K - 1 spectrum products
+as ceil(log2(2K - 1)) more), under which the kernel refuses operands whose
+error could reach 1/4; and a certification of every inverted buffer (its
+integrality, its exact mass and first moment, the zero lag), which raises
+on any failed check before a count is returned.
 """
 
 from __future__ import annotations
@@ -127,7 +130,10 @@ _FFT_BLOCK = 1 << 18
 # all 16 cases at both 4 and 2 units per pair.  The ratio calls for about 1/2; the
 # constant stays at 2 because below about 1.8 the set pinned in
 # test_projection_count_auto_takes_fft_kernel_on_pinned_case (|P| = 500,
-# N = 30 000) would leave the FFT.
+# N = 30 000) would leave the FFT.  The model charges the whole span even
+# though the kernel inverts only the blocks up to Q's largest lag (about
+# half of them for P = Q = -P); it is left so, and the dispatch with it,
+# until the layer timings of both paths are rerun.
 _FFT_WORK_PER_PAIR = 2
 
 
@@ -886,9 +892,6 @@ _FFT_BETA = 2.0 ** -50
 # refusal threshold for that allowance: rounding to the nearest integer needs
 # an error below 1/2; this keeps a factor-two margin
 _FFT_ERROR_LIMIT = 0.25
-# the table certifier reads a block's first moment as rows of this many
-# counts, one uint64 dot for all full rows against a ramp of this length
-_MOMENT_ROW = 1 << 13
 
 
 @functools.lru_cache(maxsize=256)
@@ -945,92 +948,80 @@ def _offsets(p_ints) -> np.ndarray:
 
 
 class _TableCertifier:
-    """The checks of `_difference_counts_fft`'s table for a sorted set P,
-    given as its offsets `pos` = P - min(P) (int64), carried across the
-    table's blocks.
+    """The checks of `_difference_counts_fft`'s inverted buffers for a set
+    P cut into blocks of b points, transformed on M = 2b, given each
+    block's point count n_i and the sum s_i of its points' positions within
+    the block.
 
-    `check_symmetry(r0, spare)` takes R_0, whose entries at lags d and -d
-    (index len(r0) - d) are two computations of one count.  `round(part,
-    spare)` takes the table's float blocks in order (entry j of a block
-    approximates the number of ordered pairs at difference offset + j, zero
-    past the set's span), rounds each in place and returns the int64 view
-    of its buffer.  `close()` raises ExactnessError, naming every failed
-    check, unless: every entry lies within 1/4 of an integer; the zero-lag
-    count is |P|; the mass over both signs of d is |P|**2; the first moment
-    sum(d * count) equals the sum of p1 - p2 over pairs p1 > p2 (both taken
-    mod 2**64); and R_0's rounded counts at d and -d agree.  The zero-lag,
-    mass and moment checks together catch any error confined to one or two
-    lags below 2**24 that is smaller than 2**40.  The expected moment is
-    computed up front, before the kernel allocates its spectra; the
-    rounded values and R_0's two halves go to `spare`, a float64 buffer the
-    kernel lends (as long as the block, or r0), so the certificate's own
-    temporaries are a `_MOMENT_ROW` ramp, one bool per lag of R_0's
-    comparison and one entry per ramp row.
+    Buffer t is U_t = R_t + R_{t+1} shifted by b (see
+    `_difference_counts_fft`): its entry e counts the pairs (p1, p2) of P,
+    p1 in block i + t or i + t + 1 and p2 in block i, whose positions
+    within their blocks differ by e, or by e - b for the second, mod M.
+    `round(u, scratch, t, head)` rounds buffer t in place and returns the
+    int64 view of its first `head` entries, or raises ExactnessError naming
+    every failed check unless all M entries, both halves, pass four: each
+    lies within 1/4 of an integer; their sum is the exact mass
+    sum_i n_{i+t} n_i + sum_i n_{i+t+1} n_i; their first moment
+    sum_e e * U_t[e] is, mod M,
+    sum_i (s_{i+t} n_i - n_{i+t} s_i) + (s_{i+t+1} n_i - n_{i+t+1} s_i + b n_{i+t+1} n_i);
+    and U_0[0], the zero lag, is |P|.  Mass and moment together catch an
+    error confined to one entry, and an error +c, -c at two entries d
+    apart unless M divides c * d (so never for c = 1).  The moment is read
+    from the buffer as a grid of rows of w entries, w a divisor of M near
+    its square root: sum_e e * U[e] = w sum_r r * row_r + sum_j j * column_j.
+    `scratch` is a float64 buffer the kernel lends, at least M long, for
+    the rounded values, so the certificate's own temporaries are the row
+    and column sums.
     """
 
-    def __init__(self, pos: np.ndarray):
-        self.size = pos.size
-        weights = 2 * np.arange(self.size, dtype=np.int64) - (self.size - 1)
-        # sum of p1 - p2 over pairs p1 > p2, mod 2**64
-        self.want_moment = int(np.dot(weights.astype(np.uint64), pos.astype(np.uint64)))
-        self.ramp = np.arange(_MOMENT_ROW, dtype=np.uint64)
-        self.offset = 0  # lag of the next block's first entry
-        self.errs = []
-        self.zero_lag = self.mass = self.moment = 0
-        self.symmetric = True
+    def __init__(self, counts: list[int], sums: list[int], m: int):
+        self.n, self.s, self.m = counts, sums, m
+        self.size = sum(counts)
+        self.width = 1
+        for r in (2, 3, 5):
+            while m % (self.width * r) == 0 and (self.width * r) ** 2 <= m:
+                self.width *= r
 
-    def check_symmetry(self, r0: np.ndarray, spare: np.ndarray) -> None:
-        m, half = r0.size, r0.size // 2
-        pos, neg = spare[:half - 1], spare[half - 1:2 * half - 2]
-        np.rint(r0[1:half], out=pos)
-        np.rint(r0[m - 1:m - half:-1], out=neg)
-        self.symmetric = np.array_equal(pos, neg)
+    def _want(self, t: int) -> tuple[int, int]:
+        """Mass and first moment mod M of buffer t."""
+        n, s = self.n, self.s
+        mass = moment = 0
+        for lag, shift in ((t, 0), (t + 1, self.m // 2)):
+            for i in range(len(n) - lag):
+                mass += n[i + lag] * n[i]
+                moment += s[i + lag] * n[i] - n[i + lag] * s[i] + shift * n[i + lag] * n[i]
+        return mass, moment % self.m
 
-    def round(self, part: np.ndarray, spare: np.ndarray) -> np.ndarray:
-        n = part.size
-        rounded = np.rint(part, out=spare[:n])
-        part -= rounded
-        self.errs.append(np.abs(part, out=part).max(initial=0.0))
-        counts = part.view(np.int64)
+    def round(self, u: np.ndarray, scratch: np.ndarray, t: int, head: int) -> np.ndarray:
+        m, w = self.m, self.width
+        rounded = np.rint(u, out=scratch[:m])
+        u -= rounded
+        err = float(np.abs(u, out=u).max())
+        counts = u.view(np.int64)
         counts[:] = rounded
-        total = int(counts.sum())
-        self.mass += total
-        # sum((offset + j) * counts[j]): full rows of the ramp's length, then
-        # the tail, which starts at j = full
-        u, w = counts.view(np.uint64), self.ramp.size
-        full = n - n % w
-        tail = u[full:]
-        moment = self.offset * total + int(self.ramp[:tail.size].dot(tail))
-        if full:
-            rows = u[:full].reshape(-1, w)
-            starts = np.arange(0, full, w, dtype=np.uint64)
-            moment += int(rows.dot(self.ramp).sum()) + int(starts.dot(rows.sum(axis=1)))
-            moment += full * int(tail.sum())
-        self.moment += moment
-        if self.offset == 0 and n:
-            self.zero_lag = int(counts[0])
-        self.offset += n
-        return counts
-
-    def close(self) -> None:
-        err = float(np.max(self.errs))
-        size = self.size
-        mass = 2 * self.mass - self.zero_lag
+        # reduced mod m, the dots stay below m**3 / w**2 + m * w**2, far
+        # inside int64 for any m this kernel transforms on
+        grid = counts.reshape(-1, w)
+        rows, columns = grid.sum(axis=1), grid.sum(axis=0)
+        mass = int(rows.sum())
+        moment = (w * int(np.dot(rows % m, np.arange(rows.size)))
+                  + int(np.dot(columns % m, np.arange(w)))) % m
+        want_mass, want_moment = self._want(t)
         problems = []
         if not err < _FFT_ERROR_LIMIT:
             problems.append(f"an entry lies {err:.3g} from the nearest integer")
-        if self.zero_lag != size:
-            problems.append(f"zero-lag count {self.zero_lag} != |P| = {size}")
-        if mass != size * size:
-            problems.append(f"mass {mass} != |P|^2 = {size * size}")
-        if self.moment % 2 ** 64 != self.want_moment:
-            problems.append("first moment differs from sum(p1 - p2) mod 2**64")
-        if not self.symmetric:
-            problems.append("table is not symmetric")
+        if mass != want_mass:
+            problems.append(f"mass {mass} != {want_mass}")
+        if moment != want_moment:
+            problems.append(f"first moment {moment} != {want_moment} mod {m}")
+        if t == 0 and counts[0] != self.size:
+            problems.append(f"zero-lag count {counts[0]} != |P| = {self.size}")
         if problems:
             raise ExactnessError(
-                "difference-count table failed certification: " + "; ".join(problems)
+                f"difference-count table failed certification in block {t}: "
+                + "; ".join(problems)
             )
+        return counts[:head]
 
 
 def _block_layout(span: int) -> tuple[int, int, int]:
@@ -1040,27 +1031,33 @@ def _block_layout(span: int) -> tuple[int, int, int]:
     The span + 1 = L points are cut into K = max(2, ceil(L / `_FFT_BLOCK`))
     blocks of M/2 points, M the least even 2**a 3**b 5**c at or above
     2 ceil(L / K) (`_fft_length`).  `stages` is M's radix-2-equivalent stage
-    count plus ceil(log2 K) for the K-term sums of block spectra.
+    count plus ceil(log2(2K - 1)) for the sums of block spectra: S_t +- S_{t+1}
+    adds up to 2(K - t) - 1 products.
     """
     length = span + 1
     k = max(2, -(-length // _FFT_BLOCK))
     m, stages = _fft_length(2 * -(-length // k) - 1)
-    return k, m, stages + (k - 1).bit_length()
+    return k, m, stages + (2 * k - 2).bit_length()
 
 
-def _correlate_spectra(rows: list) -> None:
-    """Replace block spectra X_0 .. X_{K-1} in place by
-    S_t = sum_i X_{i+t} conj(X_i), t = 0 .. K-1 (S_0 = sum_i |X_i|**2).
+def _correlate_spectra(rows: list, count: int) -> None:
+    """Replace block spectra X_0 .. X_{K-1} in place: row t < `count` by
+    V_t[j] = S_t[j] + (-1)**j S_{t+1}[j], where
+    S_t = sum_i X_{i+t} conj(X_i) (S_0 = sum_i |X_i|**2) and S_K = 0.  Rows
+    from `count` on are left as scratch.
 
-    Row t is overwritten in increasing t; its own term X_t conj(X_0) comes
-    first, and the later rows it reads are still unchanged, so only the
-    conjugates of rows 1 .. K-2 are copied.  For K > 2 this runs one column
-    tile of _FFT_BLOCK / 4 complex points over all K rows (1 MiB at 2**18) at
-    a time, so that a tile stays in cache while each row is read K times;
-    for K = 2 nothing is copied and the rows are taken whole.
+    Only S_0 .. S_count are formed.  Row t is overwritten in increasing t;
+    its own term X_t conj(X_0) comes first, and the later rows it reads are
+    still unchanged, so only the conjugates of rows 1 .. K-2 are copied.
+    S_{t+1} is added into row t before row t + 1 changes again.  For K > 2
+    this runs one column tile of _FFT_BLOCK / 4 complex points over all K
+    rows (1 MiB at 2**18) at a time, so that a tile stays in cache while
+    each row is read K times; for K = 2 nothing is copied and the rows are
+    taken whole.
     """
     k = len(rows)
     width = rows[0].size
+    formed = min(count + 1, k)
     tile = width if k == 2 else max(1, _FFT_BLOCK // (4 * k))
     for lo in range(0, width, tile):
         x = [row[lo:lo + tile] for row in rows]
@@ -1072,29 +1069,32 @@ def _correlate_spectra(rows: list) -> None:
         conj = [np.conjugate(xi) for xi in x[1:k - 1]]
         np.conjugate(x[0], out=x[0])
         term = np.empty_like(x[0]) if conj else None
-        for t in range(1, k):
+        for t in range(1, formed):
             x[t] *= x[0]
             for i in range(1, k - t):
                 x[t] += np.multiply(x[i + t], conj[i - 1], out=term)
         x[0][:] = power
+        # frequency lo + j is even where j has lo's parity
+        even, odd = lo % 2, 1 - lo % 2
+        for t in range(formed - 1):
+            x[t][even::2] += x[t + 1][even::2]
+            x[t][odd::2] -= x[t + 1][odd::2]
 
 
-def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
-    """Exact difference counts of a sorted integer set, for lags d >= 0,
+def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
+    """Exact difference counts of a sorted integer set for lags 0 .. `top`,
     streamed block by block.
 
-    The set `p_ints` is a sorted int64 array or a sorted list of integers.
+    The set `p_ints` is a sorted int64 array or a sorted list of integers;
+    `top` is clamped to its span, max(P) - min(P).
 
-    Yields K int64 blocks (`_block_layout`), block t holding lags t*b to
-    t*b + b - 1 and the last one cut at the span (it is empty when the span
-    ends before it), whose concatenation is counts, with
-    counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for
-    d = 0..max(P) - min(P), the span; the count at -d is the one at d.  A
-    block is a read-only view of the kernel's buffer, whose later steps
+    Yields T + 1 int64 blocks, T = top // b (b from `_block_layout`), block
+    t holding lags t*b to t*b + b - 1 and the last one cut at `top`, whose
+    concatenation is counts, with
+    counts[d] = #{(p1, p2) in P x P : p1 - p2 = d} for d = 0..top; the count
+    at -d is the one at d.  Each block is certified before it is yielded.
+    A block is a read-only view of the kernel's buffer, whose later steps
     leave it as it is; a caller that keeps one keeps that buffer alive.
-    The checks that span the whole table raise ExactnessError after the
-    last block: a count read from the blocks is certified only once the
-    generator is exhausted without an error.
 
     Layout (`_block_layout`): the indicator vector x of P - min(P), of
     L = span + 1 points, is cut into K = max(2, ceil(L / `_FFT_BLOCK`))
@@ -1109,30 +1109,32 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
 
         counts[t*b + e] = R_t[e] + R_{t+1}[e - b],  0 <= e < b, R_K = 0.
 
-    Each block is transformed once with rfft on M points, the spectra are
-    combined pointwise into S_t = sum_i X_{i+t} conj(X_i) in place
-    (`_correlate_spectra`), and each S_t is inverted with one irfft: 2K
-    transforms on M points, 4L points in all, as for one autocorrelation
-    in two halves.  K = 2 is that two-halves layout (spans below
-    2 * `_FFT_BLOCK`); larger spans take more blocks, so that one transform
-    stays in cache instead of growing with the span (pocketfft's cost per
-    point doubles past about 2**20 points).  No table of the whole span is
-    ever allocated.  The K spectra are the rows of one K x (b + 1) complex
-    array, 16 bytes per block point each.  S_0, S_1, ... are inverted in
-    turn with `irfft(..., out=)`: R_0 into one spare buffer of M floats,
-    and each later R_t into the head of row t - 1, whose spectrum is
-    inverted by then.  (Written over its own input, a transform would
-    first copy that input to a temporary of the same size.)
-    Block t - 1 of the table, R_{t-1}[:b] + R_t[b:], is formed in
-    R_{t-1}'s buffer, rounded and certified there (`_TableCertifier`, whose
-    temporaries go to the row inverted last, free until R_{t+1} is written
-    there) and yielded.  Peak numpy memory is the K rows and the spare
-    buffer, about 16 + 16/K bytes per span point (under tracemalloc 18.1
-    bytes at K = 9, 21.9 at K = 3 and 25.0 at K = 2, where the whole float
-    table kept next to the spectra peaked at 26.0, 29.5 and 27-29.5).  One
-    array for all the spectra also spares the allocator: with a fresh
-    buffer for each R_t, a round of the benchmark's `sum-chain` workload
-    took 86 000 minor page faults instead of 33 000.
+    On M = 2b points, shifting R_{t+1} by b multiplies its spectrum by
+    (-1)**j at frequency j.  So each block is transformed once with rfft on
+    M points, the spectra are combined pointwise into
+    V_t = S_t + (-1)**j S_{t+1}, S_t = sum_i X_{i+t} conj(X_i), in place
+    (`_correlate_spectra`, which forms only S_0 .. S_{T+1}), and each V_t,
+    t <= T, is inverted with one irfft into U_t, whose first b entries are
+    block t of the table: K forward and T + 1 inverse transforms on M
+    points.  A full table (top = span) takes at most K inverses; a set with
+    P = -P queried at lags up to span / 2 about half as many.  K = 2 is the
+    two-halves layout (spans below 2 * `_FFT_BLOCK`); larger spans take more
+    blocks, so that one transform stays in cache instead of growing with the
+    span (pocketfft's cost per point doubles past about 2**20 points).  No
+    table of the whole span is ever allocated.  The K spectra are the rows
+    of one K x (b + 1) complex array, 16 bytes per block point each.  U_0
+    goes into one spare buffer of M floats and each later U_t into the head
+    of row t - 1, whose spectrum is inverted by then.  (Written over its own
+    input, a transform would first copy that input to a temporary of the
+    same size.)  U_t is rounded and certified in place (`_TableCertifier`,
+    whose temporaries go to row t, free once inverted) and its head
+    yielded.  Peak numpy memory is the K rows and the spare buffer, about
+    16 + 16/K bytes per span point (under tracemalloc 18.0 bytes at K = 9,
+    21.6 at K = 3 and 24.4 at K = 2, where the whole float table kept next
+    to the spectra peaked at 26.0, 29.5 and 27-29.5).  One array for all
+    the spectra also spares the allocator: with a fresh buffer for each
+    inverse, a round of the benchmark's `sum-chain` workload took 86 000
+    minor page faults instead of 33 000.
 
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound
@@ -1144,21 +1146,21 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
     with eps = 2**-53 and beta = 2**-50 an assumed allowance for the error
     of the roots of unity, and ||x|| ||y|| replaced by 2|P|: by
     Cauchy-Schwarz sum_i ||x_{i+t}|| ||x_i|| <= sum_i ||x_i||**2 = |P|
-    bounds the norms that R_t sums, and an entry adds two of them.  m is
-    the radix-2-equivalent stage count of `_fft_length` for M, which counts
-    each radix-r pass as r - 1 stages, plus ceil(log2 K) stages for the
-    K-term sums S_t.  That bound is proved for a complex radix-2 transform.
-    numpy's rfft/irfft are pocketfft's real FFTPACK-style radix-2/3/4/5
-    passes with a real-to-complex post-twiddle, and the bound, the stage
-    count and the charge for the K-term sums are carried over to them
-    without a proof.  Within `_POLY_SPAN_LIMIT` its largest value, 1.00e-6,
-    falls on span 4 049 999 (K = 16, M = 2 * 3**4 * 5**5, m = 29 + 4,
-    |P| <= 4 050 000).  The kernel raises ExactnessError before any
-    transform when it reaches 1/4 (possible only when a caller forces this
-    path past the span limit).  Exactness rests also on `_TableCertifier`,
-    which checks every block as it is rounded and the whole table after the
-    last one (R_0 gives the symmetry check), and raises ExactnessError on
-    any failure.
+    bounds the norms that R_t sums, and an entry of U_t adds two of them.
+    m is the radix-2-equivalent stage count of `_fft_length` for M, which
+    counts each radix-r pass as r - 1 stages, plus ceil(log2(2K - 1))
+    stages for the sums V_t of up to 2K - 1 products.  That bound is proved
+    for a complex radix-2 transform.  numpy's rfft/irfft are pocketfft's
+    real FFTPACK-style radix-2/3/4/5 passes with a real-to-complex
+    post-twiddle, and the bound, the stage count and the charge for the
+    spectrum sums are carried over to them without a proof.  Within
+    `_POLY_SPAN_LIMIT` its largest value, 1.03e-6, falls on span 4 049 999
+    (K = 16, M = 2 * 3**4 * 5**5, m = 29 + 5, |P| <= 4 050 000).  The kernel raises ExactnessError before any transform
+    when it reaches 1/4 (possible only when a caller forces this path past
+    the span limit).  Exactness rests also on `_TableCertifier`, which
+    checks all M entries of every inverted buffer, the half never yielded
+    too, and raises ExactnessError on any failure before the block is
+    yielded.
     """
     span = int(p_ints[-1]) - int(p_ints[0])
     size = len(p_ints)
@@ -1171,40 +1173,33 @@ def _difference_counts_fft(p_ints) -> Iterator[np.ndarray]:
             f"{_FFT_ERROR_LIMIT}"
         )
     b = m // 2
+    top = min(top, span)
+    last = top // b
     pos = _offsets(p_ints)
-    cert = _TableCertifier(pos)
     cuts = [0, *np.searchsorted(pos, b * np.arange(1, k)).tolist(), pos.size]
-    # row t holds X_t, then S_t
+    counts, sums = [], []
+    # row t holds X_t, then V_t
     spectra = np.empty((k, b + 1), dtype=complex)
     x = np.zeros(b)
     for i in range(k):
         part = pos[cuts[i]:cuts[i + 1]]
         part -= i * b
+        counts.append(part.size)
+        sums.append(int(part.sum()))
         x[part] = 1.0
         np.fft.rfft(x, m, out=spectra[i])
         x[part] = 0.0
     del pos, x, part
-    _correlate_spectra(list(spectra))
-    # R_0 goes to a spare buffer and R_t to the head of row t - 1, whose
-    # S_{t-1} is inverted by then, so no transform writes over its input
-    r = [np.empty(m)] + [row.view(np.float64)[:m] for row in spectra[:-1]]
-    np.fft.irfft(spectra[0], m, out=r[0])
-    # row t's spectrum, once inverted, leaves the row free until R_{t+1}
-    # is written there (row K - 1 for good): the certifier's spare buffer
-    spare = [row.view(np.float64) for row in spectra]
-    cert.check_symmetry(r[0], spare[0])
-    # block t - 1 of the table is R_{t-1}'s lags 0..b-1 plus R_t's lags
-    # -b..-1, which sit at indices b..M-1
-    for t in range(1, k + 1):
-        block = r[t - 1][:b]
-        if t < k:
-            np.fft.irfft(spectra[t], m, out=r[t])
-            block += r[t][b:]
-        block = cert.round(block, spare[min(t, k - 1)])
-        block = block[:max(0, span + 1 - (t - 1) * b)]
+    cert = _TableCertifier(counts, sums, m)
+    _correlate_spectra(list(spectra), last + 1)
+    for t in range(last + 1):
+        # U_0 goes to a spare buffer and U_t to the head of row t - 1, so no
+        # transform writes over its input; row t, once inverted, is scratch
+        u = np.empty(m) if t == 0 else spectra[t - 1].view(np.float64)[:m]
+        np.fft.irfft(spectra[t], m, out=u)
+        block = cert.round(u, spectra[t].view(np.float64), t, min(b, top + 1 - t * b))
         block.flags.writeable = False
         yield block
-    cert.close()
 
 
 def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None) -> int:
@@ -1248,8 +1243,9 @@ def _loop_projection(P: FiniteSet, Q: FiniteSet) -> int:
 
 def _fft_projection(P: FiniteSet, Q: FiniteSet) -> int:
     """`projection_count` of nonempty P and Q, read off the certified table
-    of `_difference_counts_fft` at Q's lags; raises ExactnessError where
-    that kernel does."""
+    of `_difference_counts_fft` at Q's lags, built only out to the largest
+    |q| within P's span (no table at all when no q lies there); raises
+    ExactnessError where that kernel does."""
     # p1 - p2 = q exactly when s*p1 - s*p2 = s*q
     p_ints, q_ints, _ = _operands(P, Q, "diff")
     # the sorted lags in [-span, span] give |q| as two ascending runs, so
@@ -1258,6 +1254,9 @@ def _fft_projection(P: FiniteSet, Q: FiniteSet) -> int:
     span = int(p_ints[-1]) - int(p_ints[0])
     lags = np.asarray(q_ints[bisect.bisect_left(q_ints, -span):
                              bisect.bisect_right(q_ints, span)], dtype=np.int64)
+    if not lags.size:
+        return 0
+    top = max(-int(lags[0]), int(lags[-1]))
     mid = int(np.searchsorted(lags, 0))
     k, m, _ = _block_layout(span)
     b = m // 2
@@ -1265,7 +1264,7 @@ def _fft_projection(P: FiniteSet, Q: FiniteSet) -> int:
     runs = [(run % b, run.searchsorted(starts).tolist())
             for run in (-lags[:mid][::-1], lags[mid:])]
     total = 0
-    for t, block in enumerate(_difference_counts_fft(p_ints)):
+    for t, block in enumerate(_difference_counts_fft(p_ints, top)):
         for within, cuts in runs:
             if cuts[t] < cuts[t + 1]:
                 total += int(block[within[cuts[t]:cuts[t + 1]]].sum())

@@ -29,7 +29,6 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -713,6 +712,10 @@ def run_scan(
         for n in sizes
     ]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: concurrent.futures and multiprocessing cost every
+        # single-process run about 20 ms of import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             groups = list(pool.map(_eval_cell_group, tasks))
     else:

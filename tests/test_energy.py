@@ -238,7 +238,7 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = en._difference_counts_fft
     monkeypatch.setattr(en, "_difference_counts_fft",
-                        lambda p_ints: calls.append(len(p_ints)) or kernel(p_ints))
+                        lambda p_ints, top: calls.append(len(p_ints)) or kernel(p_ints, top))
     return calls
 
 
@@ -273,9 +273,11 @@ def test_projection_count_auto_loops_over_sparse_wide_sets(monkeypatch):
     assert calls == [460]
 
 
-def _fft_table(en, P):
-    """The kernel's whole difference table, joined from its blocks."""
-    return np.concatenate(list(en._difference_counts_fft(P)))
+def _fft_table(en, P, top=None):
+    """The kernel's difference table out to lag `top` (the span by
+    default), joined from its blocks."""
+    span = int(P[-1]) - int(P[0])
+    return np.concatenate(list(en._difference_counts_fft(P, span if top is None else top)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,43 +293,55 @@ def test_fft_difference_table_matches_oracle(P):
     assert got == want
 
 
-def _certify(en, raw, even, P, b):
-    """Run the streamed certifier over `raw` in blocks of b, with R_0 `even`."""
-    cert = en._TableCertifier(en._offsets(P))
-    spare = np.empty(even.size)
-    cert.check_symmetry(even, spare)
-    blocks = [cert.round(raw[lo:lo + b], spare) for lo in range(0, raw.size, b)]
-    cert.close()
-    return np.concatenate(blocks)
+def _buffer(blocks, t, b):
+    """Buffer t of the kernel on 2b points, U_t = R_t + R_{t+1} shifted by
+    b, counted pair by pair from the blocks' positions within each block."""
+    m = 2 * b
+    u = np.zeros(m)
+    for lag, shift in ((t, 0), (t + 1, b)):
+        for i in range(len(blocks) - lag):
+            for hi in blocks[i + lag]:
+                for lo in blocks[i]:
+                    u[(hi - lo - shift) % m] += 1
+    return u
+
+
+def _certify(en, u, blocks, t):
+    """Run the certifier over buffer t, `u`, of the set cut into `blocks`."""
+    cert = en._TableCertifier([len(x) for x in blocks], [sum(x) for x in blocks], u.size)
+    return cert.round(u, np.empty(u.size + 2), t, u.size)
+
+
+# P = [0, 1, 3, 7, 12] in blocks of 8 points, transformed on 16
+_BLOCKS = [[0, 1, 3, 7], [4]]
 
 
 def test_fft_certification_raises_on_each_perturbed_check():
     en = importlib.import_module("sumsetlab.energy")
 
-    # the kernel's layout for this set: 16 transform points, halves of 8
     P = [0, 1, 3, 7, 12]
     diffs = oracle_rep_counts(P, P, "diff")
-    raw = np.array([diffs.get(d, 0) for d in range(16)], dtype=float)
-    halves = ([p for p in P if p < 8], [p - 8 for p in P if p >= 8])
-    even_counts = [oracle_rep_counts(x, x, "diff") for x in halves]
-    even = np.array([sum(c.get(d if d < 8 else d - 16, 0) for c in even_counts)
-                     for d in range(16)], dtype=float)
-    assert _certify(en, raw.copy(), even, P, 8).tolist() == raw.tolist()
+    for t in (0, 1):
+        u = _buffer(_BLOCKS, t, 8)
+        # the head of U_t is block t of the table
+        assert u[:8].tolist() == [diffs.get(8 * t + e, 0) for e in range(8)]
+        assert _certify(en, u.copy(), _BLOCKS, t).tolist() == u.tolist()
     cases = [
-        ({3: 0.3}, {}, ["from the nearest integer"]),
-        ({0: 1.0}, {}, ["zero-lag count", "mass"]),
-        ({3: 1.0}, {}, ["mass", "first moment"]),
-        ({3: 1.0, 5: -1.0}, {}, ["first moment"]),
-        ({}, {3: 1.0}, ["not symmetric"]),
+        (0, {3: 0.3}, ["from the nearest integer"]),
+        (0, {0: 1.0}, ["zero-lag count", "mass"]),
+        (1, {0: 1.0}, ["mass"]),
+        (0, {3: 1.0}, ["mass", "first moment"]),
+        (1, {3: 1.0, 5: -1.0}, ["first moment"]),
+        (0, {11: 1.0}, ["mass", "first moment"]),
+        (1, {4: 1.0, 12: 1.0}, ["mass"]),
     ]
-    for raw_deltas, even_deltas, checks in cases:
-        bad_raw, bad_even = raw.copy(), even.copy()
-        for index, delta in raw_deltas.items():
-            bad_raw[index] += delta
-        for index, delta in even_deltas.items():
-            bad_even[index] += delta
+    for t, deltas, checks in cases:
+        bad = _buffer(_BLOCKS, t, 8)
+        for index, delta in deltas.items():
+            bad[index] += delta
         with pytest.raises(ExactnessError) as info:
-            _certify(en, bad_raw, bad_even, P, 8)
+            _certify(en, bad, _BLOCKS, t)
+        assert f"in block {t}: " in str(info.value)
         failed = str(info.value).split(": ", 1)[1].split("; ")
         assert len(failed) == len(checks)
         for check in checks:
@@ -335,27 +349,25 @@ def test_fft_certification_raises_on_each_perturbed_check():
 
 
 @pytest.mark.parametrize("deltas", [
-    {3: 1.0, 5: -1.0},     # the full rows of block 0
-    {6: 1.0, 7: -1.0},     # the tail of block 0
-    {1: 1.0, 12: -1.0},    # across the blocks
-    {9: 1.0, 15: -1.0},    # the rows and the tail of block 1
+    {3: 1.0, 5: -1.0},     # the head, which the table yields
+    {6: 1.0, 7: -1.0},     # adjacent entries
+    {1: 1.0, 12: -1.0},    # across the halves
+    {9: 1.0, 15: -1.0},    # the upper half, which it never yields
 ])
-def test_fft_moment_check_reads_rows_and_tail(monkeypatch, deltas):
-    # a block's first moment is read as rows of _MOMENT_ROW counts and a
-    # tail: with rows of 3, blocks of 8 have both; a mass-preserving shift
-    # of one count fails the moment check alone
+def test_fft_moment_check_reads_rows_and_tail(deltas):
+    # the first moment is read mod M over all M entries of a buffer, as
+    # the rows and columns of a grid: a shift of one count that keeps the
+    # mass fails the moment check alone, wherever it falls in either buffer
     en = importlib.import_module("sumsetlab.energy")
-    monkeypatch.setattr(en, "_MOMENT_ROW", 3)
-    P = [0, 1, 3, 7, 12]
-    diffs = oracle_rep_counts(P, P, "diff")
-    raw = np.array([diffs.get(d, 0) for d in range(16)], dtype=float)
-    even = np.array([diffs.get(d if d < 8 else 16 - d, 0) for d in range(16)], dtype=float)
-    assert _certify(en, raw.copy(), even, P, 8).tolist() == raw.tolist()
-    for index, delta in deltas.items():
-        raw[index] += delta
-    with pytest.raises(ExactnessError) as info:
-        _certify(en, raw, even, P, 8)
-    assert str(info.value).split(": ", 1)[1] == "first moment differs from sum(p1 - p2) mod 2**64"
+    for t in (0, 1):
+        u = _buffer(_BLOCKS, t, 8)
+        assert _certify(en, u.copy(), _BLOCKS, t).tolist() == u.tolist()
+        for index, delta in deltas.items():
+            u[index] += delta
+        with pytest.raises(ExactnessError) as info:
+            _certify(en, u, _BLOCKS, t)
+        failed = str(info.value).split(": ", 1)[1]
+        assert failed.startswith("first moment") and ";" not in failed
 
 
 def test_fft_kernel_refuses_outside_its_error_allowance(monkeypatch):
@@ -364,6 +376,13 @@ def test_fft_kernel_refuses_outside_its_error_allowance(monkeypatch):
     # inside the span limit the allowance is tiny
     limit = en._POLY_SPAN_LIMIT
     assert en._fft_correlation_error_bound(limit + 1, limit.bit_length()) < 1e-6
+    # the spectrum sums S_t +- S_{t+1} add up to 2K - 1 products, charged
+    # ceil(log2(2K - 1)) stages on top of M's own: 2 at K = 2 (M = 1000,
+    # 15 stages), 5 at K = 16 (M = 506 250, 29 stages), where the bound
+    # peaks within the span limit
+    assert en._block_layout(990) == (2, 1000, 15 + 2)
+    assert en._block_layout(4_049_999) == (16, 506_250, 29 + 5)
+    assert 1e-6 < en._fft_correlation_error_bound(4_050_000, 34) < 1.05e-6
     # a coarser arithmetic pushes the same small set past the 1/4 threshold
     monkeypatch.setattr(en, "_FFT_EPS", 1e-4)
     P = make_set(range(0, 1000, 10))
@@ -543,9 +562,77 @@ def test_streamed_projection_count_at_edge_lags(blocks, data):
             assert _loop_projection(P, Q) == want, name
 
 
-def _corrupt_irfft(monkeypatch, row, deltas):
-    # add deltas[j] at negative lag j - b of the inverse transform of S_row,
-    # whose lags -b..-1 land in block row - 1 of the table
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 7, 12]), st.data())
+def test_truncated_fft_table_at_block_edges(blocks, data):
+    # the kernel inverts only the buffers up to Q's largest |q|: that lag
+    # at t*b - 1, t*b and t*b + 1 ends the table just before, at and just
+    # after a block's first entry; at the span it takes every block, and
+    # past the span the next |q| within it decides
+    en = importlib.import_module("sumsetlab.energy")
+    with mock.patch.object(en, "_FFT_BLOCK", 8):
+        span = data.draw(st.integers(8 * (blocks - 1) + 1, 8 * blocks - 1))
+        k, m, _ = en._block_layout(span)
+        b = m // 2
+        assert k == blocks
+        inner = data.draw(st.lists(st.integers(1, span - 1), max_size=30))
+        P = sorted({0, span, *inner})
+        t = data.draw(st.integers(1, span // b))
+        top = data.draw(st.sampled_from([t * b - 1, t * b, t * b + 1, span,
+                                         span + data.draw(st.integers(1, 2 * span))]))
+        sign = data.draw(st.sampled_from([1, -1]))
+        rest = data.draw(st.lists(st.integers(-min(top, span), min(top, span)), max_size=8))
+        Q = make_set([sign * top, *rest])
+        want = oracle_projection(P, Q.elements)
+        S = make_set(P)
+        assert _fft_projection(S, Q) == want
+        assert _loop_projection(S, Q) == want
+        shift = data.draw(st.sampled_from([0, -700, 2 ** 70]))
+        table = _fft_table(en, [p + shift for p in P], top)
+        diffs = oracle_rep_counts(P, P, "diff")
+        assert table.tolist() == [diffs.get(d, 0) for d in range(min(top, span) + 1)]
+
+
+def _count_transforms(monkeypatch):
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        transform_fn = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _f=transform_fn, **kw):
+            counts[_name] += 1
+            return _f(*args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("blocks, half, span", [(2, 1, 60), (9, 5, 280)])
+def test_fft_transform_counts_follow_the_largest_lag(monkeypatch, blocks, half, span):
+    # P = -P asks for lags up to span / 2: K forward transforms and
+    # span / 2 // b + 1 inverses; a Q holding the span takes all K
+    en = importlib.import_module("sumsetlab.energy")
+    monkeypatch.setattr(en, "_FFT_BLOCK", 32)
+    assert en._block_layout(span)[:2] == (blocks, 64)
+    rng = random.Random(span)
+    h = span // 2
+    P = make_set({s * x for x in (0, h, *rng.sample(range(1, h), 20)) for s in (1, -1)})
+    Q = make_set([*P.elements, span])
+    counts = _count_transforms(monkeypatch)
+    for R, inverses in ((P, half), (Q, blocks)):
+        counts.update(rfft=0, irfft=0)
+        want = oracle_projection(P.elements, R.elements)
+        assert _fft_projection(P, R) == want
+        assert counts == {"rfft": blocks, "irfft": inverses}
+    # no lag within the span: no table at all
+    counts.update(rfft=0, irfft=0)
+    assert _fft_projection(P, make_set([span + 1])) == 0
+    assert counts == {"rfft": 0, "irfft": 0}
+
+
+def _corrupt_irfft(monkeypatch, row, deltas, half=1):
+    # add deltas[j] at entry j of the upper (half = 1) or lower (half = 0)
+    # half of inverse transform `row`, buffer U_row: its lower half is block
+    # row of the table, its upper half is never yielded
     calls = []
     irfft = np.fft.irfft
 
@@ -553,7 +640,7 @@ def _corrupt_irfft(monkeypatch, row, deltas):
         out = irfft(a, m, **kw)
         if len(calls) == row:
             for lag, delta in deltas.items():
-                out[m // 2 + lag] += delta
+                out[half * (m // 2) + lag] += delta
         calls.append(m)
         return out
 
@@ -579,7 +666,34 @@ def test_fft_certification_covers_every_block(monkeypatch, row, deltas):
     calls = _corrupt_irfft(monkeypatch, row, deltas)
     with pytest.raises(ExactnessError, match="failed certification"):
         _fft_table(en, P)
-    assert calls == [m] * k
+    # a buffer is certified before its block is yielded: the bad one stops
+    # the table
+    assert calls == [m] * (row + 1)
+
+
+@pytest.mark.parametrize("deltas", [
+    {5: 1.0},                              # one lag: mass
+    {3: 1.0, 9: -1.0},                     # mass kept: first moment
+    {j: 1.0 for j in range(2, 12)},        # a band: mass and moment
+    {j: 0.3 for j in range(4, 8)},         # a band off the integers
+])
+@pytest.mark.parametrize("half", [0, 1])
+def test_fft_certification_covers_truncated_last_block(monkeypatch, half, deltas):
+    # a table cut at lag 100 (block 3 of 8) inverts 4 buffers; the last is
+    # certified whole, the lags it yields, those past the cut and its upper
+    # half alike
+    en = importlib.import_module("sumsetlab.energy")
+    monkeypatch.setattr(en, "_FFT_BLOCK", 32)
+    rng = random.Random(half)
+    P = sorted({0, 250, *rng.sample(range(250), 90)})
+    k, m, _ = en._block_layout(P[-1])
+    assert (k, m) == (8, 64)
+    diffs = oracle_rep_counts(P, P, "diff")
+    assert _fft_table(en, P, 100).tolist() == [diffs.get(d, 0) for d in range(101)]
+    calls = _corrupt_irfft(monkeypatch, 3, deltas, half)
+    with pytest.raises(ExactnessError, match="failed certification in block 3"):
+        _fft_table(en, P, 100)
+    assert calls == [m] * 4
 
 
 def _streamed_peak(en, P, lags):
@@ -592,7 +706,7 @@ def _streamed_peak(en, P, lags):
     tracemalloc.start()
     try:
         lo = 0
-        for block in en._difference_counts_fft(P):
+        for block in en._difference_counts_fft(P, int(P[-1]) - int(P[0])):
             assert block.dtype == np.int64
             for lag in lags:
                 if lo <= lag < lo + block.size:
@@ -606,9 +720,9 @@ def _streamed_peak(en, P, lags):
 
 @pytest.mark.parametrize("lag", [1, 9, 17, 30])
 def test_fft_symmetry_check_reads_all_of_r0(monkeypatch, lag):
-    # R_0's negative lags enter no block of the table; only the symmetry
-    # check reads them, and lag j of the inverse transform's upper half
-    # pairs with d = b - j: a delta anywhere in that half must be seen
+    # R_0's negative lags share buffer U_0's upper half with R_1's lags
+    # 0..b-1 and enter no block of the table; only the certificate's mass
+    # and moment read them: a delta anywhere in that half must be seen
     en = importlib.import_module("sumsetlab.energy")
     monkeypatch.setattr(en, "_FFT_BLOCK", 32)
     rng = random.Random(lag)
@@ -618,8 +732,9 @@ def test_fft_symmetry_check_reads_all_of_r0(monkeypatch, lag):
     calls = _corrupt_irfft(monkeypatch, 0, {lag: 1.0})
     with pytest.raises(ExactnessError) as info:
         _fft_table(en, P)
-    assert str(info.value).split(": ", 1)[1] == "table is not symmetric"
-    assert calls == [m] * k
+    failed = str(info.value).split(": ", 1)[1].split("; ")
+    assert [f.split(" ")[0] for f in failed] == ["mass", "first"]
+    assert calls == [m]
 
 
 def test_fft_kernel_peak_memory_per_span_point():
@@ -658,7 +773,7 @@ def test_fft_kernel_rounds_its_table_in_place():
 def test_fft_kernel_streams_its_table(span, blocks, limit):
     # at its peak the kernel holds its K spectrum rows and one spare
     # buffer, never the whole table: about 16 + 16/K bytes per span point
-    # (18.1 at K = 9 and 21.9 at K = 3; keeping the float table next to the
+    # (18.0 at K = 9 and 21.6 at K = 3; keeping the float table next to the
     # spectra peaked at 26.0 and 29.5)
     en = importlib.import_module("sumsetlab.energy")
     rng = np.random.default_rng(span)

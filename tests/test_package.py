@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sumsetlab
@@ -73,6 +76,19 @@ def test_package_does_not_import_mpmath():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")
     ]
     assert found == []
+
+
+def test_import_leaves_out_the_process_pool():
+    # concurrent.futures (and multiprocessing with it) loads only when a scan
+    # runs on more than one worker; every other run is spared its import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, sumsetlab, sumsetlab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_only_the_judge_decides_a_verdict():
