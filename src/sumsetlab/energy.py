@@ -44,20 +44,24 @@ FFTs and rounded to the nearest integers, and built only out to the largest
 lag a query asks for.  The vector is cut into K >= 2 blocks of at most
 about `_FFT_BLOCK` points, so that one transform stays in cache; each block
 is transformed on the least even length of the form 2**a 3**b 5**c at or
-above twice its length.  The K spectra are combined pointwise so that one
-inverse transform gives one block of the table, and only the blocks up to
-the largest query lag are inverted, each written into a spare buffer or
-the buffer of a spectrum already inverted.  The table is streamed: each
-block of it is formed, rounded and certified in one of those buffers, and
-`_fft_projection` adds up the block's counts at its query lags there, so
-no table of the whole span is ever allocated.  Its exactness rests on two
+above twice its length.  A palindrome (P - min P symmetric about its
+centre, as every set of popular differences is) whose span has the parity
+of K times the block length has only ceil(K/2) blocks transformed; each
+other spectrum is read off its mirror block's.  The K spectra are combined
+pointwise so that one inverse transform gives one block of the table, and
+only the blocks up to the largest query lag are inverted, each written into
+a spare buffer or the buffer of a spectrum already inverted.  The table is
+streamed: each block of it is formed, rounded and certified in one of those
+buffers, and `_fft_projection` adds up the block's counts at its query lags
+there, so no table of the whole span is ever allocated.  Its exactness rests on two
 things (see `_difference_counts_fft`): Percival's rounding-error bound for FFT
 convolution, proved for a complex radix-2 transform and carried over to
 numpy's mixed-radix real transforms without a proof (each radix-r pass
 counted as r - 1 radix-2 stages, the sums of up to 2K - 1 spectrum products
-as ceil(log2(2K - 1)) more), under which the kernel refuses operands whose
-error could reach 1/4; and a certification of every inverted buffer (its
-integrality, its exact mass and first moment, the zero lag), which raises
+as ceil(log2(2K - 1)) more, and one more for a mirrored spectrum), under
+which the kernel refuses operands whose error could reach 1/4; and a
+certification of every inverted buffer (its integrality, no negative
+entry, its exact mass and first moment, the zero lag), which raises
 on any failed check before a count is returned.
 """
 
@@ -133,7 +137,9 @@ _FFT_BLOCK = 1 << 18
 # N = 30 000) would leave the FFT.  The model charges the whole span even
 # though the kernel inverts only the blocks up to Q's largest lag (about
 # half of them for P = Q = -P); it is left so, and the dispatch with it,
-# until the layer timings of both paths are rerun.
+# until the layer timings of both paths are rerun.  For the same reason it
+# still charges every forward transform, on purpose, though a palindromic
+# P (any P = -P) transforms only ceil(K/2) of its K blocks.
 _FFT_WORK_PER_PAIR = 2
 
 
@@ -947,6 +953,16 @@ def _offsets(p_ints) -> np.ndarray:
     return np.array([v - lo for v in p_ints], dtype=np.int64)
 
 
+def _is_palindrome(pos: np.ndarray) -> bool:
+    """Whether the sorted offsets `pos` (pos[0] = 0) of a set are symmetric
+    about half its span: pos[j] + pos[-1 - j] = span for every j.  The
+    second pair from the ends rejects most sets before the O(|P|) pass."""
+    span = pos[-1]
+    if pos.size > 2 and pos[1] + pos[-2] != span:
+        return False
+    return bool((pos + pos[::-1] == span).all())
+
+
 class _TableCertifier:
     """The checks of `_difference_counts_fft`'s inverted buffers for a set
     P cut into blocks of b points, transformed on M = 2b, given each
@@ -959,16 +975,18 @@ class _TableCertifier:
     within their blocks differ by e, or by e - b for the second, mod M.
     `round(u, scratch, t, head)` rounds buffer t in place and returns the
     int64 view of its first `head` entries, or raises ExactnessError naming
-    every failed check unless all M entries, both halves, pass four: each
+    every failed check unless all M entries, both halves, pass five: each
     lies within 1/4 of an integer; their sum is the exact mass
     sum_i n_{i+t} n_i + sum_i n_{i+t+1} n_i; their first moment
     sum_e e * U_t[e] is, mod M,
     sum_i (s_{i+t} n_i - n_{i+t} s_i) + (s_{i+t+1} n_i - n_{i+t+1} s_i + b n_{i+t+1} n_i);
-    and U_0[0], the zero lag, is |P|.  Mass and moment together catch an
-    error confined to one entry, and an error +c, -c at two entries d
-    apart unless M divides c * d (so never for c = 1).  The moment is read
-    from the buffer as a grid of rows of w entries, w a divisor of M near
-    its square root: sum_e e * U[e] = w sum_r r * row_r + sum_j j * column_j.
+    U_0[0], the zero lag, is |P|; and none rounds below zero.  Mass and
+    moment together catch an error confined to one entry, and an error +c,
+    -c at two entries d apart unless M divides c * d (so never for c = 1);
+    the sign check catches such a pair too when the true count under the
+    -c is below c, but not otherwise.  The moment is read from the buffer
+    as a grid of rows of w entries, w a divisor of M near its square root:
+    sum_e e * U[e] = w sum_r r * row_r + sum_j j * column_j.
     `scratch` is a float64 buffer the kernel lends, at least M long, for
     the rounded values, so the certificate's own temporaries are the row
     and column sums.
@@ -999,6 +1017,7 @@ class _TableCertifier:
         err = float(np.abs(u, out=u).max())
         counts = u.view(np.int64)
         counts[:] = rounded
+        low = int(counts.min())
         # reduced mod m, the dots stay below m**3 / w**2 + m * w**2, far
         # inside int64 for any m this kernel transforms on
         grid = counts.reshape(-1, w)
@@ -1016,6 +1035,8 @@ class _TableCertifier:
             problems.append(f"first moment {moment} != {want_moment} mod {m}")
         if t == 0 and counts[0] != self.size:
             problems.append(f"zero-lag count {counts[0]} != |P| = {self.size}")
+        if low < 0:
+            problems.append(f"a negative entry {low}")
         if problems:
             raise ExactnessError(
                 f"difference-count table failed certification in block {t}: "
@@ -1115,9 +1136,10 @@ def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
     V_t = S_t + (-1)**j S_{t+1}, S_t = sum_i X_{i+t} conj(X_i), in place
     (`_correlate_spectra`, which forms only S_0 .. S_{T+1}), and each V_t,
     t <= T, is inverted with one irfft into U_t, whose first b entries are
-    block t of the table: K forward and T + 1 inverse transforms on M
-    points.  A full table (top = span) takes at most K inverses; a set with
-    P = -P queried at lags up to span / 2 about half as many.  K = 2 is the
+    block t of the table: K forward (ceil(K/2) for a mirrored palindrome,
+    below) and T + 1 inverse transforms on M points.  A full table
+    (top = span) takes at most K inverses; a set with P = -P queried at
+    lags up to span / 2 about half as many.  K = 2 is the
     two-halves layout (spans below 2 * `_FFT_BLOCK`); larger spans take more
     blocks, so that one transform stays in cache instead of growing with the
     span (pocketfft's cost per point doubles past about 2**20 points).  No
@@ -1136,6 +1158,23 @@ def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
     inverse, a round of the benchmark's `sum-chain` workload took 86 000
     minor page faults instead of 33 000.
 
+    Mirrored blocks.  When P - min(P) is a palindrome, x[j] = x[span - j]
+    (`_is_palindrome`, O(|P|)), and K*b - span is even, the positions get a
+    lead pad of (K*b - span) / 2, which moves no difference, so that the
+    mirror centre falls on K*b: x_{K-1-i}[n] = x_i[b - n] for 0 < n < b and
+    x_{K-1-i}[0] = x_{i+1}[0].  On M = 2b points that gives
+
+        X_{K-1-i}[j] = (-1)**j (conj X_i[j] - x_i[0]) + x_{i+1}[0],
+
+    so only blocks 0 .. ceil(K/2) - 1 are transformed, and each
+    X_{K-1-i} is written into its own row from X_i: one conjugate, a sign
+    flip of the odd frequencies and one real scalar per parity.  When
+    K*b - span is odd (K and b both odd, as at M = 2 * 3**4 * 5**5 with
+    K = 7), the centre falls on K*b - 1 and X_{K-1-i} is
+    w**(-(b - 1) j) conj X_i, w = exp(2 pi i / M): a twiddle, not a sign.
+    Such a table transforms every block rather than build that twiddle.
+    The certifier reads its counts and sums from the padded positions.
+
     Rounding each entry to the nearest integer is exact when its error is
     below 1/2.  The refusal threshold uses Percival's FFT-convolution bound
     (Brent & Zimmermann, Modern Computer Arithmetic, section 3.3),
@@ -1149,13 +1188,21 @@ def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
     bounds the norms that R_t sums, and an entry of U_t adds two of them.
     m is the radix-2-equivalent stage count of `_fft_length` for M, which
     counts each radix-r pass as r - 1 stages, plus ceil(log2(2K - 1))
-    stages for the sums V_t of up to 2K - 1 products.  That bound is proved
+    stages for the sums V_t of up to 2K - 1 products, plus one for a
+    mirrored layout.  A mirrored spectrum X_{K-1-i} carries the transform
+    error of X_i and one rounding of the scalar it adds (conjugation and
+    negation are exact), charged as that one stage; the norms charged for
+    the mirrored pairs, those of x_i, still sum in square to at most |P|,
+    since ||x_i||**2 - ||x_{K-1-i}||**2 = x_i[0] - x_{i+1}[0] telescopes
+    to x_0[0] - x_{K//2}[0] and the pad leaves x_0[0] = 0.  That bound is proved
     for a complex radix-2 transform.  numpy's rfft/irfft are pocketfft's
     real FFTPACK-style radix-2/3/4/5 passes with a real-to-complex
     post-twiddle, and the bound, the stage count and the charge for the
     spectrum sums are carried over to them without a proof.  Within
-    `_POLY_SPAN_LIMIT` its largest value, 1.03e-6, falls on span 4 049 999
-    (K = 16, M = 2 * 3**4 * 5**5, m = 29 + 5, |P| <= 4 050 000).  The kernel raises ExactnessError before any transform
+    `_POLY_SPAN_LIMIT` its largest value, 1.06e-6, falls on a palindrome of
+    span 4 049 998 (K = 16, M = 2 * 3**4 * 5**5, m = 29 + 5 + 1,
+    |P| <= 4 049 999), and without a mirror 1.03e-6 on span 4 049 999
+    (m = 29 + 5).  The kernel raises ExactnessError before any transform
     when it reaches 1/4 (possible only when a caller forces this path past
     the span limit).  Exactness rests also on `_TableCertifier`, which
     checks all M entries of every inverted buffer, the half never yielded
@@ -1165,6 +1212,10 @@ def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
     span = int(p_ints[-1]) - int(p_ints[0])
     size = len(p_ints)
     k, m, stages = _block_layout(span)
+    b = m // 2
+    pos = _offsets(p_ints)
+    mirror = (k * b - span) % 2 == 0 and _is_palindrome(pos)
+    stages += mirror
     bound = _fft_correlation_error_bound(size, stages)
     if not bound < _FFT_ERROR_LIMIT:
         raise ExactnessError(
@@ -1172,12 +1223,14 @@ def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
             f"radix-2 stages) has error allowance {bound:.3g}, not below "
             f"{_FFT_ERROR_LIMIT}"
         )
-    b = m // 2
     top = min(top, span)
     last = top // b
-    pos = _offsets(p_ints)
+    if mirror:
+        # the lead pad puts the palindrome's centre at K*b
+        pos += (k * b - span) // 2
+    forward = (k + 1) // 2 if mirror else k
     cuts = [0, *np.searchsorted(pos, b * np.arange(1, k)).tolist(), pos.size]
-    counts, sums = [], []
+    counts, sums, heads = [], [], []
     # row t holds X_t, then V_t
     spectra = np.empty((k, b + 1), dtype=complex)
     x = np.zeros(b)
@@ -1186,10 +1239,20 @@ def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
         part -= i * b
         counts.append(part.size)
         sums.append(int(part.sum()))
-        x[part] = 1.0
-        np.fft.rfft(x, m, out=spectra[i])
-        x[part] = 0.0
+        heads.append(int(part.size > 0 and part[0] == 0))
+        if i < forward:
+            x[part] = 1.0
+            np.fft.rfft(x, m, out=spectra[i])
+            x[part] = 0.0
     del pos, x, part
+    for i in range(k - forward):
+        # X_{K-1-i} = (-1)**j (conj X_i - x_i[0]) + x_{i+1}[0]
+        row = np.conjugate(spectra[i], out=spectra[k - 1 - i])
+        np.negative(row[1::2], out=row[1::2])
+        if heads[i + 1] != heads[i]:
+            row.real[::2] += heads[i + 1] - heads[i]
+        if heads[i + 1] or heads[i]:
+            row.real[1::2] += heads[i + 1] + heads[i]
     cert = _TableCertifier(counts, sums, m)
     _correlate_spectra(list(spectra), last + 1)
     for t in range(last + 1):

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import pickle
 import random
@@ -331,9 +332,12 @@ def test_fft_certification_raises_on_each_perturbed_check():
         (0, {0: 1.0}, ["zero-lag count", "mass"]),
         (1, {0: 1.0}, ["mass"]),
         (0, {3: 1.0}, ["mass", "first moment"]),
-        (1, {3: 1.0, 5: -1.0}, ["first moment"]),
+        (1, {3: 1.0, 5: -1.0}, ["first moment", "negative entry"]),
         (0, {11: 1.0}, ["mass", "first moment"]),
         (1, {4: 1.0, 12: 1.0}, ["mass"]),
+        # +2, -2 at entries 8 apart keeps the moment mod 16, and a count of
+        # 3 at lag 12 where the oracle gives 1: only the sign shows it
+        (1, {4: 2.0, 12: -2.0}, ["negative entry"]),
     ]
     for t, deltas, checks in cases:
         bad = _buffer(_BLOCKS, t, 8)
@@ -357,17 +361,19 @@ def test_fft_certification_raises_on_each_perturbed_check():
 def test_fft_moment_check_reads_rows_and_tail(deltas):
     # the first moment is read mod M over all M entries of a buffer, as
     # the rows and columns of a grid: a shift of one count that keeps the
-    # mass fails the moment check alone, wherever it falls in either buffer
+    # mass fails the moment check, wherever it falls in either buffer, and
+    # besides it only the sign check where the -1 takes a zero count
     en = importlib.import_module("sumsetlab.energy")
     for t in (0, 1):
         u = _buffer(_BLOCKS, t, 8)
         assert _certify(en, u.copy(), _BLOCKS, t).tolist() == u.tolist()
         for index, delta in deltas.items():
             u[index] += delta
+        negative = ["a negative entry -1"] if u.min() < 0 else []
         with pytest.raises(ExactnessError) as info:
             _certify(en, u, _BLOCKS, t)
-        failed = str(info.value).split(": ", 1)[1]
-        assert failed.startswith("first moment") and ";" not in failed
+        failed = str(info.value).split(": ", 1)[1].split("; ")
+        assert failed[0].startswith("first moment") and failed[1:] == negative
 
 
 def test_fft_kernel_refuses_outside_its_error_allowance(monkeypatch):
@@ -383,6 +389,8 @@ def test_fft_kernel_refuses_outside_its_error_allowance(monkeypatch):
     assert en._block_layout(990) == (2, 1000, 15 + 2)
     assert en._block_layout(4_049_999) == (16, 506_250, 29 + 5)
     assert 1e-6 < en._fft_correlation_error_bound(4_050_000, 34) < 1.05e-6
+    # a palindrome mirrored at span 4 049 998 is charged one stage more
+    assert 1.05e-6 < en._fft_correlation_error_bound(4_049_999, 35) < 1.07e-6
     # a coarser arithmetic pushes the same small set past the 1/4 threshold
     monkeypatch.setattr(en, "_FFT_EPS", 1e-4)
     P = make_set(range(0, 1000, 10))
@@ -467,7 +475,8 @@ def test_fft_kernel_on_dense_verify_shaped_set(monkeypatch):
     A = gen_family(FamilySpec.random_subset(4 * n * n, n, seed=5))
     for P in (A, popular_differences(A)):
         assert _fft_projection(P, P) == _loop_projection(P, P)
-    assert len(lengths) == 4
+    # two blocks of A, one of its popular differences, which mirror
+    assert len(lengths) == 3
     assert all(m % 2 == 0 and _radix_stages(m) is not None for m in lengths)
 
 
@@ -608,8 +617,10 @@ def _count_transforms(monkeypatch):
 
 @pytest.mark.parametrize("blocks, half, span", [(2, 1, 60), (9, 5, 280)])
 def test_fft_transform_counts_follow_the_largest_lag(monkeypatch, blocks, half, span):
-    # P = -P asks for lags up to span / 2: K forward transforms and
-    # span / 2 // b + 1 inverses; a Q holding the span takes all K
+    # P = -P is a palindrome, mirrored: ceil(K/2) forward transforms; it
+    # asks for lags up to span / 2: span / 2 // b + 1 inverses, and a Q
+    # holding the span takes all K.  P with one point more is no palindrome
+    # and takes K forward transforms.
     en = importlib.import_module("sumsetlab.energy")
     monkeypatch.setattr(en, "_FFT_BLOCK", 32)
     assert en._block_layout(span)[:2] == (blocks, 64)
@@ -617,16 +628,140 @@ def test_fft_transform_counts_follow_the_largest_lag(monkeypatch, blocks, half, 
     h = span // 2
     P = make_set({s * x for x in (0, h, *rng.sample(range(1, h), 20)) for s in (1, -1)})
     Q = make_set([*P.elements, span])
+    lone = make_set([*P.elements, min(set(range(1, h)) - set(P.elements))])
     counts = _count_transforms(monkeypatch)
-    for R, inverses in ((P, half), (Q, blocks)):
+    mirrored = -(-blocks // 2)
+    cases = [(P, P, mirrored, half), (P, Q, mirrored, blocks), (lone, lone, blocks, half)]
+    for S, R, forward, inverses in cases:
         counts.update(rfft=0, irfft=0)
-        want = oracle_projection(P.elements, R.elements)
-        assert _fft_projection(P, R) == want
-        assert counts == {"rfft": blocks, "irfft": inverses}
+        want = oracle_projection(S.elements, R.elements)
+        assert _fft_projection(S, R) == want
+        assert counts == {"rfft": forward, "irfft": inverses}
     # no lag within the span: no table at all
     counts.update(rfft=0, irfft=0)
     assert _fft_projection(P, make_set([span + 1])) == 0
     assert counts == {"rfft": 0, "irfft": 0}
+
+
+def _palindrome(span, inner):
+    """The offsets 0, span and each x of `inner` with its mirror span - x."""
+    return sorted({0, span, *inner, *(span - x for x in inner)})
+
+
+@contextlib.contextmanager
+def _counted_rfft():
+    """Count the forward transforms run inside the block."""
+    count = [0]
+    rfft = np.fft.rfft
+
+    def counted(*args, **kw):
+        count[0] += 1
+        return rfft(*args, **kw)
+
+    with mock.patch.object(np.fft, "rfft", counted):
+        yield count
+
+
+def _mirrored_layout(en, span):
+    """K, b and whether a palindrome of this span is mirrored: K*b - span
+    even, its lead pad (K*b - span) / 2 putting the centre on K*b."""
+    k, m, _ = en._block_layout(span)
+    b = m // 2
+    return k, b, (k * b - span) % 2 == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 7, 12]), st.data())
+def test_mirrored_fft_table_matches_oracle(blocks, data):
+    # a palindrome whose span has the parity of K*b transforms ceil(K/2)
+    # blocks and reads the others' spectra off their mirrors; the other
+    # parity transforms all K.  Points on the padded block edges make the
+    # scalar terms x_i[0] and x_{i+1}[0] one.  Tables and projection counts
+    # agree with the oracle and the loop, past int64 and over rationals too.
+    en = importlib.import_module("sumsetlab.energy")
+    with mock.patch.object(en, "_FFT_BLOCK", 8):
+        span = data.draw(st.integers(8 * (blocks - 1), 8 * blocks - 1))
+        k, b, mirrored = _mirrored_layout(en, span)
+        assert k == blocks
+        pad = (k * b - span) // 2
+        edges = [j * b - pad for j in range(1, k) if 0 < j * b - pad < span]
+        inner = data.draw(st.lists(st.integers(1, span - 1), max_size=20))
+        if mirrored:
+            inner += data.draw(st.lists(st.sampled_from(edges), max_size=k))
+        offsets = _palindrome(span, inner)
+        shift = data.draw(st.sampled_from([0, -700, 2 ** 70, -(2 ** 90)]))
+        den = data.draw(st.sampled_from([1, 3]))
+        forward = -(-k // 2) if mirrored else k
+        diffs = oracle_rep_counts(offsets, offsets, "diff")
+        with _counted_rfft() as count:
+            table = _fft_table(en, [p + shift for p in offsets])
+        assert count == [forward]
+        assert table.tolist() == [diffs.get(d, 0) for d in range(span + 1)]
+        P = make_set(Fraction(p + shift, den) for p in offsets)
+        lags = data.draw(st.lists(st.integers(-span - 2, span + 2), max_size=10))
+        # P as its own Q has lags within the span only when not shifted
+        for Q in (make_set(Fraction(q, den) for q in [span, *lags]), P)[:2 - bool(shift)]:
+            want = oracle_projection(P.elements, Q.elements)
+            with _counted_rfft() as count:
+                assert _fft_projection(P, Q) == want
+            # a den dividing every offset and lag leaves a smaller span
+            scaled = en._operands(P, Q, "diff")[0]
+            k, _, mirrored = _mirrored_layout(en, int(scaled[-1]) - int(scaled[0]))
+            assert count == [-(-k // 2) if mirrored else k]
+            assert _loop_projection(P, Q) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 7, 12]), st.data())
+def test_near_palindromes_are_not_mirrored(blocks, data):
+    # one point off a mirrored palindrome (moved by one, dropped or added,
+    # the span kept) transforms all K blocks, and its table is exact
+    en = importlib.import_module("sumsetlab.energy")
+    with mock.patch.object(en, "_FFT_BLOCK", 8):
+        span = data.draw(st.integers(8 * (blocks - 1), 8 * blocks - 1))
+        k, _, mirrored = _mirrored_layout(en, span)
+        assume(mirrored)
+        inner = data.draw(st.lists(st.integers(1, span - 1), max_size=20))
+        palindrome = _palindrome(span, inner)
+        x = data.draw(st.integers(1, span - 1))
+        near = set(palindrome)
+        how = data.draw(st.sampled_from(["move", "toggle"]))
+        if how == "move":
+            assume(x in near and x + 1 not in near and x + 1 < span)
+            near ^= {x, x + 1}
+        else:
+            near ^= {x}
+        near = sorted(near)
+        assume(near != _palindrome(span, near[1:-1]))
+        assert not en._is_palindrome(np.array(near) - near[0])
+        diffs = oracle_rep_counts(near, near, "diff")
+        with _counted_rfft() as count:
+            table = _fft_table(en, near)
+        assert count == [k]
+        assert table.tolist() == [diffs.get(d, 0) for d in range(span + 1)]
+
+
+@pytest.mark.parametrize("offsets, forward", [
+    ([0], 1),               # span 0: the one point is block 1's head
+    ([0, 1], 2),            # K*b - span = 1, odd
+    ([0, 2], 1),
+    ([0, 3], 2),            # an odd span, K*b - span = 1
+    ([0, 1, 2], 1),
+    ([0, 2, 4], 1),         # the centre point heads block 1
+    ([0, 1, 3, 4], 1),
+    ([0, 1, 3], 2),         # no palindrome
+    ([0, 3, 4], 2),         # pairs of the ends agree, the middle does not
+])
+def test_mirror_on_small_sets(offsets, forward):
+    en = importlib.import_module("sumsetlab.energy")
+    span = offsets[-1]
+    assert _mirrored_layout(en, span)[0] == 2
+    diffs = oracle_rep_counts(offsets, offsets, "diff")
+    for shift in (0, -5, 2 ** 70):
+        with _counted_rfft() as count:
+            table = _fft_table(en, [p + shift for p in offsets])
+        assert count == [forward]
+        assert table.tolist() == [diffs.get(d, 0) for d in range(span + 1)]
 
 
 def _corrupt_irfft(monkeypatch, row, deltas, half=1):
@@ -781,6 +916,29 @@ def test_fft_kernel_streams_its_table(span, blocks, limit):
     assert en._block_layout(span)[0] == blocks
     lags = [0, 1, span] + rng.integers(2, span, 20).tolist()
     peak, size, counts = _streamed_peak(en, P, lags)
+    assert size == span + 1
+    for lag in lags:
+        assert counts[lag] == np.intersect1d(P, P + lag).size
+    assert peak < limit * span
+
+
+@pytest.mark.parametrize("span, blocks, limit", [
+    (300_000, 2, 28),
+    ((1 << 21) + 12_346, 9, 20),
+])
+def test_mirrored_fft_kernel_stays_within_its_memory(span, blocks, limit):
+    # a palindrome derives the spectra of its upper blocks in their own
+    # rows: the bounds of the unmirrored kernel at K = 2 and K = 9 hold
+    en = importlib.import_module("sumsetlab.energy")
+    rng = np.random.default_rng(span)
+    half = rng.integers(1, span // 2, 10_000)
+    P = np.unique(np.concatenate(([0, span], half, span - half)))
+    k, _, mirrored = _mirrored_layout(en, span)
+    assert k == blocks and mirrored
+    lags = [0, 1, span] + rng.integers(2, span, 20).tolist()
+    with _counted_rfft() as count:
+        peak, size, counts = _streamed_peak(en, P, lags)
+    assert count == [-(-blocks // 2)]
     assert size == span + 1
     for lag in lags:
         assert counts[lag] == np.intersect1d(P, P + lag).size
