@@ -209,8 +209,12 @@ def _results_table(results, fmt: str) -> str:
         return json_text(dataclasses.asdict(r) for r in results)
     lines = ["check_id,inputs_desc,lhs,rhs,ratio,verdict"]
     for r in results:
+        check_id = r.check_id
+        # a parameterized check id, such as st_measure[a=1,b=2], may hold a comma
+        if "," in check_id or '"' in check_id:
+            check_id = '"' + check_id.replace('"', '""') + '"'
         lines.append(
-            f"{r.check_id},\"{r.inputs_desc}\",{r.lhs!r},{r.rhs!r},{r.ratio!r},{r.verdict}"
+            f"{check_id},\"{r.inputs_desc}\",{r.lhs!r},{r.rhs!r},{r.ratio!r},{r.verdict}"
         )
     return "\n".join(lines) + "\n"
 

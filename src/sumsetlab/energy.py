@@ -3,10 +3,9 @@
 All counting here is exact.  The workhorse layout: a set's scaled-integer
 view (see `sets._IntView`) lets the common all-integer case run through
 int64 numpy kernels.  Ratios and values past int64 (geometric families
-reach 2**n) go through one of two kernels, which give representation
-tables and pair-set sizes alike.  Counting is O(|A||B|) vector
-accumulation, because every downstream inequality check treats these
-counts as exact combinatorial quantities.
+reach 2**n) take the kernels of the next paragraph.  Counting is O(|A||B|)
+vector accumulation, because every downstream inequality check treats
+these counts as exact combinatorial quantities.
 
 Products and ratios first try a coprime base (`_coprime_keys`): each
 nonzero scaled integer is a sign and an int64 exponent vector over
@@ -16,24 +15,24 @@ key per pair and counted by one sort, as int64 values are.  The keys are
 exact: if prod b_i**e_i = prod b_i**f_i, a prime dividing b_i divides no
 other b_j, so e_i = f_i; equal keys are equal values and no key group is
 checked.  Where the base would pass a cap of members or a key would not fit
-int64, and for sums and differences, the residue-keyed kernel
-`_PairGroups` runs: it sorts int64 residue keys and checks every key group
-exactly.
+int64, and for sums and differences, a table is `_sorted_rep`: the exact
+pair values in one numpy object array, one stable argsort, a count of the
+runs.  A pair-set size there is `_distinct_count_fingerprint`, which sorts
+int64 residue keys (`_PairGroups`) and checks every key group exactly.
 
-Sort, never hash or histogram: an int64 representation table or pair-set
-size is one in-place sort of the |A||B| pair values (int32 when they fit),
-then a count of the runs.  Membership of whole blocks of pair values in a
-set goes through `pair_membership`.  When the pair values and the set fit
-int64, it reads a 0/1 occupancy table indexed by value minus the range's
-start, a direct-address table with no hashing; over a wide range an entry
-covers 2**s values and a hit is confirmed by binary search in the sorted
-set.  Past int64 it looks residue keys up in sorted arrays.  A Python set or
-dict only splits a key group that holds distinct values, which takes a key
-collision.  A same-set difference table from the residue-keyed kernel
-records each pair's table entry (`RepFn.pair_pos`), so whether a pair's
-difference lies in a selection of that table, such as its popular
-differences, is read from the table (`RepFn.pair_mask`) and needs no lookup
-at all.
+Sort, never hash or histogram: a representation table or pair-set size is
+one sort of the |A||B| pair values (in place, int32 when they fit, for
+int64 values), then a count of the runs.  Membership of whole blocks of
+pair values in a set goes through `pair_membership`.  When the pair values
+and the set fit int64, it reads a 0/1 occupancy table indexed by value
+minus the range's start, a direct-address table with no hashing; over a
+wide range an entry covers 2**s values and a hit is confirmed by binary
+search in the sorted set.  Past int64 it looks residue keys up in sorted
+arrays.  No counting kernel here builds a Python set or dict.  A same-set
+difference table past int64 records each pair's table entry
+(`RepFn.pair_pos`), so whether a pair's difference lies in a selection of
+that table, such as its popular differences, is read from the table
+(`RepFn.pair_mask`) and needs no lookup at all.
 
 `projection_count` has two kernels.  `_loop_projection` is the
 sorted-membership loop of `pair_membership`, under a work budget.  The one
@@ -159,8 +158,8 @@ class RepFn:
     int64.  Exact values are unscaled only for what `counts`, `items`,
     `select` and `support` return.
 
-    A same-set difference table built by the residue-keyed kernel (values
-    past int64) also carries `pair_pos`: for each pair i > j of
+    A same-set difference table past int64 (built by `_sorted_rep`) also
+    carries `pair_pos`: for each pair i > j of
     the set's sorted elements, in the order of np.tril_indices(|A|, -1),
     the int32 index of a_i - a_j in `counts_array`.  `pair_mask` reads it.
     It is None for every other table, int64 ones included.  A table is
@@ -341,12 +340,13 @@ def rep_fn(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     view for as long as A lives; any other pair, B an equal copy of A
     included, is built on each call and not kept.
 
-    Values that fit int64 are sorted and run-length encoded; products and
-    ratios past int64 are counted over a coprime base (`_coprime_rep`),
-    whose keys are equal exactly for equal values; sums, differences and
-    products or ratios that the coprime keys do not cover go through the
-    residue-keyed `_grouped_rep`, whose same-set difference tables carry
-    each pair's entry (`RepFn.pair_pos`).  Both give the same table.
+    At every width the table is the pair values sorted, then run-length
+    encoded: values that fit int64 in an int array; sums, differences and
+    products or ratios that the coprime keys do not cover in a numpy object
+    array of Python ints (`_sorted_rep`), whose same-set difference tables
+    carry each pair's entry (`RepFn.pair_pos`).  Products and ratios past
+    int64 are counted over a coprime base (`_coprime_rep`), whose keys are
+    equal exactly for equal values; it gives `_sorted_rep`'s very table.
     """
     _require_op(op)
     if B is A:
@@ -369,12 +369,68 @@ def _build_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
         f = _coprime_rep(A, B, op)
         if f is not None:
             return f
-    return _grouped_rep(A, B, op)
+    return _sorted_rep(A, B, op)
 
 
 def pair_set(A: FiniteSet, B: FiniteSet, op: str) -> FiniteSet:
     """The exact set {a op b : a in A, b in B} (materialized)."""
     return rep_fn(A, B, op).support()
+
+
+def _pair_index(A: FiniteSet, B: FiniteSet, op: str):
+    """(A, B, op, same, ii, jj): the pairs of A op B as int32 indices ii
+    into A's sorted elements and jj into B's, with a ratio taken as the
+    product with B = {1/b : b in B}.  When A and B are the same set
+    (`same`, never for a ratio), sums and products enumerate pairs j <= i
+    only and differences j < i, the positive differences."""
+    same = A is B or A == B
+    if op == "ratio":
+        B = FiniteSet(Fraction(1, b) for b in B.elements)
+        op, same = "prod", False
+    if same:
+        # j < i gives the positive differences: A is sorted
+        ii, jj = (x.astype(np.int32) for x in np.tril_indices(len(A), -1 if op == "diff" else 0))
+    else:
+        ii = np.repeat(np.arange(len(A), dtype=np.int32), len(B))
+        jj = np.tile(np.arange(len(B), dtype=np.int32), len(A))
+    return A, B, op, same, ii, jj
+
+
+def _sorted_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
+    """The representation function of A op B, for values that need not fit
+    int64: scaled values in a sorted list.
+
+    The exact scaled values of the pairs of `_pair_index` go into one numpy
+    object array, which one stable argsort orders; the runs of equal values
+    are the table's entries.  For the same set each pair i > j of a sum or
+    product stands also for (j, i), and the positive difference table is
+    mirrored, with count |A| at 0, and each positive-difference pair's
+    table entry, the rank of its own value, recorded in `pair_pos`.
+    """
+    if len(A) == 0 or len(B) == 0:
+        return RepFn(op, len(A), len(B), values=[], counts=np.zeros(0, dtype=np.int64))
+    X, Y, pair_op, same, ii, jj = _pair_index(A, B, op)
+    ma, mb, scale = _pair_factors(X, Y, pair_op)
+    a, b = (np.array(_times(S.int_view.ints, m), dtype=object) for S, m in ((X, ma), (Y, mb)))
+    vals = _PAIR_FUNCS[pair_op][0](a[ii], b[jj])
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    head = _run_heads(vals)
+    starts = np.flatnonzero(head)
+    if same and pair_op != "diff":  # pair (i, j), j < i, stands also for (j, i)
+        counts = np.add.reduceat(np.where(ii[order] != jj[order], 2, 1), starts)
+    else:
+        counts = np.diff(starts, append=vals.size)
+    values = vals[starts].tolist()
+    pair_pos = None
+    if same and pair_op == "diff":
+        # the mirrored table puts the positive entries after 0
+        pair_pos = np.empty(order.size, dtype=np.int32)
+        pair_pos[order] = np.cumsum(head, dtype=np.int32) + len(values)
+        values = [-v for v in reversed(values)] + [0] + values
+        counts = np.concatenate((counts[::-1], [len(A)], counts))
+    return RepFn(op, len(A), len(B), values=values, scale=scale, counts=counts,
+                 pair_pos=pair_pos)
 
 
 # Two safe primes below 2**31 (p and (p - 1)/2 both prime).  Modulo each,
@@ -397,33 +453,21 @@ def _key_parts(iv, m: int) -> list[np.ndarray]:
 
 
 class _PairGroups:
-    """The pairs of A op B grouped by an int64 key of their exact values.
+    """The pairs of A op B (`_pair_index`) grouped by an int64 key of their
+    exact values, for `_distinct_count_fingerprint`.
 
     Each pair gets a key from its value's residues modulo the two
     `_KEY_PRIMES`, so equal values always share a key; `order` sorts the
     pairs by key and `head` marks the first sorted position of each key
     group.  Sums and differences use both sets' integers at a common
-    denominator, products each set's own scaled integers, and a ratio is a
-    product with {1/b}; an exact value is the integer one over `scale`.
-    When A and B are the same set (`same`), sums and products enumerate
-    pairs j <= i only and differences j < i, the positive differences.
+    denominator, products each set's own scaled integers.
     """
 
     def __init__(self, A: FiniteSet, B: FiniteSet, op: str):
-        same = A is B or A == B
-        if op == "ratio":
-            B = FiniteSet(Fraction(1, b) for b in B.elements)
-            op, same = "prod", False
-        ma, mb, self.scale = _pair_factors(A, B, op)
+        A, B, op, same, ii, jj = _pair_index(A, B, op)
+        ma, mb, _ = _pair_factors(A, B, op)
         a, ka = _times(A.int_view.ints, ma), _key_parts(A.int_view, ma)
-        if same:
-            # j < i gives the positive differences: a is sorted
-            b, kb = a, ka
-            ii, jj = (x.astype(np.int32) for x in np.tril_indices(len(a), -1 if op == "diff" else 0))
-        else:
-            b, kb = _times(B.int_view.ints, mb), _key_parts(B.int_view, mb)
-            ii = np.repeat(np.arange(len(a), dtype=np.int32), len(b))
-            jj = np.tile(np.arange(len(b), dtype=np.int32), len(a))
+        b, kb = (a, ka) if same else (_times(B.int_view.ints, mb), _key_parts(B.int_view, mb))
         self.op, self.same = op, same
         self.a, self.b, self.ii, self.jj = a, b, ii, jj
 
@@ -475,79 +519,18 @@ def _distinct_count_fingerprint(A: FiniteSet, B: FiniteSet, op: str) -> int:
     """Exact |A op B| for ratios and values past int64.
 
     Counts the key groups of `_PairGroups` and, in each group that holds
-    distinct values, the distinct values beyond one (with a set), so the
-    count is exact whatever the primes; no singleton group is evaluated.
-    For the same set, differences count 2 * #distinct positive
-    differences + 1.
+    distinct values, the distinct values beyond one (`distinct_count` on an
+    object array), so the count is exact whatever the primes; no singleton
+    group is evaluated.  For the same set, differences count
+    2 * #distinct positive differences + 1.
     """
     if len(A) == 0 or len(B) == 0:
         return 0
     g = _PairGroups(A, B, op)
     distinct = int(np.count_nonzero(g.head))
     for start, end in g.mixed_groups():
-        distinct += len(set(g.values(np.arange(start, end)))) - 1
+        distinct += distinct_count(np.fromiter(g.values(np.arange(start, end)), dtype=object)) - 1
     return 2 * distinct + 1 if g.same and g.op == "diff" else distinct
-
-
-def _grouped_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
-    """The representation function of A op B, for values that need not fit
-    int64: scaled values in a sorted list.
-
-    One count per key group of `_PairGroups` (np.add.reduceat over the group
-    starts) and one evaluated value per group; a group that holds distinct
-    values is split exactly by a weighted tally.  For the same set, the
-    positive difference table is mirrored, with count |A| at 0, and each
-    positive-difference pair's table entry is recorded in `pair_pos` as the
-    entries are assigned: a whole group's pairs get its entry, a split
-    group's pairs the entry of their own value.  Every pair is thus placed
-    by its exact value.
-    """
-    if len(A) == 0 or len(B) == 0:
-        return RepFn(op, len(A), len(B), values=[], counts=np.zeros(0, dtype=np.int64))
-    g = _PairGroups(A, B, op)
-    weight = np.ones(g.order.size, dtype=np.int64)
-    if g.same and g.op != "diff":  # pair (i, j), j < i, stands also for (j, i)
-        weight += g.ii[g.order] != g.jj[g.order]
-    starts = np.flatnonzero(g.head)
-    counts = np.add.reduceat(weight, starts)
-    mixed = g.mixed_groups()
-    is_whole = np.ones(starts.size, dtype=bool)
-    is_whole[np.searchsorted(starts, [start for start, _ in mixed])] = False
-    whole = np.flatnonzero(is_whole)
-    # the entries before sorting: the whole groups, then each split group's values
-    vals = list(g.values(starts[whole]))
-    cnt = counts[whole].tolist()
-    split = []
-    for start, end in mixed:
-        members = list(g.values(np.arange(start, end)))
-        tally: dict = {}
-        for v, w in zip(members, weight[start:end].tolist()):
-            tally[v] = tally.get(v, 0) + w
-        vals.extend(tally)
-        cnt.extend(tally.values())
-        split.append((start, members))
-    order = np.array(sorted(range(len(vals)), key=vals.__getitem__), dtype=np.int64)
-    values = [vals[k] for k in order.tolist()]
-    cnt = np.array(cnt, dtype=np.int64)[order]
-    pair_pos = None
-    if g.same and g.op == "diff":
-        # the mirrored table puts the positive entries after 0
-        first = len(values) + 1
-        rank = np.empty(order.size, dtype=np.int32)
-        rank[order] = np.arange(first, first + order.size, dtype=np.int32)
-        # the entry of each whole key group, then of each pair in key order
-        entry = np.empty(starts.size, dtype=np.int32)
-        entry[whole] = rank[:whole.size]
-        by_key = entry[np.cumsum(g.head) - 1]
-        for start, members in split:
-            by_key[start:start + len(members)] = [first + bisect.bisect_left(values, v)
-                                                   for v in members]
-        pair_pos = np.empty_like(by_key)
-        pair_pos[g.order] = by_key
-        values = [-v for v in reversed(values)] + [0] + values
-        cnt = np.concatenate((cnt[::-1], [len(A)], cnt))
-    return RepFn(op, len(A), len(B), values=values, scale=g.scale, counts=cnt,
-                 pair_pos=pair_pos)
 
 
 def pair_set_size(A: FiniteSet, B: FiniteSet, op: str) -> int:
@@ -657,13 +640,14 @@ def _coprime_keys(A: FiniteSet, B: FiniteSet, op: str, indexed: bool):
 
 
 def _coprime_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn | None:
-    """`_grouped_rep(A, B, op)` for op "prod" or "ratio", the very same
+    """`_sorted_rep(A, B, op)` for op "prod" or "ratio", the very same
     table, counted from `_coprime_keys`; None where those are None.
 
     One sort of the indexed keys gives each distinct value's count and one
     pair that takes it, whose exact value is the product of the operands
-    `_PairGroups` uses: the scaled integers of A, and of B for a product or
-    of {1/b : b in B} for a ratio.
+    `_sorted_rep` uses: the scaled integers of A, and of B for a product or
+    of {1/b : b in B} for a ratio.  The support is then ordered by one
+    stable argsort of those values in an object array.
     """
     keys = _coprime_keys(A, B, op, True)
     if keys is None:
@@ -687,8 +671,9 @@ def _coprime_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn | None:
     if zeros:
         vals.append(0)
         cnt = np.append(cnt, zeros)
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    return RepFn(op, len(A), len(B), values=[vals[k] for k in order], scale=scale,
+    vals = np.array(vals, dtype=object)
+    order = np.argsort(vals, kind="stable")
+    return RepFn(op, len(A), len(B), values=vals[order].tolist(), scale=scale,
                  counts=cnt[order])
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -177,6 +178,10 @@ def test_checks_with_bracketed_comma_params(tmp_path):
     assert run_cli("verify", "--family", "AP(1,1)", "--n", "20",
                    "--checks", f"cs_energy,{check}",
                    "--out", str(tmp_path / "v.csv")) == 0
+    with open(tmp_path / "v.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert [row[0] for row in rows[1:]] == ["cs_energy", check]
     out = tmp_path / "s.json"
     assert run_cli("scan", "--families", "AP(1,1)", "--sizes", "20",
                    "--checks", check, "--format", "json", "--out", str(out)) == 0

@@ -3,8 +3,8 @@
 Each nonzero scaled integer of a set is a sign and an exponent vector over a
 pairwise-coprime base (`sets.coprime_exponents`); a product or ratio table
 is then counted from packed vector sums or differences.  These tests hold
-that kernel to the brute-force oracle and to the residue-keyed
-`_grouped_rep`, field by field, on geometric, negated, mixed-sign and
+that kernel to the brute-force oracle and to `_sorted_rep`, which sorts
+the exact pair values, field by field, on geometric, negated, mixed-sign and
 zero-holding sets, on two sets with disjoint bases, and where it must give
 way: past the base cap and where a key would not fit int64.
 """
@@ -44,11 +44,11 @@ def _assert_same_table(f, g):
 
 
 def _assert_coprime_table(A, B, op):
-    """The coprime kernel gives `_grouped_rep`'s table and the oracle's counts;
+    """The coprime kernel gives `_sorted_rep`'s table and the oracle's counts;
     rep_fn and pair_set_size take it wherever the values pass int64."""
     f = en._coprime_rep(A, B, op)
     assert f is not None
-    g = en._grouped_rep(A, B, op)
+    g = en._sorted_rep(A, B, op)
     _assert_same_table(f, g)
     assert f.counts == oracle_rep_counts(A.elements, B.elements, op)
     if en._outer_int64(A, B, op) is None:
@@ -95,7 +95,7 @@ G12, G13 = gp(1, 2, 40), gp(1, 3, 36)
 # an empty base (units and 0 only), and a set that is {0}
 @example(A=make_set([-1, 0, 1]), B=make_set([0]), op="prod", same=True)
 @example(A=make_set([0]), B=make_set([-1, 1]), op="ratio", same=False)
-def test_coprime_table_matches_oracle_and_grouped_rep(A, B, op, same):
+def test_coprime_table_matches_oracle_and_sorted_rep(A, B, op, same):
     if same:
         B = A
     assume(op != "ratio" or 0 not in B)
@@ -121,7 +121,7 @@ def test_past_the_base_cap_the_residue_path_answers(monkeypatch):
         for op in ("prod", "ratio"):
             assert en._coprime_keys(X, Y, op, False) is None
             assert en._coprime_rep(X, Y, op) is None
-            _assert_same_table(rep_fn(X, Y, op), en._grouped_rep(X, Y, op))
+            _assert_same_table(rep_fn(X, Y, op), en._sorted_rep(X, Y, op))
             want = oracle_rep_counts(X.elements, Y.elements, op)
             assert rep_fn(X, Y, op).counts == want
             assert pair_set_size(X, Y, op) == len(want)
@@ -137,7 +137,7 @@ def test_a_key_past_int64_gives_way_to_the_residue_path():
         assert en._coprime_keys(A, A, op, False) is None
         assert en._coprime_rep(A, A, op) is None
         f = rep_fn(A, A, op)
-        _assert_same_table(f, en._grouped_rep(A, A, op))
+        _assert_same_table(f, en._sorted_rep(A, A, op))
         assert f.counts == oracle_rep_counts(A.elements, A.elements, op)
         assert pair_set_size(A, A, op) == f.size
     # four primes fit the count's key but not the pair index of a table's

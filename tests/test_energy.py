@@ -1057,8 +1057,8 @@ def test_rep_fn_table_matches_oracle_past_int64(A, B, op, same):
 def test_grouped_table_resolves_forced_collisions(monkeypatch):
     en = importlib.import_module("sumsetlab.energy")
 
-    # with primes 3 and 5 every group of more than one value is split by
-    # the weighted tally, also in same-set tables that are then mirrored
+    # with primes 3 and 5 nearly every residue key group holds distinct
+    # values; a table past int64 sorts the exact values and is left exact
     monkeypatch.setattr(en, "_KEY_PRIMES", (3, 5))
     monkeypatch.setattr(en, "_CHECK_CHUNK", 7)
     G = gen_family(FamilySpec.gp(1, 2, 40))
@@ -1070,10 +1070,73 @@ def test_grouped_table_resolves_forced_collisions(monkeypatch):
                 continue
             want = oracle_rep_counts(A.elements, B.elements, op)
             assert rep_fn(A, B, op).counts == want
-            f = en._grouped_rep(A, B, op)
+            f = en._sorted_rep(A, B, op)
             values, counts, scale = f.scaled_values, f.counts_array, f.scale
             got = dict(zip((as_rational(Fraction(v, scale)) for v in values), counts.tolist()))
             assert got == want and list(got) == sorted(want)
+
+
+_huge_or_empty_sets = st.one_of(rational_sets, _huge_sets, st.lists(_huge_elements, max_size=1).map(make_set))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_huge_or_empty_sets, _huge_or_empty_sets, st.sampled_from(sorted(_PY_OPS)),
+       st.sampled_from(["same", "copy", "other"]))
+@example(A=make_set([]), B=make_set([]), op="diff", pairing="same")
+@example(A=make_set([0]), B=make_set([1 << 70]), op="prod", pairing="other")
+@example(A=make_set([-(1 << 70), 0, Fraction(1, 3), 1 << 64]), B=make_set([]), op="ratio",
+         pairing="copy")
+def test_sorted_table_matches_oracle(A, B, op, pairing):
+    # the builder itself, so products and ratios skip the coprime base as
+    # they do past its cap
+    en = importlib.import_module("sumsetlab.energy")
+    if pairing != "other":
+        B = A if pairing == "same" else make_set(A.elements)
+    assume(op != "ratio" or 0 not in B)
+    want = oracle_rep_counts(A.elements, B.elements, op)
+    f = en._sorted_rep(A, B, op)
+    assert not f.is_numpy and f.counts == want and list(f.counts) == sorted(want)
+    assert f.counts_array.dtype == np.int64 and int(f.counts_array.sum()) == f.mass
+    if op == "diff" and A == B and len(A):  # a drawn B may equal A too
+        assert f.pair_pos.dtype == np.int32
+        values = f.support().elements
+        placed = [values[k] for k in f.pair_pos.tolist()]
+        assert placed == [A.elements[i] - A.elements[j] for i, j in zip(*np.tril_indices(len(A), -1))]
+    else:
+        assert f.pair_pos is None
+
+
+@pytest.mark.parametrize("A", [
+    make_set([1 << 70]),
+    make_set([0, 1 << 70]),
+    gen_family(FamilySpec.ap(1 << 63, 1, 40)),
+    gen_family(FamilySpec.ap(Fraction(1 << 64, 3), Fraction(2, 5), 30)),
+    make_set([-(1 << 66), -3, 0, Fraction(1, 7), 5, 1 << 66, (1 << 67) + 5]),
+], ids=["singleton", "with-0", "AP", "rational-AP", "symmetric"])
+def test_sorted_difference_table_places_each_pair_at_its_value(A):
+    # each positive difference repeats in an AP: runs of many pairs share an entry
+    f = rep_fn(A, A, "diff")
+    assert not f.is_numpy and f.pair_pos.size == len(A) * (len(A) - 1) // 2
+    values = f.support().elements
+    placed = [values[k] for k in f.pair_pos.tolist()]
+    assert placed == [A.elements[i] - A.elements[j] for i, j in zip(*np.tril_indices(len(A), -1))]
+    assert f.counts == oracle_rep_counts(A.elements, A.elements, "diff")
+
+
+def test_sum_and_difference_tables_past_int64_compute_no_residue_key(monkeypatch):
+    en = importlib.import_module("sumsetlab.energy")
+    sets_module = importlib.import_module("sumsetlab.sets")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a residue key was computed")
+
+    monkeypatch.setattr(en, "_PairGroups", refuse)
+    monkeypatch.setattr(sets_module._IntView, "residues", refuse)
+    G = gen_family(FamilySpec.gp(1, 2, 70))
+    Q = make_set([Fraction(k, 3) for k in range(-20, 21, 3)] + [1 << 70])
+    for A, B in ((G, G), (G, make_set(G.elements)), (G, Q), (Q, Q)):
+        for op in ("sum", "diff"):
+            assert rep_fn(A, B, op).counts == oracle_rep_counts(A.elements, B.elements, op)
 
 
 def test_repfn_select_dict_mode():
