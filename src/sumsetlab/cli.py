@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -330,7 +331,10 @@ def _cmd_search(args, cfg) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and its program name is fixed, so `main` calls share it."""
     p = argparse.ArgumentParser(
         prog="sumsetlab",
         description="Exact sumset statistics, inequality verification, and ratio scans.",

@@ -25,17 +25,20 @@ one sort of the |A||B| pair values (in place, int32 when they fit, for
 int64 values), then a count of the runs.  Membership of whole blocks of
 pair values in a set goes through `pair_membership`.  When the pair values
 and the set fit int64, it reads a 0/1 occupancy table indexed by value
-minus the range's start, a direct-address table with no hashing; over a
-wide range an entry covers 2**s values and a hit is confirmed by binary
-search in the sorted set.  Past int64 it looks residue keys up in sorted
-arrays.  No counting kernel here builds a Python set or dict.  A same-set
+minus the range's start, a direct-address table, if the range is narrow
+enough; over a wider range it reads a hashed table of the set's own
+values (a multiplicative hash, one element or a sentinel per slot), and
+only a pair value whose slot several elements share is searched in the
+sorted set.  Past int64 it looks residue keys up in sorted arrays.  No
+counting kernel here builds a Python set or dict.  A same-set
 difference table past int64 records each pair's table entry
 (`RepFn.pair_pos`), so whether a pair's difference lies in a selection of
 that table, such as its popular differences, is read from the table
 (`RepFn.pair_mask`) and needs no lookup at all.
 
 `projection_count` has two kernels.  `_loop_projection` is the
-sorted-membership loop of `pair_membership`, under a work budget.  The one
+membership loop of `pair_membership`, under a work budget; for P with
+itself it looks up each unordered pair once.  The one
 floating-point path is the other, `_fft_projection`, for sets of moderate
 scaled span: the difference-count function of a set is the
 autocorrelation of its 0/1 indicator vector, computed with float64 real
@@ -681,75 +684,123 @@ def _coprime_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn | None:
 _MEMBERSHIP_CHUNK = 1 << 15
 # widest 0/1 occupancy table `pair_membership` builds (16 MiB of bool)
 _BINCOUNT_SPAN_LIMIT = 16_777_216
-# `pair_membership`'s occupancy table has at most this many times |X||Y| + |P|
-# entries (and at most `_BINCOUNT_SPAN_LIMIT`); wider ranges share entries.
-# Timing an exact table against binary search on random sets (2-core x86-64,
-# numpy 2.4), it was 3-20 times faster up to 64 times and broke even near
-# 512-1024 times; 8 keeps its byte per entry within an int64 copy of the pairs.
+# `pair_membership`'s exact occupancy table has at most this many times
+# |X||Y| + |P| entries (and at most `_BINCOUNT_SPAN_LIMIT`); wider ranges
+# take the hashed table.  Timing both forced on P + P in P for random P
+# (|P| = 100-2000, 2-core x86-64, numpy 2.4), the exact table was 1.1-2
+# times faster up to 8 times, about even at 16-32 times (64-256 for
+# |P| = 100) and at the 2**24-entry limit, and slower past that; 8 keeps
+# its byte per entry within an int64 copy of the pairs.
 _OCCUPANCY_WIDTH_FACTOR = 8
+# the hashed table has 2**k int64 slots, k = ceil(log2(16 |P|)) clamped to
+# these bounds: at most 1/16 of the slots hold an element of P until |P|
+# passes 2**17, and the table takes 8 KiB to 16 MiB.  A floor of 2**16
+# slots timed the same on the loop projections of random sets over 2**40
+# (|P| = 381-2451), but its 512 KiB tables for small P raised a long
+# sum-chain run's peak RSS by 0.9 MB
+_HASH_BITS = (10, 21)
+# Fibonacci hashing: a slot is the top k bits of v * _HASH_MULT mod 2**64
+# (2**64 over the golden ratio, odd), which spreads runs and multiples
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+# slot contents other than an element of P: no element, or two or more.  No
+# pair value equals either, since every one lies below INT64_SAFE = 2**62
+_EMPTY = np.int64(-(1 << 63))
+_SEVERAL = np.int64(-(1 << 63) + 1)
 
 
 def _occupancy_fits(width: int, pairs: int, size: int) -> bool:
     """Whether `pair_membership` tests `pairs` pair values against a set of
-    `size` values through an occupancy table of `width` entries."""
+    `size` values through an exact occupancy table of `width` entries."""
     return width <= _BINCOUNT_SPAN_LIMIT and width <= _OCCUPANCY_WIDTH_FACTOR * (pairs + size)
 
 
+def _hash_slots(v: np.ndarray, k: int) -> np.ndarray:
+    """The slots of the int64 values v in a hashed table of 2**k slots,
+    written over v and returned."""
+    h = v.view(np.uint64)
+    h *= _HASH_MULT
+    h >>= np.uint64(64 - k)
+    return v
+
+
 def _int64_lookup(x: np.ndarray, y: np.ndarray, op: str, p: np.ndarray):
-    """block(r0, r1): whether x[i] op y[j] lies in the sorted int64 array p,
-    for rows r0 <= i < r1 of x, with every pair value known to fit int64.
+    """block(r0, r1, c0=0): whether x[i] op y[j] lies in the sorted int64
+    array p, for rows r0 <= i < r1 of x and columns j >= c0 of y, with every
+    pair value known to fit int64.
 
     All pair values and p lie in [base, base + top]: the bounds are the
-    corner values of x op y and the ends of p.  A value v falls in bucket
-    (v - base) >> s of a 0/1 occupancy table, a direct-address table at a
-    resolution of 2**s values, for the least shift s at which it fits
-    (`_occupancy_fits`).  At s = 0 the table is exact and a block is one
-    gather; past it a pair value whose bucket holds an element of p is
-    confirmed by binary search in p.
+    corner values of x op y and the ends of p.  Where `_occupancy_fits`
+    allows a table of top + 1 entries, value v is entry v - base of a 0/1
+    occupancy table, a direct-address table, and a block is one gather.
+    Otherwise slot `_hash_slots(v)` of a hashed table holds the one element
+    of p that hashes there, `_EMPTY` or `_SEVERAL`: a pair value is in p
+    exactly when its slot holds it, and only a value whose slot holds
+    `_SEVERAL` is searched in p.
     """
     ufunc, f = _PAIR_FUNCS[op]
     ends = [f(int(u), int(v)) for u in (x[0], x[-1]) for v in (y[0], y[-1])]
     ends += [int(p[0]), int(p[-1])]
     base = min(ends)
     top = max(ends) - base
-    s = 0
-    while top >> s and not _occupancy_fits((top >> s) + 1, x.size * y.size, p.size):
-        s += 1
-    q = p - base
-    occ = np.zeros((top >> s) + 1, dtype=bool)
-    occ[q >> s] = True
-    if op == "prod":
-        def offsets(r0, r1):
-            v = ufunc.outer(x[r0:r1], y)
-            v -= base
-            return v
-    else:
+    if _occupancy_fits(top + 1, x.size * y.size, p.size):
+        occ = np.zeros(top + 1, dtype=bool)
+        occ[p - base] = True
+        if op == "prod":
+            def block(r0, r1, c0=0):
+                v = ufunc.outer(x[r0:r1], y[c0:])
+                v -= base
+                return occ.take(v)
+            return block
         # (x - base) op y = (x op y) - base for a sum or a difference
         shifted = x - base
-        offsets = lambda r0, r1: ufunc.outer(shifted[r0:r1], y)
-    if s == 0:
-        return lambda r0, r1: occ[offsets(r0, r1)]
-    # an entry above every pair value keeps each search's index inside q
-    q = np.append(q, top + 1)
+        return lambda r0, r1, c0=0: occ.take(ufunc.outer(shifted[r0:r1], y[c0:]))
 
-    def block(r0, r1):
-        # the keys are shifted in place and the values made again, so that a
-        # block holds one int64 array at a time
-        key = offsets(r0, r1)
-        key >>= s
-        hit = occ[key]
-        del key
-        v = offsets(r0, r1)
-        w = v[hit]
-        hit[hit] = q[np.searchsorted(q, w)] == w
+    lo, hi = _HASH_BITS
+    k = min(max((16 * p.size - 1).bit_length(), lo), hi)
+    slots = _hash_slots(p.copy(), k)
+    table = np.full(1 << k, _EMPTY)
+    table[slots] = p
+    slots.sort()
+    shared = slots[1:][slots[1:] == slots[:-1]]
+    table[shared] = _SEVERAL
+    several = shared.size > 0
+    if op == "prod":
+        def subtract(a, r0, r1, c0):
+            a -= ufunc.outer(x[r0:r1], y[c0:])
+    else:
+        # (slot - x) -/+ y is 0 exactly where slot = x op y: int64 arithmetic
+        # wraps modulo 2**64, which keeps a sentinel apart from every value
+        after = np.subtract if op == "sum" else np.add
+
+        def subtract(a, r0, r1, c0):
+            a -= x[r0:r1, None]
+            after(a, y[c0:], out=a)
+
+    def block(r0, r1, c0=0):
+        # each entry's slot is gathered over its own hash (an unbuffered
+        # take reads an index before it writes that entry), so a block
+        # holds one int64 array at a time
+        a = _hash_slots(ufunc.outer(x[r0:r1], y[c0:]), k)
+        table.take(a, out=a, mode="clip")
+        odd = np.flatnonzero(a == _SEVERAL) if several else ()
+        subtract(a, r0, r1, c0)
+        hit = a == 0
+        del a
+        if len(odd):
+            i, j = np.divmod(odd, hit.shape[1])
+            w = ufunc(x[r0 + i], y[c0 + j])
+            idx = np.searchsorted(p, w)
+            np.minimum(idx, p.size - 1, out=idx)
+            hit.ravel()[odd] = p[idx] == w
         return hit
     return block
 
 
 def _residue_lookup(op: str, scaled):
-    """block(r0, r1): whether x[i] op y[j] lies in the sorted p, for rows
-    r0 <= i < r1, with values that need not fit int64; `scaled` holds the
-    int views of X, Y and P with the multipliers that make x, y and p.
+    """block(r0, r1, c0=0): whether x[i] op y[j] lies in the sorted p, for
+    rows r0 <= i < r1 and columns j >= c0, with values that need not fit
+    int64; `scaled` holds the int views of X, Y and P with the multipliers
+    that make x, y and p.
 
     Each pair's residue key (as in `_PairGroups`) is looked up in p's sorted
     keys; a key hit names one element of p with that key, which is compared
@@ -764,19 +815,33 @@ def _residue_lookup(op: str, scaled):
     by_key = np.argsort(table)
     table = table[by_key]
 
-    def block(r0, r1):
-        v = ufunc.outer(x1[r0:r1], y1) % p1
+    def block(r0, r1, c0=0):
+        v = ufunc.outer(x1[r0:r1], y1[c0:]) % p1
         v <<= 31
-        v += ufunc.outer(x2[r0:r1], y2) % p2
+        v += ufunc.outer(x2[r0:r1], y2[c0:]) % p2
         idx = np.searchsorted(table, v)
         np.minimum(idx, table.size - 1, out=idx)
         hit = table[idx] == v
         ii, jj = np.nonzero(hit)
-        vals = map(f, map(x.__getitem__, (ii + r0).tolist()), map(y.__getitem__, jj.tolist()))
+        vals = map(f, map(x.__getitem__, (ii + r0).tolist()),
+                   map(y.__getitem__, (jj + c0).tolist()))
         named = map(p.__getitem__, by_key[idx[ii, jj]])
         hit[hit] = [w == q or sorted_contains(p, w) for w, q in zip(vals, named)]
         return hit
     return block
+
+
+def _membership_block(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet):
+    """The block function of `_int64_lookup` or `_residue_lookup` for
+    whether x op y lies in P, over nonempty X, Y and P brought to one
+    denominator."""
+    x, y, s = _operands(X, Y, op, P.int_view.scale)
+    ivp = P.int_view
+    mp = s // ivp.scale
+    if isinstance(x, np.ndarray) and _abs_bound(ivp.ints) * mp < INT64_SAFE:
+        return _int64_lookup(x, y, op, ivp.arr * mp if mp != 1 else ivp.arr)
+    mx, my, _ = _pair_factors(X, Y, op, s)
+    return _residue_lookup(op, ((X.int_view, mx), (Y.int_view, my), (ivp, mp)))
 
 
 def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
@@ -786,16 +851,16 @@ def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
     Returns a |X| x |Y| boolean matrix, or with `per_row` the int64 number
     of hits in each row; op is "sum", "diff" or "prod".  X op Y and P are
     brought to one denominator.  When the operands, the pair values and P
-    all fit int64, the sets' int64 views are used as they are: pair values
-    are looked up in a 0/1 occupancy table over the range they share with P,
-    a direct-address table `occ[(v - base) >> s]` at a resolution of 2**s
-    values.  s is the least shift at which the table has at most
-    `_OCCUPANCY_WIDTH_FACTOR` times |X||Y| + |P| entries and at most
-    `_BINCOUNT_SPAN_LIMIT`; at s = 0 the table is exact, and past it each hit
-    is confirmed by binary search in P's sorted values.  Past int64, a pair's
-    residue key (as in `_PairGroups`) is looked up in P's sorted keys, and a
-    key hit is compared exactly.  Rows go a block of about `_MEMBERSHIP_CHUNK`
-    pair values at a time.
+    all fit int64, the sets' int64 views are used as they are.  Over a
+    range of at most `_OCCUPANCY_WIDTH_FACTOR` times |X||Y| + |P| values
+    (and at most `_BINCOUNT_SPAN_LIMIT`), pair values are looked up in an
+    exact 0/1 occupancy table, a direct-address table.  Over a wider range
+    they are looked up in a hashed table of P's own values, whose slot
+    holds the one element of P that hashes there or a sentinel; only a
+    pair value whose slot is shared by several elements is searched in P's
+    sorted values.  Past int64, a pair's residue key (as in `_PairGroups`)
+    is looked up in P's sorted keys, and a key hit is compared exactly.
+    Rows go a block of about `_MEMBERSHIP_CHUNK` pair values at a time.
     """
     if op not in _PAIR_FUNCS:
         raise DomainError(f"op must be one of {tuple(_PAIR_FUNCS)}, got {op!r}")
@@ -803,14 +868,7 @@ def pair_membership(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet, *,
                     dtype=np.int64 if per_row else bool)
     if not (len(X) and len(Y) and len(P)):
         return hits
-    x, y, s = _operands(X, Y, op, P.int_view.scale)
-    ivp = P.int_view
-    mp = s // ivp.scale
-    if isinstance(x, np.ndarray) and _abs_bound(ivp.ints) * mp < INT64_SAFE:
-        block = _int64_lookup(x, y, op, ivp.arr * mp if mp != 1 else ivp.arr)
-    else:
-        mx, my, _ = _pair_factors(X, Y, op, s)
-        block = _residue_lookup(op, ((X.int_view, mx), (Y.int_view, my), (ivp, mp)))
+    block = _membership_block(X, Y, op, P)
     rows = max(1, _MEMBERSHIP_CHUNK // len(Y))
     for r0 in range(0, len(X), rows):
         hit = block(r0, r0 + rows)
@@ -1255,7 +1313,7 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None) -
 
     Equivalently the total count of P-differences landing in Q.  One of two
     kernels runs, chosen from the inputs alone: the FFT correlation
-    `_fft_projection` when the sorted-membership loop `_loop_projection`
+    `_fft_projection` when the membership loop `_loop_projection`
     would take more than 200 000 pair operations, P's span at the common
     denominator of P and Q is at most `_POLY_SPAN_LIMIT`, and the
     `_FFT_WORK_PER_PAIR` cost model finds the FFT cheaper or the loop would
@@ -1283,7 +1341,21 @@ def projection_count(P: FiniteSet, Q: FiniteSet, *, budget: int | None = None) -
 
 def _loop_projection(P: FiniteSet, Q: FiniteSet) -> int:
     """`projection_count` by `pair_membership`: over p2 + q in P when
-    |Q| <= |P|, over p1 - p2 in Q otherwise."""
+    |Q| <= |P|, over p1 - p2 in Q otherwise.  When Q equals P, p2 + q in P
+    is symmetric in (p2, q), so the row blocks look up only the pairs
+    j >= i of P's sorted elements and a hit off the diagonal counts twice."""
+    if Q is P or Q == P:
+        block = _membership_block(P, P, "sum", P)
+        n, total, r0 = len(P), 0, 0
+        while r0 < n:
+            r1 = min(n, r0 + max(1, _MEMBERSHIP_CHUNK // (n - r0)))
+            hit = block(r0, r1, r0)
+            # columns r0 .. r1 - 1 of the block hold its pairs j <= i
+            corner = hit[:, : r1 - r0]
+            upper = np.count_nonzero(hit) - np.count_nonzero(np.tril(corner))
+            total += 2 * upper + np.count_nonzero(corner.diagonal())
+            r0 = r1
+        return total
     if len(Q) <= len(P):
         return int(pair_membership(P, Q, "sum", P, per_row=True).sum())
     return int(pair_membership(P, P, "diff", Q, per_row=True).sum())

@@ -192,6 +192,22 @@ def test_scan_requires_arguments():
     assert run_cli("scan", "--families", "AP(1,1)") == 2
 
 
+def test_calls_share_one_parser_and_answer_alike(capsys):
+    # the parser is built once per process; a parse, failed or not, leaves
+    # it as it was, so a repeated bad command line reads the same
+    from sumsetlab import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    bad = ("gen", "--n", "x")
+    assert run_cli(*bad) == 2
+    first = capsys.readouterr()
+    assert run_cli("gen", "--family", "AP(1,1)", "--n", "3") == 0
+    assert capsys.readouterr().out == "1\n2\n3\n"
+    assert run_cli(*bad) == 2
+    assert capsys.readouterr() == first
+    assert "usage: sumsetlab gen" in first.err
+
+
 def test_scan_malformed_family_is_a_usage_error(capsys):
     assert run_cli("scan", "--families", "AP(1,x)", "--sizes", "8",
                    "--checks", "cs_energy") == 2

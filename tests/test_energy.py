@@ -247,8 +247,9 @@ def test_projection_count_auto_takes_fft_kernel_on_pinned_case(monkeypatch):
     # |P| = 500 puts the loop at 250 000 pair operations, past the 200 000
     # below which projection_count always loops; the span (29 888) puts the
     # FFT on 30 000 points, whose N log2 N work is below the model's charge
-    # for the loop.  Timed on this set the loop is faster, so the test pins
-    # the cost model's choice, not the cheaper path.
+    # for the loop.  The test pins that choice of the cost model, not the
+    # faster kernel: on this set the loop takes 0.5-0.6 ms against 1.2-1.3 ms
+    # for the FFT (best of 20, 2-core x86-64, numpy 2.4).
     rng = random.Random(20261018)
     P = make_set(rng.sample(range(-15_000, 15_000), 500))
     Q = make_set(rng.sample(range(-3_000, 3_000), 700))
@@ -1439,7 +1440,7 @@ def _literal_membership(X, Y, op, P):
 
 def _forced_occupancy(on):
     # on: an exact table while it stays small enough to build in a test;
-    # off: a one-bucket coarse table, so every pair value is searched in P
+    # off: the hashed table of P's values, however narrow the range
     rule = (lambda width, pairs, size: width <= 1 << 20) if on else (lambda *args: False)
     en = importlib.import_module("sumsetlab.energy")
     return mock.patch.object(en, "_occupancy_fits", rule)
@@ -1461,38 +1462,40 @@ def test_pair_membership_occupancy_forced_on_and_off(on, X, Y, op, same, kind, o
         assert pair_membership(X, Y, op, P, per_row=True).tolist() == [sum(r) for r in want]
 
 
-def _spy_occupancy_rule(monkeypatch):
+def _spy_tables(monkeypatch):
+    """A list that gets, for each int64 lookup, the arguments `_occupancy_fits`
+    was asked with and the table then built: "exact", or "hashed" when P's
+    values went through `_hash_slots`."""
     en = importlib.import_module("sumsetlab.energy")
-    rule, decisions = en._occupancy_fits, []
-    monkeypatch.setattr(en, "_occupancy_fits",
-                        lambda *args: decisions.append((args, rule(*args))) or decisions[-1][1])
-    return decisions
+    rule, hash_slots, tables = en._occupancy_fits, en._hash_slots, []
 
+    def fits(*args):
+        tables.append([args, "exact"])
+        return rule(*args)
 
-def _chosen_shifts(decisions):
-    # a lookup asks the rule at shifts 0, 1, ... and takes the first it allows
-    shifts, s = [], 0
-    for _, fits in decisions:
-        if fits:
-            shifts.append(s)
-        s = 0 if fits else s + 1
-    return shifts
+    def slots(v, k):
+        # only a hashed lookup hashes, and it does so after its rule call
+        tables[-1][1] = "hashed"
+        return hash_slots(v, k)
+
+    monkeypatch.setattr(en, "_occupancy_fits", fits)
+    monkeypatch.setattr(en, "_hash_slots", slots)
+    return tables
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_pair_membership_pinned_at_width_factor_cap(monkeypatch, extra):
     # pair sums in [0, 2] and P = {0, top}: width top + 1 against the cap
-    # 8 * (|X||Y| + |P|) = 8 * (4 + 2) = 48; one past it, a 2-value bucket
+    # 8 * (|X||Y| + |P|) = 8 * (4 + 2) = 48; one past it, the hashed table
     en = importlib.import_module("sumsetlab.energy")
     cap = en._OCCUPANCY_WIDTH_FACTOR * (4 + 2)
     X = make_set([0, 1])
     P = make_set([0, cap - 1 + extra])
-    decisions = _spy_occupancy_rule(monkeypatch)
+    tables = _spy_tables(monkeypatch)
     for per_row in (False, True):
         got = pair_membership(X, X, "sum", P, per_row=per_row).tolist()
         assert got == ([1, 0] if per_row else [[True, False], [False, False]])
-    assert _chosen_shifts(decisions) == [extra] * 2
-    assert decisions[0] == ((cap + extra, 4, 2), extra == 0)
+    assert tables == [[(cap + extra, 4, 2), "hashed" if extra else "exact"]] * 2
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -1501,7 +1504,7 @@ def test_pair_membership_pinned_at_bincount_span_limit(monkeypatch, extra):
     en = importlib.import_module("sumsetlab.energy")
     limit = en._BINCOUNT_SPAN_LIMIT
     X, Y = make_set(range(2048)), make_set(range(1024))
-    decisions = _spy_occupancy_rule(monkeypatch)
+    tables = _spy_tables(monkeypatch)
     # sums in [0, 3070]: only 0 + 0 lies in P
     P = make_set([0, 5000, limit - 1 + extra])
     assert pair_membership(X, Y, "sum", P, per_row=True).tolist() == [1] + [0] * 2047
@@ -1509,11 +1512,10 @@ def test_pair_membership_pinned_at_bincount_span_limit(monkeypatch, extra):
     P = make_set([-1023, 0, limit - 1024 + extra])
     assert pair_membership(X, Y, "diff", P, per_row=True).tolist() \
         == [2] + [1] * 1023 + [0] * 1024
-    assert _chosen_shifts(decisions) == [extra] * 2
-    assert decisions[0] == ((limit + extra, 2048 * 1024, 3), extra == 0)
+    assert tables == [[(limit + extra, 2048 * 1024, 3), "hashed" if extra else "exact"]] * 2
 
 
-# -- the coarse occupancy table: buckets of 2**s values, hits confirmed ----------
+# -- the hashed table: one element of P per slot, or a sentinel ------------------
 
 # sparse sets spanning about 2**40, with negative values; products of two of
 # them leave int64, so "prod" pairs one with small factors
@@ -1527,6 +1529,7 @@ _small_factor_sets = st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1,
 @given(_sparse_wide_sets, st.data(), st.sampled_from(["sum", "diff", "prod"]),
        st.sampled_from(["x", "half", "other"]), _sparse_wide_sets)
 def test_pair_membership_coarse_table_matches_literal(X, data, op, kind, other):
+    # the ranges are far too wide for an exact table: the hashed one decides
     Y = data.draw(_small_factor_sets if op == "prod" else _sparse_wide_sets)
     P = other if kind == "other" else _membership_target(X, Y, op, kind)
     want = _literal_membership(X, Y, op, P)
@@ -1534,18 +1537,74 @@ def test_pair_membership_coarse_table_matches_literal(X, data, op, kind, other):
     assert pair_membership(X, Y, op, P, per_row=True).tolist() == [sum(r) for r in want]
 
 
+def _hash_multiplier(m):
+    en = importlib.import_module("sumsetlab.energy")
+    return mock.patch.object(en, "_HASH_MULT", np.uint64(m))
+
+
 def test_pair_membership_coarse_table_with_p_in_one_bucket(monkeypatch):
-    # one far element widens the range; P and nearly every pair sum share
-    # one bucket (the range starts at 0), so nearly every pair is confirmed
-    # by search
-    X = make_set(list(range(0, 90, 3)) + [1 << 40])
-    P = make_set(range(0, 180, 2))
-    decisions = _spy_occupancy_rule(monkeypatch)
-    got = pair_membership(X, X, "sum", P)
-    assert got.tolist() == _literal_membership(X, X, "sum", P)
-    s, = _chosen_shifts(decisions)
-    assert s > 0 and len({p >> s for p in P.elements}) == 1
-    assert int(got.sum()) == 450
+    # a multiplier of 2**54 makes a value's slot (v mod 2**10) << (k - 10)
+    # on 2**k >= 2**10 slots: all of P shares slot 0, which holds the
+    # several-sentinel, and so does each pair sum that is a multiple of
+    # 2**10; the others miss on an empty slot.  One far element keeps the
+    # range too wide for an exact table.
+    step = 1 << 10
+    X = make_set([step * k for k in range(-6, 7)] + [step * k + 5 for k in range(6)] + [1 << 40])
+    P = make_set([step * k for k in range(0, 12, 2)] + [(1 << 40) + step])
+    en = importlib.import_module("sumsetlab.energy")
+    with _hash_multiplier(1 << 54):
+        assert not en._hash_slots(P.int_view.arr.copy(), 10).any()
+        tables = _spy_tables(monkeypatch)
+        got = pair_membership(X, X, "sum", P)
+    assert [t for _, t in tables] == ["hashed"]
+    want = _literal_membership(X, X, "sum", P)
+    assert got.tolist() == want
+    # 196 of the 400 pair sums are multiples of 2**10 and searched; 50 hit
+    assert sum(map(sum, want)) == 50
+
+
+@pytest.mark.parametrize("op", ["sum", "diff", "prod"])
+@pytest.mark.parametrize("chunk", [3, 1 << 15])
+def test_pair_membership_hashed_table_full_collision(monkeypatch, op, chunk):
+    # a multiplier of 0 sends every value to slot 0: all of P shares it, and
+    # every pair value is searched in P
+    en = importlib.import_module("sumsetlab.energy")
+    monkeypatch.setattr(en, "_MEMBERSHIP_CHUNK", chunk)
+    rng = random.Random(25)
+    X = make_set(rng.sample(range(-(1 << 40), 1 << 40), 30))
+    # products stay below INT64_SAFE / 7: P's element 1/7 scales them by 7
+    Y = make_set(rng.sample(range(-(1 << 16), 1 << 16), 20)) if op == "prod" else X
+    P = _membership_target(X, Y, op, "half")
+    tables = _spy_tables(monkeypatch)
+    want = _literal_membership(X, Y, op, P)
+    with _hash_multiplier(0):
+        assert pair_membership(X, Y, op, P).tolist() == want
+        assert pair_membership(X, Y, op, P, per_row=True).tolist() == [sum(r) for r in want]
+    assert [t for _, t in tables] == ["hashed"] * 2
+    assert sum(map(sum, want)) > 100
+
+
+@pytest.mark.parametrize("op", ["sum", "diff"])
+@pytest.mark.parametrize("mult", [None, 0, 1])
+def test_pair_membership_hashed_table_at_int64_safe_edges(monkeypatch, op, mult):
+    # pair values out to +-(INT64_SAFE - 1), the widest an int64 lookup
+    # takes (|x| + |y| stays below INT64_SAFE); the sentinels are -2**63 and
+    # -2**63 + 1.  Multiplier 1 makes a slot a value's top bits, 0 sends
+    # every value to one slot; the slot arithmetic wraps past the sentinels,
+    # which must not read as a hit.
+    edge = INT64_SAFE - 1
+    near = [edge - 1, edge - 2, edge - 3, 1 - edge, 2 - edge, 3 - edge]
+    X = make_set([0, 1, -1])
+    Y = make_set(near if op == "sum" else [-v for v in near])
+    P = make_set([edge, -edge, edge - 2, 5])
+    tables = _spy_tables(monkeypatch)
+    want = _literal_membership(X, Y, op, P)
+    with contextlib.nullcontext() if mult is None else _hash_multiplier(mult):
+        assert pair_membership(X, Y, op, P).tolist() == want
+        assert pair_membership(Y, X, op, P).tolist() == _literal_membership(Y, X, op, P)
+    assert [t for _, t in tables] == ["hashed"] * 2
+    # edge and -edge are hit once each, edge - 2 three times
+    assert sum(map(sum, want)) == 5
 
 
 @pytest.mark.parametrize("op", ["sum", "diff", "prod"])
@@ -1556,24 +1615,22 @@ def test_pair_membership_coarse_table_with_p_in_one_bucket(monkeypatch):
 ])
 def test_pair_membership_coarse_table_at_bucket_edges(monkeypatch, op, base, top):
     # P's ends fix the range [base, base + top]; the pair values x op y
-    # (x = 0, or 1 for "prod") sit on each side of bucket edges base + k 2**s
-    en = importlib.import_module("sumsetlab.energy")
+    # (x = 0, or 1 for "prod") come in runs of three consecutive values
+    # across the range, each run with one member of P, so neighbouring
+    # values in and out of P fall in the hashed table's slots side by side
+    step = top // 11
     pairs, size = 30, 12
-    s = 0
-    while not en._occupancy_fits((top >> s) + 1, pairs, size):
-        s += 1
-    assert s > 0
-    values = [base + k * (1 << s) + d for k in range(1, 11) for d in (-1, 0, 1)]
+    values = [base + k * step + d for k in range(1, 11) for d in (-1, 0, 1)]
     assert max(values) < base + top
     x, ys = (1, values) if op == "prod" else (0, values if op == "sum" else [-v for v in values])
     P = make_set([base, base + top] + values[0::3][:5] + values[1::3][5:])
     X, Y = make_set([x]), make_set(ys)
     assert len(P) == size and len(X) * len(Y) == pairs
-    decisions = _spy_occupancy_rule(monkeypatch)
+    tables = _spy_tables(monkeypatch)
     want = _literal_membership(X, Y, op, P)
     assert pair_membership(X, Y, op, P).tolist() == want
     assert sum(map(sum, want)) == 10
-    assert _chosen_shifts(decisions) == [s]
+    assert [t for _, t in tables] == ["hashed"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1588,19 +1645,20 @@ def test_pair_membership_coarse_table_per_row_in_tiny_blocks(X, Y, op, kind):
 
 
 def test_projection_count_on_a_wide_set_uses_the_coarse_table(monkeypatch):
+    # the name is from the coarse occupancy table the hashed one replaced
     A = gen_family(FamilySpec.random_subset(1 << 40, 40, seed=3))
     P = make_set(sorted({a - b for a in A for b in A if a != b})[::7])
-    decisions = _spy_occupancy_rule(monkeypatch)
+    tables = _spy_tables(monkeypatch)
     want = sum(map(sum, _literal_membership(P, P, "diff", P)))
     assert want > 0
     assert projection_count(P, P) == want
-    s, = _chosen_shifts(decisions)
-    assert s > 0
+    assert [t for _, t in tables] == ["hashed"]
 
 
 def test_pair_membership_coarse_table_memory():
-    # about 6 M pair sums over a span near 2**41: the table and at most two
-    # blocks of int64 pair values are live at once
+    # about 6 M pair sums over a span near 2**41: the hashed table (2**16
+    # int64 slots for |P| = 2450) and at most two blocks of int64 pair
+    # values are live at once
     en = importlib.import_module("sumsetlab.energy")
     P = gen_family(FamilySpec.random_subset(1 << 40, 2450, seed=0))
     a = P.int_view.arr
@@ -1610,9 +1668,69 @@ def test_pair_membership_coarse_table_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < en._BINCOUNT_SPAN_LIMIT + 2 * 8 * en._MEMBERSHIP_CHUNK
+    assert peak < 8 * (1 << 16) + 2 * 8 * en._MEMBERSHIP_CHUNK
     want = [int(np.isin(a[i] + a, a).sum()) for i in range(a.size)]
     assert got.tolist() == want
+
+
+# -- a same-set loop projection looks up each unordered pair once ----------------
+
+# progressions with one far element: wide enough for the hashed table, with
+# many sums in the set
+_wide_progressions = st.builds(lambda d, n, far: make_set([d * k for k in range(n)] + [far]),
+                               st.integers(1, 1000), st.integers(1, 15),
+                               st.integers(1 << 38, 1 << 40))
+_projection_sets = st.one_of(int_sets, _wide_int_sets, rational_sets, _sparse_wide_sets,
+                             _wide_progressions, _huge_sets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_projection_sets, st.sampled_from(["drawn", "with 0", "without 0", "symmetric"]),
+       st.sampled_from([1, 3, 40, None]), st.sampled_from([None, 0]))
+def test_same_set_loop_projection_matches_literal(P, shape, chunk, mult):
+    # P with and without 0, P = -P or as drawn (rarely symmetric), rational
+    # or past int64; tiny blocks cut rows and the diagonal's corner often,
+    # and a hash multiplier of 0 has every pair of a hashed lookup searched
+    en = importlib.import_module("sumsetlab.energy")
+    values = set(P.elements)
+    if shape == "with 0":
+        values.add(0)
+    elif shape == "without 0":
+        values.discard(0)
+    elif shape == "symmetric":
+        values |= {-v for v in values}
+    assume(values)
+    P = make_set(values)
+    want = oracle_projection(P.elements, P.elements)
+    with mock.patch.object(en, "_MEMBERSHIP_CHUNK", chunk or en._MEMBERSHIP_CHUNK), \
+            contextlib.nullcontext() if mult is None else _hash_multiplier(mult):
+        assert _loop_projection(P, P) == want
+        assert _loop_projection(P, FiniteSet(P.elements)) == want
+        assert projection_count(P, P) == want
+
+
+@pytest.mark.parametrize("far", [[], [1 << 40], [1 << 70]], ids=["exact", "hashed", "residue"])
+def test_same_set_loop_projection_looks_up_the_upper_triangle(monkeypatch, far):
+    # n = 399 or 400, each lookup path: the row blocks cover the pairs j >= i
+    # and the lower-triangle corner of each block, about 0.64 n**2 pairs in
+    # all (the last block is a square of 66 rows), not n**2
+    en = importlib.import_module("sumsetlab.energy")
+    P = make_set(list(range(-1990, 2000, 10)) + far)
+    looked = []
+    make_block = en._membership_block
+
+    def spy(*args):
+        block = make_block(*args)
+        return lambda *rows: looked.append(block(*rows)) or looked[-1]
+
+    monkeypatch.setattr(en, "_membership_block", spy)
+    n = len(P)
+    for Q in (P, FiniteSet(P.elements)):  # the same set, then an equal copy
+        looked.clear()
+        got = _loop_projection(P, Q)
+        assert n * (n + 1) // 2 <= sum(h.size for h in looked) < 0.65 * n * n
+    assert got == int(pair_membership(P, P, "sum", P, per_row=True).sum())
+    assert got == sum(map(sum, _literal_membership(P, P, "sum", P)))
 
 
 @pytest.mark.parametrize("X, Y, P, want", [
