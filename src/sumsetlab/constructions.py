@@ -119,14 +119,18 @@ def _is_rich(c: np.ndarray, n: int) -> np.ndarray:
 
 def _is_selection(d: RepFn, mask: np.ndarray, P: FiniteSet) -> bool:
     """Whether P is the set of values of the table `d` where `mask` is true,
-    compared exactly at the table's scale s without building P's int view.
-    At s = 1 the picked values are P's elements themselves (no Fraction in
-    lowest terms equals an int); otherwise a picked v is x = p/q in P when q
-    divides s and v = p * (s / q), with one quotient s / q per denominator."""
+    compared exactly at the table's scale s: by P's int view at scale t (a
+    picked v is an int of P times s / t) when P carries it, as a table's
+    selection does, else without building it.  Then at s = 1 the picked
+    values are P's elements (no Fraction in lowest terms equals an int);
+    otherwise a picked v is x = p/q in P when q divides s and v = p * (s/q)."""
     if len(P) != int(np.count_nonzero(mask)):
         return False
     picked = itertools.compress(d.scaled_values, mask.tolist())
-    s, quotients = d.scale, {}
+    s, quotients, iv = d.scale, {}, P.kept_int_view()
+    if iv is not None:
+        m, r = divmod(s, iv.scale)
+        return not r and tuple(picked) == tuple(iv.ints if m == 1 else (x * m for x in iv.ints))
     if s == 1:
         return tuple(picked) == P.elements
     for v, x in zip(picked, P.elements):
@@ -141,13 +145,12 @@ def _is_selection(d: RepFn, mask: np.ndarray, P: FiniteSet) -> bool:
 
 def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:
     """The elements of A where the boolean `keep` is true: A itself when it
-    keeps them all, else a new set, with its int64 view when A has one."""
+    keeps them all, else a new set made from A's scaled integers."""
     if keep.all():
         return A
     iv = A.int_view
-    if iv.arr is not None:
-        return FiniteSet.from_scaled(iv.arr[keep], iv.scale)
-    return FiniteSet._from_sorted(itertools.compress(A.elements, keep.tolist()))
+    picked = iv.arr[keep] if iv.arr is not None else itertools.compress(iv.ints, keep.tolist())
+    return FiniteSet.from_scaled(picked, iv.scale)
 
 
 def _sum_popular_mask(counts: np.ndarray, n: int, support: int, ambient: int):

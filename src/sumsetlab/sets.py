@@ -242,23 +242,37 @@ class _IntView:
     """Scaled-integer image of a set: ints[i] = scale * elements[i].
 
     `scale` is the positive lcm of all denominators, so the ints carry the
-    full additive structure of the set; at scale 1 `ints` is the set's own
-    element tuple.  `arr` is an int64 numpy mirror when every scaled value
-    fits, else None (big-integer fallbacks take over).
+    full additive structure of the set.  `arr` is an int64 numpy mirror when
+    every scaled value fits, else None (big-integer fallbacks take over).
+    A view made from `arr` builds `ints` from it on first read: at scale 1
+    the tuple that is also the set's `elements`, else a list.
     """
 
-    __slots__ = ("ints", "scale", "arr", "_mods", "_coprime", "_tables")
+    __slots__ = ("_ints", "scale", "arr", "_mods", "_coprime", "_tables")
 
-    def __init__(self, ints: Sequence[int], scale: int, arr: np.ndarray | None = None):
-        self.ints = ints
+    def __init__(self, values: Sequence[int] | np.ndarray, scale: int):
         self.scale = scale
-        if ints and max(abs(ints[0]), abs(ints[-1])) < INT64_SAFE:
-            self.arr = np.array(ints, dtype=np.int64) if arr is None else arr
+        fits = not len(values) or max(abs(int(values[0])), abs(int(values[-1]))) < INT64_SAFE
+        if isinstance(values, np.ndarray) and fits:
+            self._ints, self.arr = None, values
         else:
-            self.arr = np.array([], dtype=np.int64) if not ints else None
+            ints = values.tolist() if isinstance(values, np.ndarray) else values
+            self._ints = tuple(ints) if scale == 1 else ints
+            self.arr = np.array(self._ints, dtype=np.int64) if fits else None
         self._mods: dict[int, np.ndarray] = {}
         self._coprime = _UNSET
         self._tables: dict | None = None
+
+    @property
+    def ints(self) -> Sequence[int]:
+        """The scaled integers, in increasing order."""
+        if self._ints is None:
+            v = self.arr.tolist()
+            self._ints = tuple(v) if self.scale == 1 else v
+        return self._ints
+
+    def __len__(self) -> int:
+        return len(self.arr) if self._ints is None else len(self._ints)
 
     def table(self, op: str, build):
         """The set's table of `op`: `build()` once, kept as long as the view."""
@@ -289,15 +303,16 @@ class _IntView:
 class FiniteSet:
     """Canonical sorted, duplicate-free collection of exact rationals.
 
-    Immutable after construction; safe to share between workers.  The sorted
-    element tuple is the only copy of the values: membership is a binary
-    search in it (exact comparisons, no hash).
+    Immutable after construction; safe to share between workers, as the
+    deferred build of `elements` is idempotent.  Membership is a binary
+    search in the sorted element tuple (exact comparisons, no hash).  A set
+    made by `from_scaled` keeps only its int view until `elements` is read.
     """
 
-    __slots__ = ("elements", "_iv")
+    __slots__ = ("_elements", "_iv")
 
     def __init__(self, values: Iterable = ()):
-        self.elements: tuple[Rational, ...] = tuple(
+        self._elements: tuple[Rational, ...] | None = tuple(
             sorted({as_rational(v) for v in values})
         )
         self._iv = None
@@ -306,36 +321,49 @@ class FiniteSet:
     def _from_sorted(cls, elements: Sequence[Rational]) -> "FiniteSet":
         # Internal fast path: caller guarantees strictly increasing canonical values.
         obj = cls.__new__(cls)
-        obj.elements = tuple(elements)
+        obj._elements = tuple(elements)
         obj._iv = None
         return obj
 
     @classmethod
-    def from_scaled(cls, values: np.ndarray, scale: int) -> "FiniteSet":
-        """The set {v / scale : v in values}, for a strictly increasing
-        integer array and a positive integer scale.
+    def from_scaled(cls, values: np.ndarray | Iterable[int], scale: int) -> "FiniteSet":
+        """The set {v / scale : v in values}, for strictly increasing
+        integers (an integer array, or any iterable of Python ints) and a
+        positive integer scale; the elements are built when first read.
 
-        The scaled-integer view comes with it, as `int_view` would compute
-        it: the scale drops to the least common denominator of the elements
-        (the gcd of `scale` and all values is divided out), and the int64
-        array is the one handed in when nothing divides out.
+        The set keeps the scaled integers as its int view, as `int_view`
+        would compute it: the scale drops to the least common denominator of
+        the elements (the gcd of `scale` and all values is divided out), and
+        the int64 array is the one handed in when nothing divides out.
         """
-        arr = np.asarray(values, dtype=np.int64)
-        g = math.gcd(scale, int(np.gcd.reduce(arr))) if arr.size else scale
-        if g != 1:
-            arr = arr // g
-            scale //= g
-        ints = arr.tolist()
-        obj = cls._from_sorted(
-            ints if scale == 1 else [as_rational(Fraction(v, scale)) for v in ints]
-        )
-        obj._iv = _IntView(obj.elements if scale == 1 else ints, scale, arr)
+        if isinstance(values, np.ndarray):
+            values = values.astype(np.int64, copy=False)
+            g = math.gcd(scale, int(np.gcd.reduce(values)))
+            values = values // g if g != 1 else values
+        else:  # one tuple at scale 1, shared with `elements` when it is read
+            values = tuple(values) if scale == 1 else list(values)
+            g = math.gcd(scale, *values) if scale != 1 else 1
+            values = [v // g for v in values] if g != 1 else values
+        obj = cls.__new__(cls)
+        obj._elements, obj._iv = None, _IntView(values, scale // g)
         return obj
+
+    @property
+    def elements(self) -> tuple[Rational, ...]:
+        """The sorted exact values, built from the int view on first read."""
+        if self._elements is None:
+            s, ints = self._iv.scale, self._iv.ints
+            self._elements = ints if s == 1 else tuple(as_rational(Fraction(v, s)) for v in ints)
+        return self._elements
+
+    def kept_int_view(self) -> _IntView | None:
+        """The int view if it is built, else None; builds nothing."""
+        return self._iv
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._iv if self._elements is None else self._elements)
 
     def __iter__(self) -> Iterator[Rational]:
         return iter(self.elements)
@@ -347,7 +375,16 @@ class FiniteSet:
         return sorted_contains(self.elements, as_rational(x))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteSet) and self.elements == other.elements
+        if not isinstance(other, FiniteSet) or len(self) != len(other):
+            return False
+        a, b = self._iv, other._iv
+        if a is None or b is None:
+            return self.elements == other.elements
+        if a.scale != b.scale:  # a view's scale is its set's least common denominator
+            return False
+        if a.arr is None or b.arr is None:
+            return a.ints == b.ints
+        return bool(np.array_equal(a.arr, b.arr))
 
     def __hash__(self) -> int:
         return hash(self.elements)
@@ -367,19 +404,10 @@ class FiniteSet:
     def int_view(self) -> _IntView:
         """Scaled-integer image (cached). See _IntView."""
         if self._iv is None:
-            scale = 1
-            for x in self.elements:
-                if not isinstance(x, int):
-                    scale = scale * x.denominator // math.gcd(scale, x.denominator)
-            if scale == 1:
-                ints = self.elements
-            else:
-                ints = [
-                    x * scale if isinstance(x, int)
-                    else x.numerator * (scale // x.denominator)
-                    for x in self.elements
-                ]
-            self._iv = _IntView(ints, scale)
+            e = self.elements
+            scale = math.lcm(*(x.denominator for x in e if not isinstance(x, int)))
+            self._iv = _IntView(e if scale == 1 else [x.numerator * (scale // x.denominator)
+                                                      for x in e], scale)
         return self._iv
 
     def __reduce__(self):

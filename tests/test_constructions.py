@@ -419,3 +419,97 @@ def test_popular_and_rich_sets_match_definitions_and_fresh_views(spec):
     assert T.elements == tuple(want)
     for built in (P, R, S, T):
         same_as_fresh(built)
+
+
+# -- table selections build their exact elements only when read ---------------
+
+def _oracle_differences(A):
+    counts = {}
+    for a in A.elements:
+        for b in A.elements:
+            counts[a - b] = counts.get(a - b, 0) + 1
+    return counts
+
+
+def _popular_case(spec):
+    def make():
+        A = gen_family(spec)
+        counts = _oracle_differences(A)
+        n, size = len(A), len(counts)
+        want = [x for x, c in counts.items() if 11 * c * size >= n * n]
+        return A, popular_differences(A), want
+    return make
+
+
+def _even_case(shift):
+    # a table at scale 6 whose picked values are all even: the set's scale
+    # drops to 3
+    def make():
+        A = make_set([shift + x for x in (0, Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(7, 2))])
+        d = rep_fn(A, A, "diff")
+        assert d.scale == 6
+        picked = d.select(np.array([v % 2 == 0 for v in d.scaled_values]))
+        assert picked.int_view.scale == 3
+        return A, picked, [x for x in _oracle_differences(A) if (6 * x) % 2 == 0]
+    return make
+
+
+_SELECTION_CASES = {
+    "int64": _popular_case(FamilySpec.random_subset(4000, 20, seed=3)),
+    "past-int64": _popular_case(FamilySpec.gp(1, 2, 14)),
+    "rational-int64": _popular_case(FamilySpec.ap(Fraction(1, 3), Fraction(2, 7), 20)),
+    "rational-past-int64": _popular_case(FamilySpec.gp(3, Fraction(5, 2), 14)),
+    "scale-6-even-int64": _even_case(0),
+    "scale-6-even-past-int64": _even_case(1 << 70),
+}
+
+
+@pytest.mark.parametrize("case", list(_SELECTION_CASES), ids=list(_SELECTION_CASES))
+def test_table_selections_build_their_elements_only_when_read(case):
+    import copy
+    import pickle
+
+    from sumsetlab.constructions import _is_selection, _popular_mask
+    from sumsetlab.energy import pair_membership, pair_set_size
+
+    A, P, want = _SELECTION_CASES[case]()
+    assert P._elements is None and len(P) == len(want)
+    members = set(want)
+    projections = sum(1 for p in want for q in want if p - q in members)
+    assert projection_count(P, P) == pair_membership(P, P, "diff", P).sum() == projections
+    assert pair_set_size(P, P, "sum") == len({p + q for p in want for q in want})
+    d = rep_fn(A, A, "diff")
+    if d.pair_pos is not None and not case.startswith("scale-6"):
+        # the popular selection is recognised from the view it carries
+        assert _is_selection(d, _popular_mask(d), P)
+    R = rich_difference_elements(A, P)
+    n = len(A)
+    assert list(R.elements) == [
+        x for x in A if 11 * sum(x - a in members for a in A) ** 2 >= 4 * n * n]
+    assert P._elements is None
+    # once read, the elements and every copy are those of a fresh set
+    fresh = FiniteSet(want)
+    assert P.elements == fresh.elements and hash(P) == hash(fresh)
+    assert P == fresh and fresh == P
+    copies = [pickle.loads(pickle.dumps(P, protocol=proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies + [copy.copy(P), copy.deepcopy(P)]:
+        assert back == fresh and fresh == back and hash(back) == hash(fresh)
+        assert back.elements == fresh.elements
+        assert back.int_view.ints == P.int_view.ints
+        assert back.int_view.scale == P.int_view.scale
+
+
+def test_the_scale_6_selection_is_compared_at_its_reduced_scale():
+    from sumsetlab.constructions import _is_selection
+
+    A, P, _ = _even_case(1 << 70)()
+    d = rep_fn(A, A, "diff")
+    even = np.array([v % 2 == 0 for v in d.scaled_values])
+    assert d.pair_pos is not None and _is_selection(d, even, P)
+    assert not _is_selection(d, np.roll(even, 1), P)
+    # the table's picked integers over a scale that does not divide the table's
+    picked = [v for v, keep in zip(d.scaled_values, even) if keep]
+    assert not _is_selection(d, even, FiniteSet.from_scaled(picked, 5))
+    assert _is_selection(d, even, FiniteSet.from_scaled(picked, 6))
+    assert P._elements is None

@@ -328,3 +328,53 @@ def test_copies_keep_equality_hash_and_int_view(make):
         got = back.int_view
         assert type(got.ints) is type(view.ints) and got.ints == view.ints
         assert got.scale == view.scale
+
+
+# -- sets made from scaled integers build their elements on first read ---------
+
+def _deferred(values, scale):
+    if max(map(abs, values), default=0) < 1 << 62:
+        values = np.array(values, dtype=np.int64)
+    return FiniteSet.from_scaled(values, scale)
+
+
+@pytest.mark.parametrize("values, scale", [
+    ([-3, 0, 5, 1 << 61], 1),
+    ([3, 1 << 62], 1),  # an int64 array past INT64_SAFE
+    ([-6, 4, 10], 6),  # gcd 2: scale 3
+    ([-(1 << 80), 0, 3 << 70], 1),
+    ([-(1 << 80), 6, 4 << 70], 4),  # gcd 2: scale 2
+    ([5, 7 << 90], 35),
+])
+def test_a_set_from_a_python_int_list_matches_one_from_an_array(values, scale):
+    listed = FiniteSet.from_scaled(list(values), scale)
+    fresh = FiniteSet(Fraction(v, scale) for v in values)
+    assert len(listed) == len(fresh) and listed._elements is None
+    got, want = listed.int_view, fresh.int_view
+    assert type(got.ints) is type(want.ints) and got.ints == want.ints
+    assert got.scale == want.scale and (got.arr is None) == (want.arr is None)
+    if max(abs(v) for v in values) < 1 << 63:
+        arrayed = FiniteSet.from_scaled(np.array(values, dtype=np.int64), scale)
+        assert arrayed == listed and arrayed._elements is None and listed._elements is None
+    assert listed.elements == fresh.elements
+    if got.scale == 1:  # one copy of the values: the int view is the element tuple
+        assert got.ints is listed.elements
+
+
+@pytest.mark.parametrize("left, right, scale", [
+    ([1, 2, 3], [1, 2, 4], 1),
+    ([1, 2, 3], [1, 2, 3], 2),  # {1/2, 1, 3/2} against itself at scale 2
+    ([1 << 70, 1 << 71], [1 << 70, 3 << 70], 1),
+    ([1 << 70, 1 << 71], [1, 2], 3),  # one view past int64, one not
+])
+def test_equality_of_deferred_sets_reads_their_views(left, right, scale):
+    A, B = _deferred(left, scale), _deferred(right, scale)
+    assert (A == B) == (B == A) == (left == right)
+    assert A._elements is None and B._elements is None
+    # equal length and scale, different values; equal values at another scale
+    other = _deferred([2 * v for v in right], 2 * scale)
+    assert (A == other) == (left == right)
+    assert not A == _deferred(left, scale + 2) and not A == _deferred(left[:1], scale)
+    assert A._elements is None and other._elements is None
+    fresh = FiniteSet(Fraction(v, scale) for v in left)
+    assert A == fresh and fresh == A and hash(A) == hash(fresh)
