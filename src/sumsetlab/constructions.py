@@ -31,7 +31,6 @@ looking each pair value up in P.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,11 +125,13 @@ def _is_selection(d: RepFn, mask: np.ndarray, P: FiniteSet) -> bool:
     otherwise a picked v is x = p/q in P when q divides s and v = p * (s/q)."""
     if len(P) != int(np.count_nonzero(mask)):
         return False
-    picked = itertools.compress(d.scaled_values, mask.tolist())
+    picked = d.scaled_values[mask]
     s, quotients, iv = d.scale, {}, P.kept_int_view()
     if iv is not None:
         m, r = divmod(s, iv.scale)
-        return not r and tuple(picked) == tuple(iv.ints if m == 1 else (x * m for x in iv.ints))
+        ints = iv.arr.tolist()
+        return not r and picked.tolist() == (ints if m == 1 else [x * m for x in ints])
+    picked = picked.tolist()
     if s == 1:
         return tuple(picked) == P.elements
     for v, x in zip(picked, P.elements):
@@ -149,8 +150,7 @@ def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:
     if keep.all():
         return A
     iv = A.int_view
-    picked = iv.arr[keep] if iv.arr is not None else itertools.compress(iv.ints, keep.tolist())
-    return FiniteSet.from_scaled(picked, iv.scale)
+    return FiniteSet.from_scaled(iv.arr[keep], iv.scale)
 
 
 def _sum_popular_mask(counts: np.ndarray, n: int, support: int, ambient: int):

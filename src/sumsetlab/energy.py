@@ -69,10 +69,8 @@ on any failed check before a count is returned.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -89,7 +87,6 @@ from .sets import (
     as_rational,
     coprime_exponents,
     format_rational,
-    sorted_contains,
 )
 
 __all__ = [
@@ -157,7 +154,7 @@ class RepFn:
     Total mass is always |A| * |B|.  One layout: `scaled_values`, the
     support as integers scaled by `scale` in increasing order, with aligned
     int64 `counts_array`.  The scaled values are an int32 or int64 array
-    when they fit int64 (`is_numpy`) and a sorted list of Python ints past
+    when they fit int64 (`is_numpy`) and an object array of Python ints past
     int64.  Exact values are unscaled only for what `counts`, `items`,
     `select` and `support` return.
 
@@ -194,8 +191,8 @@ class RepFn:
 
     @property
     def is_numpy(self) -> bool:
-        """True when the scaled values are a numpy array."""
-        return not isinstance(self.scaled_values, list)
+        """True when the scaled values are an int array, not an object array."""
+        return self.scaled_values.dtype != object
 
     @property
     def size(self) -> int:
@@ -221,8 +218,8 @@ class RepFn:
         vals = self.scaled_values
         if not len(vals) or not int(vals[0]) <= sx <= int(vals[-1]):
             return 0
-        i = int(np.searchsorted(vals, sx)) if self.is_numpy else bisect.bisect_left(vals, sx)
-        return int(self.counts_array[i]) if int(vals[i]) == sx else 0
+        i = int(np.searchsorted(vals, sx))
+        return int(self.counts_array[i]) if vals[i] == sx else 0
 
     def items(self) -> Iterator[tuple[Rational, int]]:
         return iter(self.counts.items())
@@ -230,9 +227,7 @@ class RepFn:
     def select(self, mask: np.ndarray) -> FiniteSet:
         """The support values where the boolean `mask`, aligned with
         `counts_array`, is true, as a FiniteSet of exact values."""
-        vals = self.scaled_values
-        picked = vals[mask] if self.is_numpy else itertools.compress(vals, mask.tolist())
-        return FiniteSet.from_scaled(picked, self.scale)
+        return FiniteSet.from_scaled(self.scaled_values[mask], self.scale)
 
     def support(self) -> FiniteSet:
         """The pair set itself, as a FiniteSet."""
@@ -262,12 +257,16 @@ _PAIR_FUNCS = {
 }
 
 
-def _abs_bound(ints: list[int]) -> int:
-    return max(abs(ints[0]), abs(ints[-1])) if ints else 0
+def _abs_bound(v: np.ndarray) -> int:
+    """The largest magnitude in a sorted integer array, 0 when it is empty."""
+    return max(abs(int(v[0])), abs(int(v[-1]))) if len(v) else 0
 
 
-def _times(ints: list[int], m: int) -> list[int]:
-    return ints if m == 1 else [v * m for v in ints]
+def _exact(iv, m: int) -> np.ndarray:
+    """m times the integers of the int view `iv`, as an object array of
+    Python ints."""
+    v = iv.arr.astype(object, copy=False)
+    return v * m if m != 1 else v
 
 
 def _pair_factors(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
@@ -288,15 +287,15 @@ def _operands(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
 
     a and b are int64 arrays (the sets' int64 views, scaled) when every
     operand and every pair value lies below `INT64_SAFE` in absolute value,
-    as bounded by the operands' largest magnitudes; sequences of Python
-    ints otherwise.
+    as bounded by the operands' largest magnitudes; object arrays of Python
+    ints (`_exact`) otherwise.
     """
     ma, mb, s = _pair_factors(A, B, op, scale)
     iva, ivb = A.int_view, B.int_view
-    ba, bb = _abs_bound(iva.ints) * ma, _abs_bound(ivb.ints) * mb
+    ba, bb = _abs_bound(iva.arr) * ma, _abs_bound(ivb.arr) * mb
     if max(ba, bb, ba * bb if op == "prod" else ba + bb) < INT64_SAFE:
         return iva.arr * ma if ma != 1 else iva.arr, ivb.arr * mb if mb != 1 else ivb.arr, s
-    return _times(iva.ints, ma), _times(ivb.ints, mb), s
+    return _exact(iva, ma), _exact(ivb, mb), s
 
 
 def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
@@ -309,10 +308,9 @@ def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
     if op == "ratio":
         return None
     a, b, s = _operands(A, B, op)
-    if not isinstance(a, np.ndarray):
+    if a.dtype == object:
         return None
-    if op != "prod" and a.size and b.size and _abs_bound([int(a[0]), int(a[-1])]) \
-            + _abs_bound([int(b[0]), int(b[-1])]) < (1 << 31):
+    if op != "prod" and _abs_bound(a) + _abs_bound(b) < (1 << 31):
         a = a.astype(np.int32)
         b = b.astype(np.int32)
     return _PAIR_FUNCS[op][0].outer(a, b).ravel(), s
@@ -399,7 +397,7 @@ def _pair_index(A: FiniteSet, B: FiniteSet, op: str):
 
 def _sorted_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     """The representation function of A op B, for values that need not fit
-    int64: scaled values in a sorted list.
+    int64: scaled values in a sorted object array of Python ints.
 
     The exact scaled values of the pairs of `_pair_index` go into one numpy
     object array, which one stable argsort orders; the runs of equal values
@@ -409,11 +407,11 @@ def _sorted_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
     table entry, the rank of its own value, recorded in `pair_pos`.
     """
     if len(A) == 0 or len(B) == 0:
-        return RepFn(op, len(A), len(B), values=[], counts=np.zeros(0, dtype=np.int64))
+        return RepFn(op, len(A), len(B), values=np.zeros(0, dtype=object),
+                     counts=np.zeros(0, dtype=np.int64))
     X, Y, pair_op, same, ii, jj = _pair_index(A, B, op)
     ma, mb, scale = _pair_factors(X, Y, pair_op)
-    a, b = (np.array(_times(S.int_view.ints, m), dtype=object) for S, m in ((X, ma), (Y, mb)))
-    vals = _PAIR_FUNCS[pair_op][0](a[ii], b[jj])
+    vals = _PAIR_FUNCS[pair_op][0](_exact(X.int_view, ma)[ii], _exact(Y.int_view, mb)[jj])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     head = _run_heads(vals)
@@ -422,13 +420,13 @@ def _sorted_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn:
         counts = np.add.reduceat(np.where(ii[order] != jj[order], 2, 1), starts)
     else:
         counts = np.diff(starts, append=vals.size)
-    values = vals[starts].tolist()
+    values = vals[starts]
     pair_pos = None
     if same and pair_op == "diff":
         # the mirrored table puts the positive entries after 0
         pair_pos = np.empty(order.size, dtype=np.int32)
         pair_pos[order] = np.cumsum(head, dtype=np.int32) + len(values)
-        values = [-v for v in reversed(values)] + [0] + values
+        values = np.concatenate((-values[::-1], np.zeros(1, dtype=object), values))
         counts = np.concatenate((counts[::-1], [len(A)], counts))
     return RepFn(op, len(A), len(B), values=values, scale=scale, counts=counts,
                  pair_pos=pair_pos)
@@ -445,9 +443,10 @@ _CHECK_CHUNK = 1 << 15
 
 
 def _key_parts(iv, m: int) -> list[np.ndarray]:
-    """Residue key parts of m * iv.ints: int64 values modulo each of the
-    `_KEY_PRIMES`, from the view's cached residues mod their product (a
-    residue and m mod p are below 2**31, so each product fits int64)."""
+    """Residue key parts of m times the integers of the int view `iv`:
+    int64 values modulo each of the `_KEY_PRIMES`, from the view's cached
+    residues mod their product (a residue and m mod p are below 2**31, so
+    each product fits int64)."""
     p1, p2 = _KEY_PRIMES
     r = iv.residues(p1 * p2)
     return [r % p * (m % p) % p for p in (p1, p2)]
@@ -467,13 +466,13 @@ class _PairGroups:
     def __init__(self, A: FiniteSet, B: FiniteSet, op: str):
         A, B, op, same, ii, jj = _pair_index(A, B, op)
         ma, mb, _ = _pair_factors(A, B, op)
-        a, ka = _times(A.int_view.ints, ma), _key_parts(A.int_view, ma)
-        b, kb = (a, ka) if same else (_times(B.int_view.ints, mb), _key_parts(B.int_view, mb))
+        a, ka = _exact(A.int_view, ma), _key_parts(A.int_view, ma)
+        b, kb = (a, ka) if same else (_exact(B.int_view, mb), _key_parts(B.int_view, mb))
         self.op, self.same = op, same
         self.a, self.b, self.ii, self.jj = a, b, ii, jj
 
         # key = (v mod p1) * 2**31 + (v mod p2), from the operands' residues
-        ufunc, self._f = _PAIR_FUNCS[op]
+        self._ufunc = ufunc = _PAIR_FUNCS[op][0]
 
         def residues(k: int) -> np.ndarray:
             r = ka[k][ii]
@@ -487,11 +486,11 @@ class _PairGroups:
         self.order = np.argsort(key)
         self.head = _run_heads(key[self.order])
 
-    def values(self, sorted_pos: np.ndarray) -> Iterator[int]:
-        """Exact integer values of the pairs at these sorted positions."""
+    def values(self, sorted_pos: np.ndarray) -> np.ndarray:
+        """Exact integer values of the pairs at these sorted positions, as
+        an object array."""
         src = self.order[sorted_pos]
-        return map(self._f, [self.a[i] for i in self.ii[src].tolist()],
-                   [self.b[j] for j in self.jj[src].tolist()])
+        return self._ufunc(self.a[self.ii[src]], self.b[self.jj[src]])
 
     def mixed_groups(self) -> list[tuple[int, int]]:
         """(start, end) sorted positions of the key groups that hold
@@ -530,7 +529,7 @@ def _distinct_count_fingerprint(A: FiniteSet, B: FiniteSet, op: str) -> int:
     g = _PairGroups(A, B, op)
     distinct = int(np.count_nonzero(g.head))
     for start, end in g.mixed_groups():
-        distinct += distinct_count(np.fromiter(g.values(np.arange(start, end)), dtype=object)) - 1
+        distinct += distinct_count(g.values(np.arange(start, end))) - 1
     return 2 * distinct + 1 if g.same and g.op == "diff" else distinct
 
 
@@ -610,8 +609,8 @@ def _coprime_keys(A: FiniteSet, B: FiniteSet, op: str, indexed: bool):
         return None
     parts = []
     for iv, e in zip((A.int_view, B.int_view), pair):
-        neg = bisect.bisect_left(iv.ints, 0)
-        has_zero = neg < len(iv.ints) and iv.ints[neg] == 0
+        neg = int(np.searchsorted(iv.arr, 0))
+        has_zero = neg < len(iv) and iv.arr[neg] == 0
         parts.append((np.delete(e, neg, axis=0) if has_zero else e, neg, has_zero))
     (ea, nega, za), (eb, negb, zb) = parts
     na, nb = len(ea), len(eb)
@@ -657,25 +656,23 @@ def _coprime_rep(A: FiniteSet, B: FiniteSet, op: str) -> RepFn | None:
     flat.sort()
     starts = np.flatnonzero(_run_heads(flat >> shift))
     pos = flat[starts] & ((1 << shift) - 1)
-    a = [x for x in A.int_view.ints if x]
-    b = [x for x in B.int_view.ints if x]
+    a, b = (v[v != 0] for v in (_exact(A.int_view, 1), _exact(B.int_view, 1)))
     scale = A.int_view.scale * B.int_view.scale
     if op == "ratio":
-        # the int view of {1/b}: 1/b = s_B / b, at the lcm of its denominators
-        inv = [Fraction(B.int_view.scale, x) for x in b]
-        s = math.lcm(*(q.denominator for q in inv))
-        b = [q.numerator * (s // q.denominator) for q in inv]
+        # the int view of {1/b}: 1/b = s_B / b, and s_B / b is in lowest
+        # terms over |b| / gcd(s_B, b); s is the lcm of those denominators
+        sb = B.int_view.scale
+        s = int(np.lcm.reduce(np.abs(b) // np.gcd(b, sb)))
+        b = sb * s // b
         scale = A.int_view.scale * s
     rows, cols = np.divmod(pos, len(b))
-    vals = [a[i] * b[j] for i, j in zip(rows.tolist(), cols.tolist())]
+    vals = a[rows] * b[cols]
     cnt = np.diff(starts, append=flat.size)
     if zeros:
-        vals.append(0)
+        vals = np.append(vals, np.zeros(1, dtype=object))
         cnt = np.append(cnt, zeros)
-    vals = np.array(vals, dtype=object)
     order = np.argsort(vals, kind="stable")
-    return RepFn(op, len(A), len(B), values=vals[order].tolist(), scale=scale,
-                 counts=cnt[order])
+    return RepFn(op, len(A), len(B), values=vals[order], scale=scale, counts=cnt[order])
 
 
 # pair values held at once by `pair_membership`
@@ -803,11 +800,11 @@ def _residue_lookup(op: str, scaled):
     Each pair's residue key (as in `_PairGroups`) is looked up in p's sorted
     keys; a key hit names one element of p with that key, which is compared
     exactly, and p itself is searched only when they differ (p may repeat a
-    key).
+    key).  x, y and p are object arrays of Python ints.
     """
     p1, p2 = _KEY_PRIMES
-    ufunc, f = _PAIR_FUNCS[op]
-    x, y, p = (_times(iv.ints, m) for iv, m in scaled)
+    ufunc = _PAIR_FUNCS[op][0]
+    x, y, p = (_exact(iv, m) for iv, m in scaled)
     (x1, x2), (y1, y2), (t1, t2) = (_key_parts(iv, m) for iv, m in scaled)
     table = (t1 << 31) + t2
     by_key = np.argsort(table)
@@ -821,10 +818,13 @@ def _residue_lookup(op: str, scaled):
         np.minimum(idx, table.size - 1, out=idx)
         hit = table[idx] == v
         ii, jj = np.nonzero(hit)
-        vals = map(f, map(x.__getitem__, (ii + r0).tolist()),
-                   map(y.__getitem__, (jj + c0).tolist()))
-        named = map(p.__getitem__, by_key[idx[ii, jj]])
-        hit[hit] = [w == q or sorted_contains(p, w) for w, q in zip(vals, named)]
+        w = ufunc(x[ii + r0], y[jj + c0])
+        same = w == p[by_key[idx[ii, jj]]]
+        odd = np.flatnonzero(~same)
+        if odd.size:
+            i = np.minimum(np.searchsorted(p, w[odd]), p.size - 1)
+            same[odd] = p[i] == w[odd]
+        hit[hit] = same
         return hit
     return block
 
@@ -836,7 +836,7 @@ def _membership_block(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet):
     x, y, s = _operands(X, Y, op, P.int_view.scale)
     ivp = P.int_view
     mp = s // ivp.scale
-    if isinstance(x, np.ndarray) and _abs_bound(ivp.ints) * mp < INT64_SAFE:
+    if x.dtype != object and _abs_bound(ivp.arr) * mp < INT64_SAFE:
         return _int64_lookup(x, y, op, ivp.arr * mp if mp != 1 else ivp.arr)
     mx, my, _ = _pair_factors(X, Y, op, s)
     return _residue_lookup(op, ((X.int_view, mx), (Y.int_view, my), (ivp, mp)))
@@ -986,12 +986,9 @@ def _fft_correlation_error_bound(size: int, stages: int) -> float:
 
 
 def _offsets(p_ints) -> np.ndarray:
-    """p - min(p) as int64, for a sorted int64 array or list of integers
-    whose span fits int64 (the values themselves need not)."""
-    if isinstance(p_ints, np.ndarray):
-        return p_ints - p_ints[0]
-    lo = p_ints[0]
-    return np.array([v - lo for v in p_ints], dtype=np.int64)
+    """p - min(p) as a fresh int64 array, for a sorted integer array or
+    sequence whose span fits int64 (the values themselves need not)."""
+    return (np.asarray(p_ints) - p_ints[0]).astype(np.int64, copy=False)
 
 
 def _is_palindrome(pos: np.ndarray) -> bool:
@@ -1147,8 +1144,8 @@ def _difference_counts_fft(p_ints, top: int) -> Iterator[np.ndarray]:
     """Exact difference counts of a sorted integer set for lags 0 .. `top`,
     streamed block by block.
 
-    The set `p_ints` is a sorted int64 array or a sorted list of integers;
-    `top` is clamped to its span, max(P) - min(P).
+    The set `p_ints` is a sorted integer array or sequence; `top` is
+    clamped to its span, max(P) - min(P).
 
     Yields T + 1 int64 blocks, T = top // b (b from `_block_layout`), block
     t holding lags t*b to t*b + b - 1 and the last one cut at `top`, whose
@@ -1370,8 +1367,8 @@ def _fft_projection(P: FiniteSet, Q: FiniteSet) -> int:
     # block t's lags t*b .. t*b + b - 1 are a slice of each run, cut once
     # for all blocks (q and -q both count)
     span = int(p_ints[-1]) - int(p_ints[0])
-    lags = np.asarray(q_ints[bisect.bisect_left(q_ints, -span):
-                             bisect.bisect_right(q_ints, span)], dtype=np.int64)
+    lags = q_ints[np.searchsorted(q_ints, -span):
+                  np.searchsorted(q_ints, span, "right")].astype(np.int64, copy=False)
     if not lags.size:
         return 0
     top = max(-int(lags[0]), int(lags[-1]))

@@ -99,7 +99,7 @@ def count_incidences_lines(A: FiniteSet, B: FiniteSet, lines) -> int:
     lines.sort(key=lambda l: (l.slope, l.intercept))
     for m, group in itertools.groupby(lines, key=lambda l: l.slope):
         runs = [(c, len(list(g))) for c, g in itertools.groupby(l.intercept for l in group)]
-        icpts = FiniteSet._from_sorted([c for c, _ in runs])
+        icpts = FiniteSet(c for c, _ in runs)
         hits = pair_membership(icpts, transform(A, m), "sum", B, per_row=True)
         total += int(np.dot(hits, [k for _, k in runs]))
     return total
@@ -132,15 +132,14 @@ def count_incidences_grid(A: FiniteSet, B: FiniteSet, slope_count: int,
     iva, ivb = A.int_view, B.int_view
     s = math.lcm(iva.scale, ivb.scale)
     ma, mb = s // iva.scale, s // ivb.scale
-    alpha = [v * ma for v in iva.ints] if ma != 1 else iva.ints
-    beta = [v * mb for v in ivb.ints] if mb != 1 else ivb.ints
-    qmin = beta[0] // s
-    width = beta[-1] // s - qmin + 1
-    amax = max(abs(alpha[0]), abs(alpha[-1]))
-    bound = max(abs(beta[0]), abs(beta[-1])) + s * width + S * amax + K + abs(qmin) + 1
+    b0, b1 = int(ivb.arr[0]) * mb, int(ivb.arr[-1]) * mb
+    qmin = b0 // s
+    width = b1 // s - qmin + 1
+    amax = max(abs(int(iva.arr[0])), abs(int(iva.arr[-1]))) * ma
+    bound = max(abs(b0), abs(b1)) + s * width + S * amax + K + abs(qmin) + 1
     dtype = np.int64 if bound < INT64_SAFE else object
-    alpha = np.array(alpha, dtype=dtype)
-    beta = np.array(beta, dtype=dtype)
+    alpha = iva.arr.astype(dtype) * ma
+    beta = ivb.arr.astype(dtype) * mb
     keys = np.sort((beta % s) * width + (beta // s - qmin))
     step = max(1, _GRID_BLOCK // len(alpha))
     total = 0
@@ -169,7 +168,7 @@ def count_incidences_curve(x_range: int, B: FiniteSet, translates) -> int:
         hi = min(x_range, len(t.base) + t.h_shift)
         if lo <= hi:
             # [j, 0]: base[j] - v in B, for the table entries x - h - 1 = j
-            hit = pair_membership(t.base, FiniteSet._from_sorted([t.v_shift]), "diff", B)
+            hit = pair_membership(t.base, FiniteSet([t.v_shift]), "diff", B)
             total += int(np.count_nonzero(hit[lo - t.h_shift - 1 : hi - t.h_shift]))
     return total
 

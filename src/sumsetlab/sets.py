@@ -239,40 +239,27 @@ _UNSET = object()
 
 
 class _IntView:
-    """Scaled-integer image of a set: ints[i] = scale * elements[i].
+    """Scaled-integer image of a set: arr[i] = scale * elements[i].
 
-    `scale` is the positive lcm of all denominators, so the ints carry the
-    full additive structure of the set.  `arr` is an int64 numpy mirror when
-    every scaled value fits, else None (big-integer fallbacks take over).
-    A view made from `arr` builds `ints` from it on first read: at scale 1
-    the tuple that is also the set's `elements`, else a list.
+    `scale` is the positive lcm of all denominators, so the integers carry
+    the full additive structure of the set.  `arr` holds them in increasing
+    order, as int64 when both ends lie below `INT64_SAFE` in absolute value
+    and as an object array of Python ints otherwise; kernels read the width
+    from its dtype.
     """
 
-    __slots__ = ("_ints", "scale", "arr", "_mods", "_coprime", "_tables")
+    __slots__ = ("scale", "arr", "_mods", "_coprime", "_tables")
 
     def __init__(self, values: Sequence[int] | np.ndarray, scale: int):
         self.scale = scale
         fits = not len(values) or max(abs(int(values[0])), abs(int(values[-1]))) < INT64_SAFE
-        if isinstance(values, np.ndarray) and fits:
-            self._ints, self.arr = None, values
-        else:
-            ints = values.tolist() if isinstance(values, np.ndarray) else values
-            self._ints = tuple(ints) if scale == 1 else ints
-            self.arr = np.array(self._ints, dtype=np.int64) if fits else None
+        self.arr = np.asarray(values, dtype=np.int64 if fits else object)
         self._mods: dict[int, np.ndarray] = {}
         self._coprime = _UNSET
         self._tables: dict | None = None
 
-    @property
-    def ints(self) -> Sequence[int]:
-        """The scaled integers, in increasing order."""
-        if self._ints is None:
-            v = self.arr.tolist()
-            self._ints = tuple(v) if self.scale == 1 else v
-        return self._ints
-
     def __len__(self) -> int:
-        return len(self.arr) if self._ints is None else len(self._ints)
+        return len(self.arr)
 
     def table(self, op: str, build):
         """The set's table of `op`: `build()` once, kept as long as the view."""
@@ -287,16 +274,16 @@ class _IntView:
         return None if self._tables is None else self._tables.get(op)
 
     def coprime(self) -> tuple[tuple[int, ...], np.ndarray] | None:
-        """`coprime_exponents` of ints, computed once."""
+        """`coprime_exponents` of the integers, computed once."""
         if self._coprime is _UNSET:
-            self._coprime = coprime_exponents(self.ints)
+            self._coprime = coprime_exponents(self.arr.tolist())
         return self._coprime
 
     def residues(self, modulus: int) -> np.ndarray:
-        """ints mod `modulus` (at most 2**63) as int64, computed once per modulus."""
+        """The integers mod `modulus` (below 2**63) as int64, computed once
+        per modulus."""
         if modulus not in self._mods:
-            self._mods[modulus] = np.fromiter((x % modulus for x in self.ints),
-                                              dtype=np.int64, count=len(self.ints))
+            self._mods[modulus] = (self.arr % modulus).astype(np.int64, copy=False)
         return self._mods[modulus]
 
 
@@ -326,34 +313,30 @@ class FiniteSet:
         return obj
 
     @classmethod
-    def from_scaled(cls, values: np.ndarray | Iterable[int], scale: int) -> "FiniteSet":
+    def from_scaled(cls, values: np.ndarray | Sequence[int], scale: int) -> "FiniteSet":
         """The set {v / scale : v in values}, for strictly increasing
-        integers (an integer array, or any iterable of Python ints) and a
+        integers (an integer array, or any sequence of integers) and a
         positive integer scale; the elements are built when first read.
 
         The set keeps the scaled integers as its int view, as `int_view`
         would compute it: the scale drops to the least common denominator of
         the elements (the gcd of `scale` and all values is divided out), and
-        the int64 array is the one handed in when nothing divides out.
+        an int64 array within `INT64_SAFE` is kept as handed in when nothing
+        divides out.
         """
-        if isinstance(values, np.ndarray):
-            values = values.astype(np.int64, copy=False)
-            g = math.gcd(scale, int(np.gcd.reduce(values)))
-            values = values // g if g != 1 else values
-        else:  # one tuple at scale 1, shared with `elements` when it is read
-            values = tuple(values) if scale == 1 else list(values)
-            g = math.gcd(scale, *values) if scale != 1 else 1
-            values = [v // g for v in values] if g != 1 else values
+        if not isinstance(values, np.ndarray):  # as Python ints, of any size
+            values = np.array([int(v) for v in values], dtype=object)
+        g = math.gcd(scale, int(np.gcd.reduce(values))) if scale != 1 else 1
         obj = cls.__new__(cls)
-        obj._elements, obj._iv = None, _IntView(values, scale // g)
+        obj._elements, obj._iv = None, _IntView(values // g if g != 1 else values, scale // g)
         return obj
 
     @property
     def elements(self) -> tuple[Rational, ...]:
         """The sorted exact values, built from the int view on first read."""
         if self._elements is None:
-            s, ints = self._iv.scale, self._iv.ints
-            self._elements = ints if s == 1 else tuple(as_rational(Fraction(v, s)) for v in ints)
+            s, ints = self._iv.scale, self._iv.arr.tolist()
+            self._elements = tuple(ints if s == 1 else (as_rational(Fraction(v, s)) for v in ints))
         return self._elements
 
     def kept_int_view(self) -> _IntView | None:
@@ -380,11 +363,8 @@ class FiniteSet:
         a, b = self._iv, other._iv
         if a is None or b is None:
             return self.elements == other.elements
-        if a.scale != b.scale:  # a view's scale is its set's least common denominator
-            return False
-        if a.arr is None or b.arr is None:
-            return a.ints == b.ints
-        return bool(np.array_equal(a.arr, b.arr))
+        # a view's scale is its set's least common denominator
+        return a.scale == b.scale and bool(np.array_equal(a.arr, b.arr))
 
     def __hash__(self) -> int:
         return hash(self.elements)

@@ -402,10 +402,8 @@ def test_popular_and_rich_sets_match_definitions_and_fresh_views(spec):
     def same_as_fresh(S):
         fresh = FiniteSet(S.elements)
         assert S == fresh and S.int_view.scale == fresh.int_view.scale
-        assert S.int_view.ints == fresh.int_view.ints
-        assert (S.int_view.arr is None) == (fresh.int_view.arr is None)
-        if fresh.int_view.arr is not None:
-            assert S.int_view.arr.tolist() == fresh.int_view.arr.tolist()
+        assert S.int_view.arr.dtype == fresh.int_view.arr.dtype
+        assert S.int_view.arr.tolist() == fresh.int_view.arr.tolist()
 
     P = popular_differences(A)
     members = set(P.elements)
@@ -496,7 +494,8 @@ def test_table_selections_build_their_elements_only_when_read(case):
     for back in copies + [copy.copy(P), copy.deepcopy(P)]:
         assert back == fresh and fresh == back and hash(back) == hash(fresh)
         assert back.elements == fresh.elements
-        assert back.int_view.ints == P.int_view.ints
+        assert back.int_view.arr.dtype == P.int_view.arr.dtype
+        assert back.int_view.arr.tolist() == P.int_view.arr.tolist()
         assert back.int_view.scale == P.int_view.scale
 
 

@@ -1055,6 +1055,41 @@ def test_rep_fn_table_matches_oracle_past_int64(A, B, op, same):
     assert f.select(mask).elements == tuple(sorted(x for x, c in want.items() if c >= 2))
 
 
+# elements on both sides of INT64_SAFE = 2**62: a set's view may be int64
+# while another's, or its pair values', is an object array
+_straddling_sets = st.lists(
+    st.one_of(st.integers(-3, 3).map(lambda k: INT64_SAFE + k),
+              st.integers(-3, 3).map(lambda k: -INT64_SAFE + k),
+              st.integers(-6, 6),
+              st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+    min_size=1, max_size=8).map(make_set)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_straddling_sets, _straddling_sets, _straddling_sets, st.sampled_from(sorted(_PY_OPS)))
+def test_kernels_match_oracles_on_sets_straddling_int64_safe(A, B, P, op):
+    if op != "ratio" or 0 not in B:
+        want = oracle_rep_counts(A.elements, B.elements, op)
+        f = rep_fn(A, B, op)
+        assert f.counts == want and pair_set_size(A, B, op) == len(want)
+        # a table's support carries its scaled integers as its view
+        S = f.support()
+        assert pair_set_size(S, P, "diff") == len({s - p for s in want for p in P})
+    if op != "ratio":
+        members = P.elements
+        assert pair_membership(A, B, op, P).tolist() == [
+            [_PY_OPS[op](a, b) in members for b in B.elements] for a in A.elements]
+    assert projection_count(P, A) == oracle_projection(P.elements, A.elements)
+    assert projection_count(A, A) == oracle_projection(A.elements, A.elements)
+
+
+@pytest.mark.parametrize("shift", [-INT64_SAFE, INT64_SAFE - 40, INT64_SAFE])
+def test_fft_projection_on_a_set_straddling_int64_safe(shift):
+    P = make_set(shift + 3 * k for k in range(-20, 27))
+    Q = make_set(list(range(-150, 150, 7)) + [INT64_SAFE, -INT64_SAFE])
+    assert _fft_projection(P, Q) == oracle_projection(P.elements, Q.elements)
+
+
 def test_grouped_table_resolves_forced_collisions(monkeypatch):
     en = importlib.import_module("sumsetlab.energy")
 
@@ -1763,14 +1798,12 @@ def _assert_same_as_fresh(S):
     fresh = FiniteSet(S.elements)
     assert S.elements == fresh.elements
     got, want = S.int_view, fresh.int_view
-    assert got.ints == want.ints and got.scale == want.scale
-    if want.arr is None:
-        assert got.arr is None
-    else:
-        assert got.arr.dtype == np.int64 and got.arr.tolist() == want.arr.tolist()
+    assert got.arr.tolist() == want.arr.tolist() and got.scale == want.scale
+    assert got.arr.dtype == want.arr.dtype == np.int64
     assert S == fresh and hash(S) == hash(fresh)
     back = pickle.loads(pickle.dumps(S))
-    assert back == S and back.int_view.scale == want.scale and back.int_view.ints == want.ints
+    assert back == S and back.int_view.scale == want.scale
+    assert back.int_view.arr.tolist() == want.arr.tolist()
 
 
 def test_repfn_select_carries_exact_int_view():

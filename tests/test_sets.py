@@ -265,6 +265,9 @@ def test_finiteset_pickles_and_hashes():
     ([-6, 4, 10], 6),  # gcd 2: scale 3
     ([-14, 0, 7, 21], 21),  # every element an integer: scale 1
     ([], 5),
+    ([-(1 << 62), 5], 1),  # -2**62 is past INT64_SAFE too
+    ([(1 << 63) - 1], 1),
+    ([-(1 << 62), (1 << 63) - 2], 2),  # divides out to both ends below 2**62
 ])
 def test_from_scaled_matches_fresh_set(values, scale):
     import pickle
@@ -273,12 +276,47 @@ def test_from_scaled_matches_fresh_set(values, scale):
     fresh = FiniteSet(Fraction(v, scale) for v in values)
     assert S.elements == fresh.elements and S == fresh and hash(S) == hash(fresh)
     got, want = S.int_view, fresh.int_view
-    assert got.ints == want.ints and got.scale == want.scale
-    assert (got.arr is None) == (want.arr is None)
-    if want.arr is not None:
-        assert got.arr.dtype == np.int64 and got.arr.tolist() == want.arr.tolist()
+    assert got.arr.tolist() == want.arr.tolist() and got.scale == want.scale
+    assert got.arr.dtype == want.arr.dtype == _width(want.arr.tolist())
     back = pickle.loads(pickle.dumps(S))
-    assert back == S and back.int_view.ints == want.ints and back.int_view.scale == want.scale
+    assert back == S and back.int_view.scale == want.scale
+    assert back.int_view.arr.dtype == want.arr.dtype
+    assert back.int_view.arr.tolist() == want.arr.tolist()
+
+
+def _width(ints):
+    """The dtype of an int view of these sorted integers."""
+    return np.int64 if max(map(abs, ints[:1] + ints[-1:]), default=0) < 1 << 62 else object
+
+
+_BOUNDARY_VALUES = {
+    "below": [-(1 << 62) + 1, 0, (1 << 62) - 1],
+    "low-end-at": [-(1 << 62), 0, (1 << 62) - 1],
+    "high-end-at": [-(1 << 62) + 1, 0, 1 << 62],
+    "int64-max": [-(1 << 62) + 1, (1 << 63) - 1],
+    "wide-gcd-below": [-(1 << 62), 6, (1 << 63) - 2],  # scale 2: gcd 2
+}
+
+
+@pytest.mark.parametrize("kind", ["values", "int64", "object", "list", "numpy-scalars"])
+@pytest.mark.parametrize("case", list(_BOUNDARY_VALUES))
+def test_a_view_is_int64_exactly_when_both_ends_lie_below_int64_safe(case, kind):
+    values = _BOUNDARY_VALUES[case]
+    scale = 2 if case == "wide-gcd-below" else 1
+    if kind == "values":
+        S = FiniteSet(Fraction(v, scale) for v in values)
+    else:
+        make = {"int64": lambda v: np.array(v, dtype=np.int64),
+                "object": lambda v: np.array(v, dtype=object), "list": list,
+                "numpy-scalars": lambda v: [np.int64(x) for x in v]}[kind]
+        S = FiniteSet.from_scaled(make(values), scale)
+    view = S.int_view
+    ints = [v // scale for v in values]
+    assert view.scale == 1 and view.arr.tolist() == ints
+    assert view.arr.dtype == (object if case in ("low-end-at", "high-end-at", "int64-max")
+                              else np.int64)
+    assert all(type(v) is int for v in view.arr.tolist())
+    assert S == FiniteSet(ints) and S.elements == tuple(ints)
 
 
 # -- membership by bisection, and copies of sets -------------------------------
@@ -318,15 +356,13 @@ def test_copies_keep_equality_hash_and_int_view(make):
 
     S = make()
     view = S.int_view
-    if view.scale == 1:  # a set of integers keeps one copy of its values
-        assert view.ints is S.elements
     copies = [pickle.loads(pickle.dumps(S, protocol=proto))
               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(S), copy.deepcopy(S)]
     for back in copies:
         assert back == S and hash(back) == hash(S) and back.elements == S.elements
         got = back.int_view
-        assert type(got.ints) is type(view.ints) and got.ints == view.ints
+        assert got.arr.dtype == view.arr.dtype and got.arr.tolist() == view.arr.tolist()
         assert got.scale == view.scale
 
 
@@ -345,20 +381,20 @@ def _deferred(values, scale):
     ([-(1 << 80), 0, 3 << 70], 1),
     ([-(1 << 80), 6, 4 << 70], 4),  # gcd 2: scale 2
     ([5, 7 << 90], 35),
+    ([-(1 << 62) + 1, (1 << 62) - 1], 1),
+    ([(1 << 63) - 1], 1),
 ])
 def test_a_set_from_a_python_int_list_matches_one_from_an_array(values, scale):
     listed = FiniteSet.from_scaled(list(values), scale)
     fresh = FiniteSet(Fraction(v, scale) for v in values)
     assert len(listed) == len(fresh) and listed._elements is None
     got, want = listed.int_view, fresh.int_view
-    assert type(got.ints) is type(want.ints) and got.ints == want.ints
-    assert got.scale == want.scale and (got.arr is None) == (want.arr is None)
+    assert got.arr.dtype == want.arr.dtype and got.arr.tolist() == want.arr.tolist()
+    assert got.scale == want.scale
     if max(abs(v) for v in values) < 1 << 63:
         arrayed = FiniteSet.from_scaled(np.array(values, dtype=np.int64), scale)
         assert arrayed == listed and arrayed._elements is None and listed._elements is None
     assert listed.elements == fresh.elements
-    if got.scale == 1:  # one copy of the values: the int view is the element tuple
-        assert got.ints is listed.elements
 
 
 @pytest.mark.parametrize("left, right, scale", [
