@@ -34,7 +34,7 @@ def main():
     P, mass = popular_difference_mass(A)
     print(f"  popular differences: {len(P)} values carrying mass {mass}")
     print(f"  mass bound  : {mass} >= (10/11) n^2 = {10 * n * n / 11:.1f}")
-    R = rich_difference_elements(A, P)
+    R = rich_difference_elements(A)
     print(f"  rich size   : {len(R)} > n/2 = {n / 2:.0f}")
     t = count_popular_difference_triples(A)
     print(f"  triples     : {t} >= (3/22) n^3 = {3 * n ** 3 / 22:.0f}")

@@ -22,10 +22,10 @@ except through absorbed constants, and `ambient_log` is the single place
 that pins the convention.
 
 Every function reads the tables of its sets through `rep_fn`, which builds
-the table of A op A once per set object.  Past int64 A's difference table
-knows the entry of every pair (`RepFn.pair_pos`), and rich elements and the
-triple count read which pairs have popular differences from it instead of
-looking each pair value up in P.
+the table of A op A once per set object.  Rich elements and the triple
+count read one matrix of the pairs of A with popular differences; past int64
+it comes from the entry of each pair in A's difference table
+(`RepFn.pair_pos`) instead of looking each pair value up.
 """
 
 from __future__ import annotations
@@ -77,15 +77,16 @@ def popular_difference_mass(A: FiniteSet) -> tuple[FiniteSet, int]:
     """
     if len(A) == 0:
         raise DomainError("popular_differences needs a nonempty set")
-    d = rep_fn(A, A, "diff")
-    mask = _popular_mask(d)
+    d, mask = _popular_table(A)
     return d.select(mask), int(d.counts_array[mask].sum())
 
 
-def _popular_mask(d: RepFn) -> np.ndarray:
-    """Where the counts of the difference table `d` of A are popular."""
-    # counts <= |A| and |A-A| <= |A|^2 keep this far inside int64
-    return 11 * d.counts_array * d.size >= d.left_size ** 2
+def _popular_table(A: FiniteSet) -> tuple[RepFn, np.ndarray]:
+    """A's difference table and the mask of its popular counts."""
+    d = rep_fn(A, A, "diff")
+    # 11 c |A-A| >= |A|^2 exactly when c >= ceil(|A|^2 / (11 |A-A|)), one
+    # array pass; |A-A| is 0 only for the empty set
+    return d, d.counts_array >= -(-d.left_size ** 2 // max(11 * d.size, 1))
 
 
 def popular_differences(A: FiniteSet) -> FiniteSet:
@@ -93,55 +94,26 @@ def popular_differences(A: FiniteSet) -> FiniteSet:
     return popular_difference_mass(A)[0]
 
 
-def rich_difference_elements(A: FiniteSet, P: FiniteSet) -> FiniteSet:
-    """Elements x of A with |(x - A) & P| >= 2|A|/sqrt(11).
+def rich_difference_elements(A: FiniteSet) -> FiniteSet:
+    """Elements x of A with |(x - A) & P| >= 2|A|/sqrt(11), P = popular_differences(A).
 
     The irrational threshold is tested by squaring: 11 c^2 >= 4 |A|^2
-    (both sides nonnegative, boundary counted as rich).  When A's difference
-    table carries pair positions (values past int64, see `RepFn.pair_pos`)
-    and P is its popular selection, as it is for P = popular_differences(A),
-    each count is read from the popular mask at the table entries of the
-    pairs: no pair value is computed or looked up.  Otherwise every pair
-    value is looked up in P by `pair_membership`.
+    (both sides nonnegative, boundary counted as rich); see `_popular_pairs`.
     """
-    d = rep_fn(A, A, "diff")
-    if d.pair_pos is not None and _is_selection(d, mask := _popular_mask(d), P):
-        c = np.count_nonzero(d.pair_mask(mask), axis=1)
-    else:
-        c = pair_membership(A, A, "diff", P, per_row=True)
-    return _elements_where(A, _is_rich(c, len(A)))
+    return _elements_where(A, _popular_pairs(A)[1])
 
 
-def _is_rich(c: np.ndarray, n: int) -> np.ndarray:
-    return 11 * c * c >= 4 * n * n
-
-
-def _is_selection(d: RepFn, mask: np.ndarray, P: FiniteSet) -> bool:
-    """Whether P is the set of values of the table `d` where `mask` is true,
-    compared exactly at the table's scale s: by P's int view at scale t (a
-    picked v is an int of P times s / t) when P carries it, as a table's
-    selection does, else without building it.  Then at s = 1 the picked
-    values are P's elements (no Fraction in lowest terms equals an int);
-    otherwise a picked v is x = p/q in P when q divides s and v = p * (s/q)."""
-    if len(P) != int(np.count_nonzero(mask)):
-        return False
-    picked = d.scaled_values[mask]
-    s, quotients, iv = d.scale, {}, P.kept_int_view()
-    if iv is not None:
-        m, r = divmod(s, iv.scale)
-        ints = iv.arr.tolist()
-        return not r and picked.tolist() == (ints if m == 1 else [x * m for x in ints])
-    picked = picked.tolist()
-    if s == 1:
-        return tuple(picked) == P.elements
-    for v, x in zip(picked, P.elements):
-        q = x.denominator
-        if q not in quotients:
-            quotients[q] = s // q if s % q == 0 else None
-        m = quotients[q]
-        if m is None or v != x.numerator * m:
-            return False
-    return True
+def _popular_pairs(A: FiniteSet) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, rich): pairs[i, j] says whether A[i] - A[j] is a popular
+    difference, and rich marks the rows whose count c has 11 c^2 >= 4 |A|^2.
+    pairs is read from the popular mask at the pair positions of A's
+    difference table when it has them (past int64, `RepFn.pair_pos`), else
+    by one `pair_membership` lookup in the popular selection."""
+    d, mask = _popular_table(A)
+    pairs = (d.pair_mask(mask) if d.pair_pos is not None
+             else pair_membership(A, A, "diff", d.select(mask)))
+    c = np.count_nonzero(pairs, axis=1)
+    return pairs, 11 * c * c >= 4 * len(A) ** 2
 
 
 def _elements_where(A: FiniteSet, keep: np.ndarray) -> FiniteSet:
@@ -321,11 +293,8 @@ def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) ->
     """#{(r, a1, a2) in R x A x A : r-a1, r-a2, a1-a2 all popular differences}.
 
     R is the rich-difference subset.  Cubic cost, so guarded by size;
-    override size_guard to push past the default 1000.  One matrix of
-    popular pairs decides everything: it is read from A's difference table
-    when that carries pair positions (see `rich_difference_elements`), else
-    looked up by one `pair_membership` call; its rows count the rich
-    elements, and the rich rows are R's shifts.
+    override size_guard to push past the default 1000.  `_popular_pairs(A)`
+    decides everything: its rich rows are R's shifts.
     """
     n = len(A)
     if n > size_guard:
@@ -334,14 +303,8 @@ def count_popular_difference_triples(A: FiniteSet, *, size_guard: int = 1000) ->
         )
     if n == 0:
         raise DomainError("triple count needs a nonempty set")
-    d = rep_fn(A, A, "diff")
-    mask = _popular_mask(d)
-    # [a1, a2]: a1 - a2 popular
-    if d.pair_pos is None:
-        pair_ok = pair_membership(A, A, "diff", d.select(mask))
-    else:
-        pair_ok = d.pair_mask(mask)
-    shift_ok = pair_ok[_is_rich(np.count_nonzero(pair_ok, axis=1), n)]  # [r, a]: r - a popular
+    pair_ok, rich = _popular_pairs(A)  # [a1, a2]: a1 - a2 popular
+    shift_ok = pair_ok[rich]  # [r, a]: r - a popular
     return _masked_product_sum(shift_ok, pair_ok, shift_ok)
 
 

@@ -84,6 +84,7 @@ from .sets import (
     INT64_SAFE,
     FiniteSet,
     Rational,
+    abs_bound,
     as_rational,
     coprime_exponents,
     format_rational,
@@ -257,11 +258,6 @@ _PAIR_FUNCS = {
 }
 
 
-def _abs_bound(v: np.ndarray) -> int:
-    """The largest magnitude in a sorted integer array, 0 when it is empty."""
-    return max(abs(int(v[0])), abs(int(v[-1]))) if len(v) else 0
-
-
 def _exact(iv, m: int) -> np.ndarray:
     """m times the integers of the int view `iv`, as an object array of
     Python ints."""
@@ -292,7 +288,7 @@ def _operands(A: FiniteSet, B: FiniteSet, op: str, scale: int = 1):
     """
     ma, mb, s = _pair_factors(A, B, op, scale)
     iva, ivb = A.int_view, B.int_view
-    ba, bb = _abs_bound(iva.arr) * ma, _abs_bound(ivb.arr) * mb
+    ba, bb = abs_bound(iva.arr) * ma, abs_bound(ivb.arr) * mb
     if max(ba, bb, ba * bb if op == "prod" else ba + bb) < INT64_SAFE:
         return iva.arr * ma if ma != 1 else iva.arr, ivb.arr * mb if mb != 1 else ivb.arr, s
     return _exact(iva, ma), _exact(ivb, mb), s
@@ -310,7 +306,7 @@ def _outer_int64(A: FiniteSet, B: FiniteSet, op: str):
     a, b, s = _operands(A, B, op)
     if a.dtype == object:
         return None
-    if op != "prod" and _abs_bound(a) + _abs_bound(b) < (1 << 31):
+    if op != "prod" and abs_bound(a) + abs_bound(b) < (1 << 31):
         a = a.astype(np.int32)
         b = b.astype(np.int32)
     return _PAIR_FUNCS[op][0].outer(a, b).ravel(), s
@@ -836,7 +832,7 @@ def _membership_block(X: FiniteSet, Y: FiniteSet, op: str, P: FiniteSet):
     x, y, s = _operands(X, Y, op, P.int_view.scale)
     ivp = P.int_view
     mp = s // ivp.scale
-    if x.dtype != object and _abs_bound(ivp.arr) * mp < INT64_SAFE:
+    if x.dtype != object and abs_bound(ivp.arr) * mp < INT64_SAFE:
         return _int64_lookup(x, y, op, ivp.arr * mp if mp != 1 else ivp.arr)
     mx, my, _ = _pair_factors(X, Y, op, s)
     return _residue_lookup(op, ((X.int_view, mx), (Y.int_view, my), (ivp, mp)))

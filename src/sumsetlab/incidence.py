@@ -31,6 +31,7 @@ from .sets import (
     INT64_SAFE,
     FiniteSet,
     Rational,
+    abs_bound,
     as_rational,
     is_convex,
     read_utf8_text,
@@ -135,8 +136,7 @@ def count_incidences_grid(A: FiniteSet, B: FiniteSet, slope_count: int,
     b0, b1 = int(ivb.arr[0]) * mb, int(ivb.arr[-1]) * mb
     qmin = b0 // s
     width = b1 // s - qmin + 1
-    amax = max(abs(int(iva.arr[0])), abs(int(iva.arr[-1]))) * ma
-    bound = max(abs(b0), abs(b1)) + s * width + S * amax + K + abs(qmin) + 1
+    bound = max(abs(b0), abs(b1)) + s * width + S * abs_bound(iva.arr) * ma + K + abs(qmin) + 1
     dtype = np.int64 if bound < INT64_SAFE else object
     alpha = iva.arr.astype(dtype) * ma
     beta = ivb.arr.astype(dtype) * mb

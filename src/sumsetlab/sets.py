@@ -53,6 +53,11 @@ Rational = int | Fraction
 INT64_SAFE = 1 << 62
 
 
+def abs_bound(values: Sequence[int] | np.ndarray) -> int:
+    """The largest magnitude in a sorted integer sequence, 0 when it is empty."""
+    return max(abs(int(values[0])), abs(int(values[-1]))) if len(values) else 0
+
+
 # Decimal text of integers is read and written in chunks of this many digits.
 # 640 is the least value that sys.set_int_max_str_digits accepts, so below
 # it no setting of that process-wide limit (4 300 digits by default) refuses
@@ -252,7 +257,7 @@ class _IntView:
 
     def __init__(self, values: Sequence[int] | np.ndarray, scale: int):
         self.scale = scale
-        fits = not len(values) or max(abs(int(values[0])), abs(int(values[-1]))) < INT64_SAFE
+        fits = abs_bound(values) < INT64_SAFE
         self.arr = np.asarray(values, dtype=np.int64 if fits else object)
         self._mods: dict[int, np.ndarray] = {}
         self._coprime = _UNSET
@@ -338,10 +343,6 @@ class FiniteSet:
             s, ints = self._iv.scale, self._iv.arr.tolist()
             self._elements = tuple(ints if s == 1 else (as_rational(Fraction(v, s)) for v in ints))
         return self._elements
-
-    def kept_int_view(self) -> _IntView | None:
-        """The int view if it is built, else None; builds nothing."""
-        return self._iv
 
     # -- container protocol -------------------------------------------------
 

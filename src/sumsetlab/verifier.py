@@ -219,7 +219,7 @@ class SetCore:
         return self._popular()[1]
 
     def rich_diff(self) -> FiniteSet:
-        return self._memo("R", lambda: rich_difference_elements(self.A, self.popular_diff()))
+        return self._memo("R", lambda: rich_difference_elements(self.A))
 
     def proj_popular_diff(self, budget: int | None) -> int:
         P = self.popular_diff()

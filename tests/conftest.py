@@ -1,8 +1,9 @@
 """Shared brute-force oracles and hypothesis strategies.
 
 Every oracle here is deliberately naive (explicit loops over tuples,
-linear membership scans) so it shares no code path with the library
-kernels it is checking against.
+membership by linear scans or in Python sets, which the library never
+builds) so it shares no code path with the library kernels it is checking
+against.
 """
 
 from collections import Counter
@@ -55,10 +56,11 @@ def oracle_projection(P, Q):
 
 
 def oracle_triples_diff(A, P):
+    """The triples over R, the elements x of A with 11 #{a : x - a in P}^2
+    >= 4 |A|^2, by their definition."""
     Pm = set(P)
-    from sumsetlab import rich_difference_elements
-
-    R = rich_difference_elements(A, P)
+    n = len(A)
+    R = [x for x in A if 11 * sum(1 for a in A if (x - a) in Pm) ** 2 >= 4 * n * n]
     total = 0
     for r in R:
         for a1 in A:
@@ -69,12 +71,14 @@ def oracle_triples_diff(A, P):
 
 
 def oracle_incidences(A, B, lines):
+    """Each slope * a + intercept, made once per (line, a), is looked up in
+    a Python set of B: the library never hashes an element."""
+    Bm = set(B)
     total = 0
     for line in lines:
         for a in A:
-            for b in B:
-                if Fraction(b) == Fraction(line.slope) * a + line.intercept:
-                    total += 1
+            if Fraction(line.slope) * a + line.intercept in Bm:
+                total += 1
     return total
 
 

@@ -39,6 +39,13 @@ def test_popular_differences_examples():
     assert popular_differences(A123).elements == (-2, -1, 0, 1, 2)
     assert popular_differences(make_set([7])).elements == (0,)
     assert 0 in popular_differences(gen_family(FamilySpec.gp(1, 2, 8)))
+    # at the threshold |A|^2 / (11 |A-A|): 4096 / (11 * 127) = 2.93 for
+    # {0..63}, where only the counts 64 - |x| >= 3 are popular, and exactly
+    # 1089 / (11 * 99) = 1 for {0..31, 49}, where every difference is
+    assert popular_differences(make_set(range(64))).elements == tuple(range(-61, 62))
+    A = make_set(list(range(32)) + [49])
+    assert popular_differences(A) == rep_fn(A, A, "diff").support()
+    assert rep_fn(A, A, "diff").size == 99
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,16 +71,15 @@ def test_popular_mass_bound_families(kind, n):
 # -- rich difference elements ----------------------------------------------------
 
 def test_rich_difference_examples():
-    P = popular_differences(A123)
-    assert rich_difference_elements(A123, P) == A123
+    assert rich_difference_elements(A123) == A123
     lone = make_set([4])
-    assert rich_difference_elements(lone, popular_differences(lone)) == lone
+    assert rich_difference_elements(lone) == lone
 
 
 @settings(max_examples=60, deadline=None)
 @given(int_sets)
 def test_rich_size_exceeds_half(A):
-    R = rich_difference_elements(A, popular_differences(A))
+    R = rich_difference_elements(A)
     assert 2 * len(R) > len(A)
 
 
@@ -83,7 +89,7 @@ def test_per_rich_element_pair_bound(A):
     # every rich r admits at least (4/11)|A|^2 pairs with both shifts popular
     P = popular_differences(A)
     n = len(A)
-    for r in rich_difference_elements(A, P):
+    for r in rich_difference_elements(A):
         hits = sum(1 for a in A if (r - a) in P)
         assert 11 * hits * hits >= 4 * n * n
 
@@ -332,7 +338,7 @@ def test_fiber_enumeration_matches_collision_bound():
     # enumerate the triple set, its image, and its collisions explicitly
     A = make_set([0, 1, 3, 7, 12])
     P = popular_differences(A)
-    R = rich_difference_elements(A, P)
+    R = rich_difference_elements(A)
     S = [
         (r, a1, a2)
         for r in R for a1 in A for a2 in A
@@ -408,7 +414,7 @@ def test_popular_and_rich_sets_match_definitions_and_fresh_views(spec):
     P = popular_differences(A)
     members = set(P.elements)
     want = [x for x in A if 11 * sum(x - a in members for a in A) ** 2 >= 4 * n * n]
-    R = rich_difference_elements(A, P)
+    R = rich_difference_elements(A)
     assert R.elements == tuple(want)
     S = popular_sums(A, 100)
     members = set(S.elements)
@@ -467,7 +473,6 @@ def test_table_selections_build_their_elements_only_when_read(case):
     import copy
     import pickle
 
-    from sumsetlab.constructions import _is_selection, _popular_mask
     from sumsetlab.energy import pair_membership, pair_set_size
 
     A, P, want = _SELECTION_CASES[case]()
@@ -476,14 +481,13 @@ def test_table_selections_build_their_elements_only_when_read(case):
     projections = sum(1 for p in want for q in want if p - q in members)
     assert projection_count(P, P) == pair_membership(P, P, "diff", P).sum() == projections
     assert pair_set_size(P, P, "sum") == len({p + q for p in want for q in want})
-    d = rep_fn(A, A, "diff")
-    if d.pair_pos is not None and not case.startswith("scale-6"):
-        # the popular selection is recognised from the view it carries
-        assert _is_selection(d, _popular_mask(d), P)
-    R = rich_difference_elements(A, P)
-    n = len(A)
+    # rich elements are measured against A's own popular differences
+    counts = _oracle_differences(A)
+    n, size = len(A), len(counts)
+    popular = {x for x, c in counts.items() if 11 * c * size >= n * n}
+    R = rich_difference_elements(A)
     assert list(R.elements) == [
-        x for x in A if 11 * sum(x - a in members for a in A) ** 2 >= 4 * n * n]
+        x for x in A if 11 * sum(x - a in popular for a in A) ** 2 >= 4 * n * n]
     assert P._elements is None
     # once read, the elements and every copy are those of a fresh set
     fresh = FiniteSet(want)
@@ -497,18 +501,3 @@ def test_table_selections_build_their_elements_only_when_read(case):
         assert back.int_view.arr.dtype == P.int_view.arr.dtype
         assert back.int_view.arr.tolist() == P.int_view.arr.tolist()
         assert back.int_view.scale == P.int_view.scale
-
-
-def test_the_scale_6_selection_is_compared_at_its_reduced_scale():
-    from sumsetlab.constructions import _is_selection
-
-    A, P, _ = _even_case(1 << 70)()
-    d = rep_fn(A, A, "diff")
-    even = np.array([v % 2 == 0 for v in d.scaled_values])
-    assert d.pair_pos is not None and _is_selection(d, even, P)
-    assert not _is_selection(d, np.roll(even, 1), P)
-    # the table's picked integers over a scale that does not divide the table's
-    picked = [v for v, keep in zip(d.scaled_values, even) if keep]
-    assert not _is_selection(d, even, FiniteSet.from_scaled(picked, 5))
-    assert _is_selection(d, even, FiniteSet.from_scaled(picked, 6))
-    assert P._elements is None

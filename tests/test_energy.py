@@ -1847,7 +1847,7 @@ def test_residues_computed_once_per_set(monkeypatch):
         rep_fn(A, A, op)
         pair_set_size(A, A, op)
     P = popular_differences(A)
-    rich_difference_elements(A, P)
+    rich_difference_elements(A)
     projection_count(P, P)
     assert seen and all(len(ids) == 1 for ids in seen.values())
     assert len(keep) > 2 * len(seen)  # the cached residues are read again

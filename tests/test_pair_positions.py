@@ -3,11 +3,12 @@
 A same-set difference table past int64 places every positive-difference
 pair of a set at its exact table entry (`RepFn.pair_pos`).  Rich elements
 and the difference-side triple count read the popular mask at those entries
-instead of looking each pair value up in P; any other P is looked up by
-`pair_membership`.  `SetCore.pair_size` reads the size of a table already
-built: for A with itself the one kept on A, for a distinct B its own memo.  These tests hold the table path to the `pair_membership` path and to
-brute-force oracles, also when every residue key group of a lookup is a
-forced collision, and count the calls the table path saves.
+instead of looking each pair value up in the popular differences.
+`SetCore.pair_size` reads the size of a table already built: for A with
+itself the one kept on A, for a distinct B its own memo.  These tests hold
+the table path to the `pair_membership` path and to brute-force oracles,
+also when every residue key group of a lookup is a forced collision, and
+count the calls the table path saves.
 """
 
 import importlib
@@ -53,19 +54,13 @@ def collide(request, monkeypatch):
     return request.param
 
 
-def _oracle_rich(A, P):
-    """The elements of A rich in P, by the definition."""
-    n = len(A)
-    return [x for x in A.elements
-            if 11 * sum((x - a) in P for a in A.elements) ** 2 >= 4 * n * n]
-
-
 def _oracle_popular_and_rich(A):
     """P and R by their definitions, from brute-force difference counts."""
     counts = oracle_rep_counts(A.elements, A.elements, "diff")
     n = len(A)
     P = {d for d, c in counts.items() if 11 * c * len(counts) >= n * n}
-    return P, _oracle_rich(A, P)
+    return P, [x for x in A.elements
+               if 11 * sum((x - a) in P for a in A.elements) ** 2 >= 4 * n * n]
 
 
 @pytest.mark.parametrize("name", sorted(PAST_INT64))
@@ -78,7 +73,7 @@ def test_table_path_matches_membership_and_oracle(name, collide):
     want_P, want_R = _oracle_popular_and_rich(A)
     assert set(P.elements) == want_P
 
-    rich = rich_difference_elements(A, P)
+    rich = rich_difference_elements(A)
     n = len(A)
     c = pair_membership(A, A, "diff", P, per_row=True)
     assert rich.elements == tuple(x for x, k in zip(A.elements, c.tolist()) if 11 * k * k >= 4 * n * n)
@@ -100,42 +95,6 @@ def test_int64_tables_carry_no_positions():
     assert rep_fn(*(PAST_INT64["GP(1,2)"](),) * 2, "sum").pair_pos is None
     with pytest.raises(DomainError):
         d.pair_mask(np.ones(d.size, dtype=bool))
-
-
-def test_a_set_other_than_the_popular_selection_takes_membership(monkeypatch):
-    constructions = sys.modules["sumsetlab.constructions"]
-    looked_up = []
-
-    def counted(X, Y, op, P, **kwargs):
-        looked_up.append(P)
-        return pair_membership(X, Y, op, P, **kwargs)
-
-    monkeypatch.setattr(constructions, "pair_membership", counted)
-    A = PAST_INT64["GP(1,2)"]()
-    P, _ = popular_difference_mass(A)
-    fewer = make_set(P.elements[1:])
-    shifted = make_set([p + 1 for p in P.elements])
-    # a rational set: the comparison is made at the table's scale
-    Q = PAST_INT64["GP(3,5/2)"]()
-    PQ, _ = popular_difference_mass(Q)
-    halves = make_set([p * Fraction(1, 2) for p in PQ.elements])
-    for X, other in ((A, fewer), (A, shifted), (A, make_set([])), (Q, halves)):
-        assert list(rich_difference_elements(X, other).elements) == _oracle_rich(X, set(other))
-    assert looked_up == [fewer, shifted, make_set([]), halves]
-    # the popular selection itself is read from the table
-    assert rich_difference_elements(Q, PQ) == make_set(_oracle_rich(Q, set(PQ)))
-    assert len(looked_up) == 4
-
-
-def test_a_fresh_rational_selection_keeps_its_int_view_unbuilt():
-    # P is compared with the table by cross-multiplication, not through
-    # its scaled-integer view, whose scale is the lcm of P's denominators
-    Q = PAST_INT64["GP(3,5/2)"]()
-    P, _ = popular_difference_mass(Q)
-    fresh = make_set(P.elements)
-    assert fresh._iv is None and any(isinstance(p, Fraction) for p in fresh)
-    assert rich_difference_elements(Q, fresh) == rich_difference_elements(Q, P)
-    assert fresh._iv is None
 
 
 @pytest.mark.parametrize("n", [8, 20, 40])
